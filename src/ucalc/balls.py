@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .padic import PadicVector, fraction_valuation
+from .padic import PadicVector, ParseError, at_path, fraction_valuation, vector_from_json, vector_to_json
 
 
 class EmptyRegion(ValueError):
@@ -406,26 +406,26 @@ def verify_partition(region, parts, cover, level):
 
 
 def ball_to_json(b):
-    from .padic import vector_to_json
-
     return {"center": vector_to_json(b.center), "k": b.k}
 
 
-def ball_from_json(obj):
-    from .padic import vector_from_json
-
+def ball_from_json(obj, path="$"):
     if not isinstance(obj, dict) or "center" not in obj or "k" not in obj:
-        raise ValueError("ball must be an object with center and k")
-    if not isinstance(obj["k"], int):
-        raise ValueError("ball level k must be an int")
-    return Ball(vector_from_json(obj["center"]), obj["k"])
+        raise ParseError("ball must be an object with center and k", path)
+    if type(obj["k"]) is not int:
+        raise ParseError("ball level k must be an int", path + ".k")
+    center = vector_from_json(obj["center"], path + ".center")
+    with at_path(path):
+        return Ball(center, obj["k"])
 
 
 def region_to_json(r):
     return {"balls": [ball_to_json(b) for b in r.balls]}
 
 
-def region_from_json(obj):
-    if not isinstance(obj, dict) or "balls" not in obj or not isinstance(obj["balls"], list):
-        raise ValueError("region must be an object with a balls array")
-    return ClopenRegion([ball_from_json(b) for b in obj["balls"]])
+def region_from_json(obj, path="$"):
+    if not isinstance(obj, dict) or not isinstance(obj.get("balls"), list):
+        raise ParseError("region must be an object with a balls array", path)
+    balls = [ball_from_json(b, "%s.balls[%d]" % (path, i)) for i, b in enumerate(obj["balls"])]
+    with at_path(path):
+        return ClopenRegion(balls)

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _poly
-from .padic import INF, PadicScalar, PadicVector, fraction_valuation
-from .balls import Ball, ClopenRegion, ball_relation
+from .padic import INF, PadicScalar, PadicVector, ParseError, at_path, fraction_valuation
+from .padic import vector_from_json, vector_to_json
+from .balls import Ball, ClopenRegion, ball_from_json, ball_relation, ball_to_json
+from .balls import region_from_json, region_to_json
 
 
 class OutOfDomain(ValueError):
@@ -733,9 +735,6 @@ def curry(f, x):
 
 
 def model_to_json(f):
-    from .balls import ball_to_json, region_to_json
-    from .padic import vector_to_json
-
     pieces = []
     for b, coeffs in f.pieces:
         poly = [
@@ -758,34 +757,60 @@ def model_to_json(f):
     return out
 
 
-def model_from_json(obj):
-    from .balls import ball_from_json, region_from_json
-    from .padic import vector_from_json
+def _piece_from_json(entry, path, e):
+    """(ball, coeffs) of one model piece; the checks across pieces are
+    left to FunctionModel."""
+    if not isinstance(entry, dict) or "ball" not in entry:
+        raise ParseError("piece must be an object with a ball", path)
+    ball = ball_from_json(entry["ball"], path + ".ball")
+    poly = entry.get("poly", [])
+    if not isinstance(poly, list):
+        raise ParseError("poly must be an array of monomials", path + ".poly")
+    coeffs = {}
+    for j, mono in enumerate(poly):
+        mpath = "%s.poly[%d]" % (path, j)
+        if not isinstance(mono, dict):
+            raise ParseError("monomial must be an object with exps and coef", mpath)
+        exps = mono.get("exps")
+        if not (isinstance(exps, list) and len(exps) == ball.d
+                and all(type(n) is int and n >= 0 for n in exps)):
+            raise ParseError("exps must be %d nonnegative ints, got %r" % (ball.d, exps), mpath + ".exps")
+        vec = vector_from_json(mono.get("coef"), mpath + ".coef")
+        if vec.dim != e or vec.ctx != ball.ctx:
+            raise ParseError("coefficient must be %d scalars in %r" % (e, ball.ctx), mpath + ".coef")
+        coeffs[tuple(exps)] = vec
+    return ball, coeffs
 
+
+def model_from_json(obj, path="$"):
     if not isinstance(obj, dict) or "pieces" not in obj or "codim" not in obj:
-        raise ValueError("model must be an object with codim and pieces")
+        raise ParseError("model must be an object with codim and pieces", path)
     e = obj["codim"]
-    if not isinstance(e, int) or e < 1:
-        raise ValueError("codim must be a positive int")
-    pieces = []
-    for entry in obj["pieces"]:
-        ball = ball_from_json(entry["ball"])
-        coeffs = {}
-        for mono in entry.get("poly", []):
-            exps = tuple(mono["exps"])
-            coeffs[exps] = vector_from_json(mono["coef"])
-        pieces.append((ball, coeffs))
+    if type(e) is not int or e < 1:
+        raise ParseError("codim must be a positive int", path + ".codim")
+    if not isinstance(obj["pieces"], list):
+        raise ParseError("pieces must be an array", path + ".pieces")
+    pieces = [
+        _piece_from_json(entry, "%s.pieces[%d]" % (path, i), e)
+        for i, entry in enumerate(obj["pieces"])
+    ]
     factors = None
     if "product" in obj:
+        if not isinstance(obj["product"], list):
+            raise ParseError("product must be an array", path + ".product")
         factors = {}
-        for entry in obj["product"]:
-            factors[ball_from_json(entry["ball"])] = (
-                ball_from_json(entry["u"]),
-                ball_from_json(entry["v"]),
+        for i, entry in enumerate(obj["product"]):
+            fpath = "%s.product[%d]" % (path, i)
+            if not isinstance(entry, dict):
+                raise ParseError("product entry must be an object with ball, u and v", fpath)
+            ball, bu, bv = (
+                ball_from_json(entry.get(key), "%s.%s" % (fpath, key)) for key in ("ball", "u", "v")
             )
-    model = FunctionModel(pieces, e=e, factors=factors)
+            factors[ball] = (bu, bv)
+    with at_path(path):
+        model = FunctionModel(pieces, e=e, factors=factors)
     if "domain" in obj:
-        declared = region_from_json(obj["domain"])
+        declared = region_from_json(obj["domain"], path + ".domain")
         if declared != model.domain:
-            raise ValueError("declared domain disagrees with the piece balls")
+            raise ParseError("declared domain disagrees with the piece balls", path + ".domain")
     return model

@@ -9,7 +9,8 @@ the regular representation stay below N.
 from fractions import Fraction
 
 from .calculus import CheckReport
-from .padic import INF, PadicScalar, PadicVector, fraction_valuation, scalar_to_json, scalar_from_json
+from .padic import INF, PadicScalar, PadicVector, ParseError, at_path, fraction_valuation
+from .padic import scalar_from_json, scalar_to_json
 
 
 class Singular(ArithmeticError):
@@ -416,16 +417,33 @@ def algebra_to_json(A):
     }
 
 
-def algebra_from_json(obj):
+def algebra_from_json(obj, path="$"):
     if not isinstance(obj, dict):
-        raise ValueError("algebra JSON must be an object")
+        raise ParseError("algebra JSON must be an object", path)
     n = obj.get("n")
+    if type(n) is not int or n < 1:
+        raise ParseError("algebra dimension n must be a positive int", path + ".n")
+
+    def scalars(arr, where, ctx):
+        """The n scalars of one array, all in `ctx` (None: in the first's)."""
+        if not isinstance(arr, list) or len(arr) != n:
+            raise ParseError("expected an array of %d entries" % n, where)
+        out = [scalar_from_json(s, "%s[%d]" % (where, i)) for i, s in enumerate(arr)]
+        ctx = ctx or out[0].ctx
+        for i, s in enumerate(out):
+            if s.ctx != ctx:
+                raise ParseError("scalar context differs from %r" % (ctx,), "%s[%d]" % (where, i))
+        return out
+
+    one_s = scalars(obj.get("one"), path + ".one", None)
+    ctx = one_s[0].ctx
     t = obj.get("t")
-    one = obj.get("one")
-    if not isinstance(n, int) or not isinstance(t, list) or not isinstance(one, list):
-        raise ValueError("algebra JSON needs integer n, tensor t and unit one")
-    if len(one) != n or len(t) != n:
-        raise ValueError("algebra JSON dimensions disagree with n")
-    one_s = [scalar_from_json(s) for s in one]
-    t_s = [[[scalar_from_json(s) for s in row] for row in plane] for plane in t]
-    return StructAlgebra(t_s, one_s)
+    if not isinstance(t, list) or len(t) != n:
+        raise ParseError("expected an n x n x n tensor", path + ".t")
+    t_s = []
+    for i, plane in enumerate(t):
+        if not isinstance(plane, list) or len(plane) != n:
+            raise ParseError("expected an n x n plane", "%s.t[%d]" % (path, i))
+        t_s.append([scalars(row, "%s.t[%d][%d]" % (path, i, j), ctx) for j, row in enumerate(plane)])
+    with at_path(path):
+        return StructAlgebra(t_s, one_s)

@@ -70,9 +70,9 @@ from .diffeo import (
     invert_at,
     isometry_check,
 )
-from .padic import PadicContext, _is_prime, scalar_from_json, scalar_to_json, vector_from_json, vector_to_json
+from .padic import PadicContext, ParseError, _is_prime, scalar_from_json, scalar_to_json
+from .padic import vector_from_json, vector_to_json
 from .weakprod import (
-    ComposedEntry,
     GlobalDiffeo,
     InverseEntry,
     ModelEntry,
@@ -80,6 +80,8 @@ from .weakprod import (
     ZeroConditionViolated,
     conjugate_global,
     oplus_apply,
+    perm_compose,
+    perm_inverse,
     wp_inv,
     wp_mul,
 )
@@ -91,14 +93,6 @@ class UnknownSuite(ValueError):
 
 class ConfigInvalid(ValueError):
     """A suite config field violates its invariant."""
-
-
-class ParseError(ValueError):
-    """Malformed JSON input; carries the path of the offending node."""
-
-    def __init__(self, msg, path="$"):
-        super().__init__("%s at %s" % (msg, path))
-        self.path = path
 
 
 @dataclass
@@ -250,17 +244,6 @@ def _rand_region(ctx, rng, d, max_level=2):
             Ball.from_ints(ctx, tuple(rng.randrange(ctx.p ** k) for _ in range(d)), k)
         )
     return ClopenRegion(balls)
-
-
-def _perm_compose(f, g):
-    return tuple(f[i] for i in g)
-
-
-def _perm_inverse(f):
-    out = [0] * len(f)
-    for i, j in enumerate(f):
-        out[j] = i
-    return tuple(out)
 
 
 def _suite_chain_rule(cfg):
@@ -596,7 +579,7 @@ def _suite_group_axioms(cfg):
         g1, g2 = _rand_diffeo(ctx, srng, cfg.d), _rand_diffeo(ctx, srng, cfg.d)
         comp = ModelEntry(g1).compose(ModelEntry(g2))
         for m in range(1, mtop + 1):
-            want = _perm_compose(induced_level_map(g1, m), induced_level_map(g2, m))
+            want = perm_compose(induced_level_map(g1, m), induced_level_map(g2, m))
             if comp.induced(m) != want:
                 note = "composition hom fails at level %d" % m
         if note is None and not same(wp_mul(wp_mul(x, y), z), wp_mul(x, wp_mul(y, z)), mtop):
@@ -764,7 +747,7 @@ def _suite_conjugate(cfg):
         for ball, entry in eta1.support.items():
             target = gd._by_source[ball][0]
             ph = induced_level_map(charts[ball], m)
-            want = _perm_compose(_perm_compose(ph, entry.induced(m)), _perm_inverse(ph))
+            want = perm_compose(perm_compose(ph, entry.induced(m)), perm_inverse(ph))
             if out.support[target].induced(m) != want:
                 note = "entry conjugation at %r" % (ball,)
                 break
@@ -825,114 +808,13 @@ def run_suite(name, cfg):
     )
 
 
-# ---------------------------------------------------------------------------
-# JSON format walkers: same loaders as the library, but structural errors
-# are reported with the path of the offending node.
-
-
-def _want_dict(obj, path):
-    if not isinstance(obj, dict):
-        raise ParseError("expected an object, got %s" % type(obj).__name__, path)
-
-
-def _load_scalar(obj, path="$"):
-    _want_dict(obj, path)
-    for key in ("p", "v", "digits"):
-        if key not in obj:
-            raise ParseError("missing key %r" % key, path)
-    digits = obj["digits"]
-    if not isinstance(digits, list):
-        raise ParseError("digits must be an array", path + ".digits")
-    for i, dgt in enumerate(digits):
-        if not isinstance(dgt, int):
-            raise ParseError("digit must be an int", "%s.digits[%d]" % (path, i))
-    try:
-        return scalar_from_json(obj)
-    except ValueError as err:
-        raise ParseError(str(err), path) from None
-
-
-def _load_vector(obj, path="$"):
-    if not isinstance(obj, list) or not obj:
-        raise ParseError("vector must be a nonempty array", path)
-    for i, entry in enumerate(obj):
-        _load_scalar(entry, "%s[%d]" % (path, i))
-    return vector_from_json(obj)
-
-
-def _load_ball(obj, path="$"):
-    _want_dict(obj, path)
-    if "center" not in obj or "k" not in obj:
-        raise ParseError("ball needs center and k", path)
-    _load_vector(obj["center"], path + ".center")
-    try:
-        return ball_from_json(obj)
-    except ValueError as err:
-        raise ParseError(str(err), path) from None
-
-
-def _load_region(obj, path="$"):
-    _want_dict(obj, path)
-    if not isinstance(obj.get("balls"), list):
-        raise ParseError("region needs a balls array", path)
-    for i, entry in enumerate(obj["balls"]):
-        _load_ball(entry, "%s.balls[%d]" % (path, i))
-    try:
-        return region_from_json(obj)
-    except ValueError as err:
-        raise ParseError(str(err), path) from None
-
-
-def _load_model(obj, path="$"):
-    _want_dict(obj, path)
-    if not isinstance(obj.get("pieces"), list):
-        raise ParseError("model needs a pieces array", path)
-    for i, piece in enumerate(obj["pieces"]):
-        ppath = "%s.pieces[%d]" % (path, i)
-        _want_dict(piece, ppath)
-        if "ball" not in piece:
-            raise ParseError("piece needs a ball", ppath)
-        _load_ball(piece["ball"], ppath + ".ball")
-        for j, mono in enumerate(piece.get("poly", [])):
-            mpath = "%s.poly[%d]" % (ppath, j)
-            _want_dict(mono, mpath)
-            if not isinstance(mono.get("exps"), list):
-                raise ParseError("monomial needs an exps array", mpath)
-            _load_vector(mono.get("coef"), mpath + ".coef")
-    try:
-        return model_from_json(obj)
-    except ValueError as err:
-        raise ParseError(str(err), path) from None
-
-
-def _load_algebra(obj, path="$"):
-    _want_dict(obj, path)
-    t = obj.get("t")
-    if not isinstance(t, list):
-        raise ParseError("algebra needs a t tensor", path)
-    for i, plane in enumerate(t):
-        if not isinstance(plane, list):
-            raise ParseError("tensor plane must be an array", "%s.t[%d]" % (path, i))
-        for j, row in enumerate(plane):
-            if not isinstance(row, list):
-                raise ParseError("tensor row must be an array", "%s.t[%d][%d]" % (path, i, j))
-            for k, entry in enumerate(row):
-                _load_scalar(entry, "%s.t[%d][%d][%d]" % (path, i, j, k))
-    for i, entry in enumerate(obj.get("one", [])):
-        _load_scalar(entry, "%s.one[%d]" % (path, i))
-    try:
-        return algebra_from_json(obj)
-    except ValueError as err:
-        raise ParseError(str(err), path) from None
-
-
 _FORMATS = {
-    "scalar": (_load_scalar, scalar_to_json),
-    "vector": (_load_vector, vector_to_json),
-    "ball": (_load_ball, ball_to_json),
-    "region": (_load_region, region_to_json),
-    "model": (_load_model, model_to_json),
-    "algebra": (_load_algebra, algebra_to_json),
+    "scalar": (scalar_from_json, scalar_to_json),
+    "vector": (vector_from_json, vector_to_json),
+    "ball": (ball_from_json, ball_to_json),
+    "region": (region_from_json, region_to_json),
+    "model": (model_from_json, model_to_json),
+    "algebra": (algebra_from_json, algebra_to_json),
 }
 
 
@@ -979,8 +861,8 @@ def _ctx_vector(ctx, frs):
 
 
 def _cmd_partition(ns):
-    region = _load_region(_read_json(ns.region))
-    cover = [_load_region(_read_json(path)) for path in ns.cover]
+    region = region_from_json(_read_json(ns.region))
+    cover = [region_from_json(_read_json(path)) for path in ns.cover]
     level = ns.verify_level if ns.verify_level is not None else 3
     try:
         parts = subordinate_partition(region, cover)
@@ -1000,7 +882,7 @@ def _cmd_partition(ns):
 
 
 def _cmd_dq(ns):
-    f = _load_model(_read_json(ns.fn))
+    f = model_from_json(_read_json(ns.fn))
     ctx = f.ctx
     x = _ctx_vector(ctx, _parse_fractions(ns.x))
     y = _ctx_vector(ctx, _parse_fractions(ns.y))
@@ -1035,18 +917,18 @@ def _cmd_verify(ns):
     return (0 if ok else 1), report.to_json(), human
 
 
-def _certified_from_file(path, level):
-    endo = BallEndo(_load_model(_read_json(path)))
-    cert = certify_omega(endo, m=level)
-    return CertifiedDiffeo(endo=endo, cert=cert)
+def _certified(model, level):
+    endo = BallEndo(model)
+    return CertifiedDiffeo(endo=endo, cert=certify_omega(endo, m=level))
 
 
 def _cmd_diffeo(ns):
     level = ns.verify_level if ns.verify_level is not None else 3
+    model = model_from_json(_read_json(ns.endo))
     if ns.action == "certify":
         level = ns.level if ns.level is not None else level
         try:
-            endo = BallEndo(_load_model(_read_json(ns.endo)))
+            endo = BallEndo(model)
         except ValueError as err:
             return 1, {"certified": False, "error": str(err)}, "not a self-map: %s" % err
         try:
@@ -1064,7 +946,7 @@ def _cmd_diffeo(ns):
             "level": cert.level,
         }
         return 0, payload, "certified via %s" % cert.method
-    g = _certified_from_file(ns.endo, level)
+    g = _certified(model, level)
     if ns.action == "invert":
         ctx = g.endo.ctx
         y = _ctx_vector(ctx, _parse_fractions(ns.y))
@@ -1078,8 +960,8 @@ def _cmd_diffeo(ns):
 
 
 def _cmd_alg(ns):
-    A = _load_algebra(_read_json(ns.alg))
-    elt = _load_vector(_read_json(ns.elt))
+    A = algebra_from_json(_read_json(ns.alg))
+    elt = vector_from_json(_read_json(ns.elt))
     try:
         inv = alg_inverse(A, elt)
     except (NotAUnit, Singular) as err:
@@ -1102,39 +984,34 @@ def _entry_to_json(entry, m):
 
 def _load_bundle(path, level, ball_ids=False):
     obj = _read_json(path)
-    _want_dict(obj, "$")
-    if not isinstance(obj.get("index"), list) or not isinstance(obj.get("support"), list):
+    if not isinstance(obj, dict) or not all(
+        isinstance(obj.get(key), list) for key in ("index", "support")
+    ):
         raise ParseError("bundle needs index and support arrays")
     base = os.path.dirname(os.path.abspath(path))
 
     def decode_id(raw, where):
         if ball_ids:
-            return _load_ball(raw, where)
+            return ball_from_json(raw, where)
         return json.dumps(raw, sort_keys=True)
 
     index = [decode_id(raw, "$.index[%d]" % i) for i, raw in enumerate(obj["index"])]
-    originals = {decode_id(raw, "$.index[%d]" % i): raw for i, raw in enumerate(obj["index"])}
     support = {}
     for i, item in enumerate(obj["support"]):
         where = "$.support[%d]" % i
-        _want_dict(item, where)
-        if "id" not in item or "endo" not in item:
+        if not isinstance(item, dict) or "id" not in item or "endo" not in item:
             raise ParseError("support item needs id and endo", where)
         key = decode_id(item["id"], where + ".id")
         endo = item["endo"]
         if isinstance(endo, str):
             endo = _read_json(os.path.join(base, endo))
-        model = _load_model(endo, where + ".endo")
-        ballendo = BallEndo(model)
-        support[key] = CertifiedDiffeo(endo=ballendo, cert=certify_omega(ballendo, m=level))
-    return WeakProductElement(index, support), originals
+        support[key] = _certified(model_from_json(endo, where + ".endo"), level)
+    return WeakProductElement(index, support)
 
 
-def _element_payload(element, originals, m, ball_ids=False):
+def _element_payload(element, m, ball_ids=False):
     def encode_id(key):
-        if ball_ids:
-            return ball_to_json(key)
-        return originals.get(key, json.loads(key))
+        return ball_to_json(key) if ball_ids else json.loads(key)
 
     return {
         "index": [encode_id(key) for key in element.index_set],
@@ -1149,45 +1026,38 @@ def _cmd_wp(ns):
     level = ns.verify_level if ns.verify_level is not None else 3
     try:
         if ns.action == "mul":
-            a, origs = _load_bundle(ns.a, level)
-            b, origs_b = _load_bundle(ns.b, level)
-            origs.update(origs_b)
-            out = wp_mul(a, b)
+            out = wp_mul(_load_bundle(ns.a, level), _load_bundle(ns.b, level))
         elif ns.action == "inv":
-            a, origs = _load_bundle(ns.a, level)
-            out = wp_inv(a)
+            out = wp_inv(_load_bundle(ns.a, level))
         else:
             obj = _read_json(ns.glob)
-            _want_dict(obj, "$")
-            region = _load_region(obj.get("region"), "$.region")
+            if not isinstance(obj, dict) or not isinstance(obj.get("pieces", []), list):
+                raise ParseError("global diffeo needs a region and a pieces array")
+            region = region_from_json(obj.get("region"), "$.region")
             pieces = []
             for i, item in enumerate(obj.get("pieces", [])):
                 where = "$.pieces[%d]" % i
-                _want_dict(item, where)
-                src = _load_ball(item.get("source"), where + ".source")
-                dst = _load_ball(item.get("target"), where + ".target")
-                chart_endo = BallEndo(_load_model(item.get("chart"), where + ".chart"))
-                chart = CertifiedDiffeo(
-                    endo=chart_endo, cert=certify_omega(chart_endo, m=level)
-                )
+                if not isinstance(item, dict):
+                    raise ParseError("piece needs source, target and chart", where)
+                src = ball_from_json(item.get("source"), where + ".source")
+                dst = ball_from_json(item.get("target"), where + ".target")
+                chart = _certified(model_from_json(item.get("chart"), where + ".chart"), level)
                 pieces.append((src, dst, chart))
             gd = GlobalDiffeo(region, pieces)
-            eta, _ = _load_bundle(ns.eta, level, ball_ids=True)
-            out = conjugate_global(gd, eta)
-            payload = _element_payload(out, {}, min(level, 2), ball_ids=True)
+            out = conjugate_global(gd, _load_bundle(ns.eta, level, ball_ids=True))
+            payload = _element_payload(out, min(level, 2), ball_ids=True)
             return 0, payload, "conjugated: support on %d balls" % len(out.support)
+    except ParseError:
+        raise
     except (ValueError, NotCertified) as err:
         return 1, {"error": str(err)}, "wp %s failed: %s" % (ns.action, err)
-    payload = _element_payload(out, origs, min(level, 3))
+    payload = _element_payload(out, min(level, 3))
     return 0, payload, "wp %s: support size %d" % (ns.action, len(out.support))
 
 
 def _cmd_convert(ns):
-    obj = _read_json(ns.file)
-    out = convert(obj, ns.src, ns.dst)
-    sys.stdout.write(canonical_json(out))
-    print("converted %s -> %s" % (ns.src, ns.dst), file=sys.stderr)
-    return 0
+    out = convert(_read_json(ns.file), ns.src, ns.dst)
+    return 0, out, "converted %s -> %s" % (ns.src, ns.dst)
 
 
 def build_parser():
@@ -1257,9 +1127,21 @@ def build_parser():
     return parser
 
 
+# the global flags each command reads; the others are refused, not ignored
+_GLOBAL_FLAGS = {
+    "verify": ("p", "N", "seed", "verify_level"),
+    "partition": ("verify_level",),
+    "diffeo": ("verify_level",),
+    "wp": ("verify_level",),
+}
+
+
 def main(argv=None):
     parser = build_parser()
     ns = parser.parse_args(argv)
+    for flag in ("p", "N", "seed", "verify_level"):
+        if getattr(ns, flag) is not None and flag not in _GLOBAL_FLAGS.get(ns.command, ()):
+            parser.error("%s does not use --%s" % (ns.command, flag.replace("_", "-")))
     if ns.command == "wp":
         needed = {"mul": ("a", "b"), "inv": ("a",), "conjugate": ("glob", "eta")}[ns.action]
         for attr in needed:
@@ -1268,26 +1150,21 @@ def main(argv=None):
     if ns.command == "diffeo" and ns.action == "invert" and ns.y is None:
         parser.error("diffeo invert needs --y")
     try:
-        result = ns.handler(ns)
+        code, payload, human = ns.handler(ns)
     except ParseError as err:
-        json.dump({"error": str(err), "path": err.path}, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
-        print("parse error: %s" % err, file=sys.stderr)
-        return 2
+        return _refuse(2, {"error": str(err), "path": err.path}, "parse error: %s" % err)
     except (UnknownSuite, ConfigInvalid) as err:
-        json.dump({"error": str(err)}, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
-        print("usage error: %s" % err, file=sys.stderr)
-        return 2
+        return _refuse(2, {"error": str(err)}, "usage error: %s" % err)
     except (ValueError, ArithmeticError, RuntimeError) as err:
-        json.dump({"error": str(err)}, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
-        print("error: %s" % err, file=sys.stderr)
-        return 1
-    if isinstance(result, int):
-        return result
-    code, payload, human = result
+        return _refuse(1, {"error": str(err)}, "error: %s" % err)
     sys.stdout.write(canonical_json(payload))
+    print(human, file=sys.stderr)
+    return code
+
+
+def _refuse(code, payload, human):
+    """Error payloads go to stdout on one line, not in canonical form."""
+    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
     print(human, file=sys.stderr)
     return code
 

@@ -11,9 +11,31 @@ hold bit-exactly here whenever no digits overflow the window.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 INF = math.inf
+
+
+class ParseError(ValueError):
+    """Malformed JSON input, raised by every `*_from_json` loader; `path`
+    names the offending node, as in `$.pieces[0].ball.center[0].digits[1]`."""
+
+    def __init__(self, msg, path="$"):
+        super().__init__("%s at %s" % (msg, path))
+        self.path = path
+
+
+@contextmanager
+def at_path(path):
+    """Report a ValueError raised while building the JSON node at `path`
+    as a ParseError at that path; deeper ParseErrors pass unchanged."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except ValueError as err:
+        raise ParseError(str(err), path) from None
 
 
 class PrecisionLoss(ArithmeticError):
@@ -349,29 +371,32 @@ def scalar_to_json(a):
     return {"p": a.ctx.p, "v": v, "digits": a.digits()}
 
 
-def scalar_from_json(obj):
+def scalar_from_json(obj, path="$"):
     if not isinstance(obj, dict):
-        raise ValueError("scalar must be an object, got %r" % type(obj).__name__)
+        raise ParseError("scalar must be an object, got %s" % type(obj).__name__, path)
     for key in ("p", "v", "digits"):
         if key not in obj:
-            raise ValueError("scalar missing key %r" % key)
+            raise ParseError("scalar missing key %r" % key, path)
     p = obj["p"]
+    if type(p) is not int:
+        raise ParseError("p must be an int, got %r" % (p,), path + ".p")
     digits = obj["digits"]
     if not isinstance(digits, list) or not digits:
-        raise ValueError("digits must be a nonempty array")
-    ctx = PadicContext(p, len(digits))
-    for d in digits:
-        if not isinstance(d, int) or not 0 <= d < p:
-            raise ValueError("digit out of range for p=%d: %r" % (p, d))
+        raise ParseError("digits must be a nonempty array", path + ".digits")
+    with at_path(path + ".p"):
+        ctx = PadicContext(p, len(digits))
+    for i, d in enumerate(digits):
+        if type(d) is not int or not 0 <= d < p:
+            raise ParseError("digit out of range for p=%d: %r" % (p, d), "%s.digits[%d]" % (path, i))
     v = obj["v"]
     if v == "inf":
         if any(digits):
-            raise ValueError("zero scalar must have all-zero digits")
+            raise ParseError("zero scalar must have all-zero digits", path + ".digits")
         return ctx.zero()
-    if not isinstance(v, int):
-        raise ValueError("valuation must be int or \"inf\", got %r" % (v,))
+    if type(v) is not int:
+        raise ParseError("valuation must be int or \"inf\", got %r" % (v,), path + ".v")
     if digits[0] == 0:
-        raise ValueError("leading digit must be nonzero for a nonzero scalar")
+        raise ParseError("leading digit must be nonzero for a nonzero scalar", path + ".digits[0]")
     u = 0
     for d in reversed(digits):
         u = u * p + d
@@ -382,12 +407,12 @@ def vector_to_json(x):
     return [scalar_to_json(c) for c in x.coords]
 
 
-def vector_from_json(arr):
+def vector_from_json(arr, path="$"):
     if not isinstance(arr, list) or not arr:
-        raise ValueError("vector must be a nonempty array of scalars")
-    coords = [scalar_from_json(o) for o in arr]
+        raise ParseError("vector must be a nonempty array of scalars", path)
+    coords = [scalar_from_json(o, "%s[%d]" % (path, i)) for i, o in enumerate(arr)]
     ctx = coords[0].ctx
-    for c in coords:
+    for i, c in enumerate(coords):
         if c.ctx != ctx:
-            raise ValueError("vector coordinates disagree on (p, N)")
+            raise ParseError("vector coordinates disagree on (p, N)", "%s[%d]" % (path, i))
     return PadicVector(coords, ctx=ctx)

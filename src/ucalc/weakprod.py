@@ -41,11 +41,12 @@ class RefinementMismatch(ValueError):
     """Support balls do not line up with the pieces of a global map."""
 
 
-def _perm_compose(f, g):
+def perm_compose(f, g):
+    """The cell permutation i -> f[g[i]]: first g, then f."""
     return tuple(f[i] for i in g)
 
 
-def _perm_inverse(f):
+def perm_inverse(f):
     out = [0] * len(f)
     for i, j in enumerate(f):
         out[j] = i
@@ -139,7 +140,7 @@ class InverseEntry:
         return _model_is_identity(self.g)
 
     def induced(self, m):
-        return _perm_inverse(induced_level_map(self.g, m))
+        return perm_inverse(induced_level_map(self.g, m))
 
     def apply(self, x, prec):
         return invert_at(self.g, x, prec)
@@ -173,7 +174,7 @@ class ComposedEntry:
         return False
 
     def induced(self, m):
-        return _perm_compose(self.left.induced(m), self.right.induced(m))
+        return perm_compose(self.left.induced(m), self.right.induced(m))
 
     def apply(self, x, prec):
         return self.left.apply(self.right.apply(x, prec), prec)

@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from ucalc.balls import Ball, ClopenRegion, ball_to_json, region_to_json
-from ucalc.calculus import FunctionModel, identity_model, model_to_json
-from ucalc.cia import algebra_to_json, qp_algebra
+from ucalc.balls import Ball, ClopenRegion, ball_from_json, ball_to_json, region_from_json, region_to_json
+from ucalc.calculus import FunctionModel, identity_model, model_from_json, model_to_json
+from ucalc.cia import algebra_from_json, algebra_to_json, qp_algebra
 from ucalc.cli import (
     SUITES,
     ConfigInvalid,
@@ -18,7 +18,7 @@ from ucalc.cli import (
     run_suite,
 )
 from ucalc.diffeo import BallEndo, CertifiedDiffeo, certify_omega, induced_level_map
-from ucalc.padic import PadicContext, scalar_to_json, vector_to_json
+from ucalc.padic import PadicContext, scalar_from_json, scalar_to_json, vector_from_json, vector_to_json
 from fractions import Fraction
 
 CTX3 = PadicContext(3, 12)
@@ -318,3 +318,154 @@ def test_main_convert_stdout(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert json.loads(captured.out) == region_to_json(ClopenRegion([b]))
+
+
+# --- parse errors, malformed input and unused flags ------------------------
+
+
+GOOD_MODEL = model_to_json(model({(1,): (1,), (2,): (3,)}))
+
+
+def _plant(obj, keys, value):
+    """Deep copy of obj with the node at `keys` replaced by value."""
+    obj = copy.deepcopy(obj)
+    node = obj
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return obj
+
+
+# (where the bad value goes, the bad value, the path it is reported at)
+MALFORMED_MODELS = [
+    (("pieces", 0, "poly", 0, "coef", 0, "digits"), [1, "x"], "$.pieces[0].poly[0].coef[0].digits[1]"),
+    (("pieces", 0, "poly", 0, "coef", 0, "p"), "3", "$.pieces[0].poly[0].coef[0].p"),
+    (("pieces", 0, "poly", 0, "coef", 0, "v"), True, "$.pieces[0].poly[0].coef[0].v"),
+    (("pieces", 0, "poly", 0, "exps"), ["a"], "$.pieces[0].poly[0].exps"),
+    (("pieces", 0, "poly", 0, "exps"), [1, 2], "$.pieces[0].poly[0].exps"),
+    (("pieces", 0, "poly"), 7, "$.pieces[0].poly"),
+    (("pieces", 0, "ball", "k"), 13, "$.pieces[0].ball"),
+    (("product",), 5, "$.product"),
+    (("pieces",), [5], "$.pieces[0]"),
+    (("pieces",), [{}], "$.pieces[0]"),
+    (("codim",), 2, "$.pieces[0].poly[0].coef"),
+]
+
+
+def _model_readers(tmp_path, model_obj):
+    """(argv, path prefix) of every command that reads a model file."""
+    fn = write(tmp_path, "m.json", model_obj)
+    bundle = write(tmp_path, "bundle.json", {"index": [0], "support": [{"id": 0, "endo": model_obj}]})
+    ball = ball_to_json(ROOT)
+    gd = write(tmp_path, "gd.json", {
+        "region": region_to_json(ClopenRegion([ROOT])),
+        "pieces": [{"source": ball, "target": ball, "chart": model_obj}],
+    })
+    eta = write(tmp_path, "eta.json", {"index": [ball], "support": []})
+    return [
+        (["dq", "--fn", fn, "--x", "1", "--y", "1", "--t", "1"], "$"),
+        (["diffeo", "certify", "--endo", fn], "$"),
+        (["diffeo", "invert", "--endo", fn, "--y", "1"], "$"),
+        (["diffeo", "induced", "--endo", fn], "$"),
+        (["convert", "--file", fn, "--from", "model", "--to", "model"], "$"),
+        (["wp", "inv", "--a", bundle], "$.support[0].endo"),
+        (["wp", "mul", "--a", bundle, "--b", bundle], "$.support[0].endo"),
+        (["wp", "conjugate", "--global", gd, "--eta", eta], "$.pieces[0].chart"),
+    ]
+
+
+@pytest.mark.parametrize("keys,value,path", MALFORMED_MODELS)
+def test_malformed_model_exits_2_with_path(keys, value, path, tmp_path, capsys):
+    bad = _plant(GOOD_MODEL, keys, value)
+    with pytest.raises(ParseError) as info:
+        model_from_json(bad)
+    assert info.value.path == path
+    for argv, prefix in _model_readers(tmp_path, bad):
+        code, payload, err = run(capsys, argv)
+        assert code == 2, argv
+        assert payload["path"] == prefix + path[1:], argv
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("obj,path", [
+    ({"p": 3, "v": 0, "digits": [1, "x"]}, "$.digits[1]"),
+    ({"p": "3", "v": 0, "digits": [1]}, "$.p"),
+    ({"p": 4, "v": 0, "digits": [1]}, "$.p"),
+    ({"p": 3, "v": 0, "digits": [0, 1]}, "$.digits[0]"),
+])
+def test_malformed_scalar_exits_2_with_path(obj, path, tmp_path, capsys):
+    with pytest.raises(ParseError) as info:
+        scalar_from_json(obj)
+    assert info.value.path == path
+    fn = write(tmp_path, "s.json", obj)
+    code, payload, err = run(capsys, ["convert", "--file", fn, "--from", "scalar", "--to", "scalar"])
+    assert (code, payload["path"]) == (2, path)
+    assert "Traceback" not in err
+
+
+def test_loader_paths_of_nested_formats():
+    alg = algebra_to_json(qp_algebra(CTX3))
+    cases = [
+        (vector_from_json, [scalar_to_json(CTX3.one()), scalar_to_json(PadicContext(5, 12).one())], "$[1]"),
+        (ball_from_json, {"center": [scalar_to_json(CTX3.one())], "k": True}, "$.k"),
+        (region_from_json, {"balls": [ball_to_json(ROOT), {"k": 0}]}, "$.balls[1]"),
+        (algebra_from_json, _plant(alg, ("t", 0, 0), 5), "$.t[0][0]"),
+        (algebra_from_json, _plant(alg, ("t", 0, 0, 0), scalar_to_json(PadicContext(3, 4).one())),
+         "$.t[0][0][0]"),
+        (algebra_from_json, _plant(alg, ("one", 0), scalar_to_json(CTX3.from_int(2))), "$"),
+        (model_from_json, _plant(GOOD_MODEL, ("domain", "balls"), []), "$.domain"),
+    ]
+    for loader, obj, path in cases:
+        with pytest.raises(ParseError) as info:
+            loader(obj)
+        assert info.value.path == path, (loader, obj)
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["partition", "--region", "{bad}", "--cover", "{region}"], "$.balls[0].center[0].digits[1]"),
+    (["partition", "--region", "{region}", "--cover", "{region}", "{bad}"], "$.balls[0].center[0].digits[1]"),
+    (["alg", "invert", "--alg", "{alg}", "--elt", "{bad_elt}"], "$[0].digits[1]"),
+    (["alg", "invert", "--alg", "{bad_alg}", "--elt", "{elt}"], "$.one[0].digits[1]"),
+    (["wp", "mul", "--a", "{bundle}", "--b", "{bad_bundle}"], "$.support[0].endo.pieces"),
+    (["wp", "inv", "--a", "{bad_bundle}"], "$.support[0].endo.pieces"),
+    (["wp", "inv", "--a", "{bad_ids}"], "$.support[0]"),
+    (["wp", "conjugate", "--global", "{bad_gd}", "--eta", "{bundle}"], "$.region.balls[0].center[0].digits[1]"),
+])
+def test_parse_error_exits_2_from_every_file_command(argv, path, tmp_path, capsys):
+    bad_ball = _plant(ball_to_json(ROOT), ("center", 0, "digits"), [1, "x"])
+    files = {
+        "region": region_to_json(ClopenRegion([ROOT])),
+        "bad": {"balls": [bad_ball]},
+        "alg": algebra_to_json(qp_algebra(CTX3)),
+        "bad_alg": _plant(algebra_to_json(qp_algebra(CTX3)), ("one", 0, "digits"), [1, "x"]),
+        "elt": vector_to_json(CTX3.vector([2])),
+        "bad_elt": [_plant(scalar_to_json(CTX3.one()), ("digits",), [1, "x"])],
+        "bundle": {"index": [0], "support": []},
+        "bad_bundle": {"index": [0], "support": [{"id": 0, "endo": {"codim": 1, "pieces": "x"}}]},
+        "bad_ids": {"index": [0], "support": [{"endo": GOOD_MODEL}]},
+        "bad_gd": {"region": {"balls": [bad_ball]}, "pieces": []},
+    }
+    paths = {name: write(tmp_path, name + ".json", obj) for name, obj in files.items()}
+    code, payload, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == 2
+    assert payload["path"] == path
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["partition", "--region", "r.json", "--cover", "c.json"],
+    ["dq", "--fn", "f.json", "--x", "1", "--y", "1", "--t", "1"],
+    ["diffeo", "induced", "--endo", "g.json"],
+    ["alg", "invert", "--alg", "a.json", "--elt", "e.json"],
+    ["wp", "inv", "--a", "a.json"],
+    ["convert", "--file", "b.json", "--from", "ball", "--to", "ball"],
+])
+def test_global_flags_a_command_does_not_use_are_refused(command, capsys):
+    flags = [("--p", "5"), ("--N", "3"), ("--seed", "1")]
+    if command[0] in ("dq", "alg", "convert"):
+        flags.append(("--verify-level", "2"))
+    for flag, value in flags:
+        with pytest.raises(SystemExit) as info:
+            main([flag, value] + command)
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
