@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .padic import PadicVector, ParseError, at_path, fraction_valuation, vector_from_json, vector_to_json
+from .padic import PadicVector, ParseError, at_path, fraction_valuation
+from .padic import vector_from_json, vector_to_json
 
 
 class EmptyRegion(ValueError):
