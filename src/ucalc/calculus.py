@@ -6,6 +6,12 @@ digits and truncates once at the output, so every identity that holds
 in Q holds bit-exactly at precision N when no coefficient overflows
 the digit window.
 
+Certified maps also have an integer evaluation core (`residues`): the
+exact value mod p^M at an integral point, computed on ints from the
+piece's chart polynomials.  Verdicts that only need values mod p^M or
+their valuations (induced cell maps, inversion, isometry and Omega
+scans, exhaustive range checks) run on it instead of on Fractions.
+
 Difference quotients: dq1 evaluates (f(x+ty) - f(x))/t, with the t = 0
 case filled in by formal differentiation of the piece polynomial (its
 unique continuous extension).  dqk iterates this through nested points,
@@ -46,6 +52,11 @@ class MembershipFailure(ValueError):
     """A scaling-check argument leaves the higher-order domain."""
 
 
+class NonIntegralChart(ArithmeticError):
+    """A piece has a chart coefficient outside Z_(p), so its values have
+    no residues mod p^M."""
+
+
 class FunctionModel:
     """Piecewise polynomial map from a clopen region of Z_p^d to Q_p^e.
 
@@ -54,7 +65,10 @@ class FunctionModel:
     must be pairwise disjoint; the domain is their union.
     """
 
-    __slots__ = ("pieces", "domain", "d", "e", "ctx", "factors", "_frac", "_sym")
+    __slots__ = (
+        "pieces", "domain", "d", "e", "ctx", "factors", "_frac", "_sym",
+        "_charts", "_index", "_tables",
+    )
 
     def __init__(self, pieces, e=None, factors=None):
         pieces = [(b, dict(c)) for b, c in pieces]
@@ -100,15 +114,122 @@ class FunctionModel:
         self.factors = dict(factors) if factors else None
         self._frac = frac
         self._sym = {}
+        # integer core, filled on first use: chart polynomials per piece,
+        # the piece index, and residue tables per (piece, modulus)
+        self._charts = {}
+        self._index = None
+        self._tables = {}
 
     def piece_balls(self):
         return [b for b, _ in self.pieces]
 
-    def _find_piece(self, frs):
-        for b, _ in self.pieces:
-            if b.contains_fractions(frs):
+    def _piece_at(self, ints):
+        """The piece containing an integral point given as ints, or None.
+
+        Disjoint balls of one level differ in their centres mod p^k, so one
+        dict per piece level, keyed on the point mod p^k, finds the piece
+        in at most one probe per level.
+        """
+        index = self._index
+        if index is None:
+            by_level = {}
+            for b, _ in self.pieces:
+                by_level.setdefault(b.k, {})[b.ints] = b
+            p = self.ctx.p
+            index = self._index = tuple((p ** k, by_level[k]) for k in sorted(by_level))
+        for mod, balls in index:
+            b = balls.get(tuple(x % mod for x in ints))
+            if b is not None:
                 return b
-        raise OutOfDomain("point %s outside the model domain" % (list(frs),))
+        return None
+
+    def _find_piece(self, frs):
+        p = self.ctx.p
+        ints = []
+        for fr in frs:
+            den = fr.denominator
+            if den % p == 0:
+                raise OutOfDomain("point %s outside the model domain" % (list(frs),))
+            # pieces read x mod p^k with k <= N, so an inverse mod p^N will do
+            ints.append(fr.numerator if den == 1 else fr.numerator * pow(den, -1, self.ctx.modulus))
+        b = self._piece_at(ints)
+        if b is None:
+            raise OutOfDomain("point %s outside the model domain" % (list(frs),))
+        return b
+
+    def _chart(self, ball):
+        """Chart polynomials of a piece (x = c + p^k z), computed once."""
+        polys = self._charts.get(ball)
+        if polys is None:
+            polys = self._charts[ball] = _local_coeffs(self._frac[ball], ball)
+        return polys
+
+    def _table(self, ball, M, slopes):
+        key = (ball, M, slopes)
+        table = self._tables.get(key)
+        if table is None:
+            polys = self._chart(ball)
+            if slopes:
+                polys = tuple(_poly.diff(Q, i) for Q in polys for i in range(self.d))
+            table = self._tables[key] = _residue_table(ball, polys, M)
+        return table
+
+    def _chart_residues(self, ints, M, slopes):
+        ball = self._piece_at(ints)
+        if ball is None:
+            raise OutOfDomain("point %s outside the model domain" % (list(ints),))
+        mod, step, center, top, comps = self._table(ball, M, slopes)
+        pows = []
+        for x, c, n in zip(ints, center, top):
+            z = (x - c) // step % mod
+            pw = [1]
+            for _ in range(n):
+                pw.append(pw[-1] * z % mod)
+            pows.append(pw)
+        out = []
+        for terms in comps:
+            acc = 0
+            for term, mono in terms:
+                for i, n in mono:
+                    term *= pows[i][n]
+                acc += term
+            out.append(acc % mod)
+        return ball, out
+
+    def residues(self, ints, M):
+        """Exact residues mod p^M of the value at an integral point.
+
+        `ints` are integer coordinates of the point (any representatives:
+        a piece at level k reads them mod p^k and its chart variable
+        z = (x - c)/p^k exactly).  The value is Q(z) with Q the piece's
+        chart polynomials.  When every coefficient of Q lies in Z_(p),
+        reducing them mod p^M is a ring map Z_(p) -> Z/p^M, so evaluating
+        on ints mod p^M gives Q(z) mod p^M exactly.  The range certificate
+        of a self-map of O^d gives exactly that (image bound s >= 0 and
+        an integral centre value); a piece with a coefficient outside
+        Z_(p) raises NonIntegralChart when first evaluated.
+        """
+        return tuple(self._chart_residues(ints, M, False)[1])
+
+    def slope_residues(self, ints, ys, M):
+        """(k, r) with k the level of the piece containing the integral
+        point and r the residues mod p^M of sum_i dQ/dz_i(z) * y_i, the
+        chart gradient along y.
+
+        Since x = c + p^k z, this is p^k times the formal directional
+        derivative of the piece at x along y, i.e. the t = 0 first
+        quotient; its valuation is below v exactly when r is nonzero
+        mod p^(v + k), for v + k <= M.  Same integrality contract as
+        `residues`.
+        """
+        ball, grads = self._chart_residues(ints, M, True)
+        d = self.d
+        mod = self.ctx.p ** M
+        out = tuple(
+            sum(g * y for g, y in zip(grads[j * d : (j + 1) * d], ys)) % mod
+            for j in range(self.e)
+        )
+        return ball.k, out
 
     def _eval_fr(self, frs):
         b = self._find_piece(frs)
@@ -328,9 +449,32 @@ def _local_coeffs(polys, ball):
     return tuple(_poly.subst(P, subs, d) for P in polys)
 
 
+def _residue_table(ball, polys, M):
+    """Chart polynomials reduced mod p^M: (p^M, p^k, centre, top exponent
+    per variable, terms per polynomial as (coefficient, ((var, exp), ...)))."""
+    p = ball.ctx.p
+    mod = p ** M
+    top = [0] * ball.d
+    comps = []
+    for P in polys:
+        terms = []
+        for exps, c in P.items():
+            den = c.denominator
+            if den % p == 0:
+                raise NonIntegralChart(
+                    "chart coefficient %s of piece %r is not %d-integral" % (c, ball, p)
+                )
+            r = c.numerator * pow(den, -1, mod) % mod
+            if r:
+                terms.append((r, tuple((i, n) for i, n in enumerate(exps) if n)))
+                top = [max(a, n) for a, n in zip(top, exps)]
+        comps.append(tuple(terms))
+    return mod, p ** ball.k, ball.ints, tuple(top), tuple(comps)
+
+
 def _image_bound(f, ball):
     """Exact value at the center plus a radius bound: image ⊆ val + p^s O^e."""
-    local = _local_coeffs(f._frac[ball], ball)
+    local = f._chart(ball)
     zero = (0,) * f.d
     val = tuple(P.get(zero, Fraction(0)) for P in local)
     s = INF
@@ -353,11 +497,14 @@ def _image_in_ball(f, ball, target):
         return False, "unbounded", None
     # integral chart coefficients make f 1-Lipschitz in the chart variable,
     # which loses ball.k digits in ambient terms: sampling must be fine
-    # enough that target membership survives a p^m perturbation
+    # enough that target membership survives a p^m perturbation.  Here
+    # s >= 0 and the centre value lies in target, so every chart
+    # coefficient is integral, and membership of an integral value in a
+    # level-k ball reads only its residues mod p^k: the residue test is
+    # the exact one.
     m = ball.k + target.k
     for ints in ball.level_reps(m):
-        frs = tuple(Fraction(i) for i in ints)
-        if not target.contains_fractions(f._eval_fr(frs)):
+        if not target.contains_ints(f.residues(ints, target.k), target.k):
             return False, "exhaustive", ints
     return True, "exhaustive", None
 

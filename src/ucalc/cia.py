@@ -25,6 +25,10 @@ class SMatrixSingular(ArithmeticError):
     pass
 
 
+class InverseCheckFailed(ArithmeticError):
+    """A computed inverse fails its exact residual check."""
+
+
 class PadicMatrix:
     """Square matrix of scalars sharing one context."""
 
@@ -257,7 +261,8 @@ def _inverse_fr(A, af):
 def alg_inverse(A, a):
     af = A.coords_fr(a)
     xf = _inverse_fr(A, af)
-    assert A._mul_fr(af, xf) == A._one_fr
+    if A._mul_fr(af, xf) != A._one_fr:
+        raise InverseCheckFailed("a * inverse is not the unit of the algebra")
     return A.vec(xf)
 
 
@@ -377,7 +382,8 @@ def tensor_right_inverse(F, A, z):
         for j in range(n):
             prod = A._mul_fr(s[k][j], out[j])
             resid = [q + r for q, r in zip(resid, prod)]
-        assert all(q == 0 for q in resid)
+        if any(resid):
+            raise InverseCheckFailed("right inverse leaves a nonzero residual in row %d" % k)
     return [A.vec(vj) for vj in out]
 
 

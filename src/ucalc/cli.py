@@ -70,7 +70,7 @@ from .diffeo import (
     invert_at,
     isometry_check,
 )
-from .padic import PadicContext, ParseError, _is_prime, scalar_from_json, scalar_to_json
+from .padic import PadicContext, ParseError, is_prime, scalar_from_json, scalar_to_json
 from .padic import vector_from_json, vector_to_json
 from .weakprod import (
     GlobalDiffeo,
@@ -89,6 +89,10 @@ from .weakprod import (
 
 class UnknownSuite(ValueError):
     """The requested verification suite is not registered."""
+
+
+class UsageError(ValueError):
+    """A command-line value does not fit the input it is applied to."""
 
 
 class ConfigInvalid(ValueError):
@@ -113,7 +117,11 @@ class SuiteConfig:
                 raise ConfigInvalid("%s must be a positive integer, got %r" % (name, v))
         if self.seed.bit_length() > 64:
             raise ConfigInvalid("seed must fit in 64 bits")
-        if not _is_prime(self.p):
+        try:
+            prime = is_prime(self.p)
+        except ValueError as err:
+            raise ConfigInvalid(str(err)) from None
+        if not prime:
             raise ConfigInvalid("p must be prime, got %d" % self.p)
 
 
@@ -856,6 +864,14 @@ def _parse_fractions(text):
         raise ParseError("bad rational list %r (%s)" % (text, err))
 
 
+def _flag_values(text, n, flag):
+    """The rationals of a comma-separated flag, which must hold n of them."""
+    vals = _parse_fractions(text)
+    if len(vals) != n:
+        raise UsageError("--%s takes %d value%s here, got %d" % (flag, n, "" if n == 1 else "s", len(vals)))
+    return vals
+
+
 def _ctx_vector(ctx, frs):
     return ctx.vector([ctx.from_fraction(q) for q in frs])
 
@@ -884,9 +900,9 @@ def _cmd_partition(ns):
 def _cmd_dq(ns):
     f = model_from_json(_read_json(ns.fn))
     ctx = f.ctx
-    x = _ctx_vector(ctx, _parse_fractions(ns.x))
-    y = _ctx_vector(ctx, _parse_fractions(ns.y))
-    (tq,) = _parse_fractions(ns.t)
+    x = _ctx_vector(ctx, _flag_values(ns.x, f.d, "x"))
+    y = _ctx_vector(ctx, _flag_values(ns.y, f.d, "y"))
+    (tq,) = _flag_values(ns.t, 1, "t")
     t = ctx.from_fraction(tq)
     try:
         value = dq1(f, DQPoint(x, y, t))
@@ -1153,7 +1169,7 @@ def main(argv=None):
         code, payload, human = ns.handler(ns)
     except ParseError as err:
         return _refuse(2, {"error": str(err), "path": err.path}, "parse error: %s" % err)
-    except (UnknownSuite, ConfigInvalid) as err:
+    except (UnknownSuite, ConfigInvalid, UsageError) as err:
         return _refuse(2, {"error": str(err)}, "usage error: %s" % err)
     except (ValueError, ArithmeticError, RuntimeError) as err:
         return _refuse(1, {"error": str(err)}, "error: %s" % err)

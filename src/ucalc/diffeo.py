@@ -12,9 +12,17 @@ tried first, then exhaustive evaluation at a stated level, and failures
 carry witnesses instead of guesses.  Maps supported on finitely many balls
 inside a larger clopen region are handled by rescaling each supported ball
 onto the unit ball and certifying the chart copy.
+
+Every sampling loop here (the Omega scan, inversion, isometry checks,
+induced cell maps, range checks) runs on the integer core
+`FunctionModel.residues`.  Its verdicts equal the exact ones for three
+reasons: the range certificate gives the pieces p-integral chart
+coefficients; reduction Z_(p) -> Z/p^M is a ring map, so values mod p^M
+come out of integer arithmetic exactly; and each loop picks M so that
+its valuation test mod p^M is the exact test.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _poly
@@ -23,7 +31,7 @@ from .calculus import (
     CertificateInvalid,
     CompositionUncertified,
     FunctionModel,
-    _dqk_fr,
+    OutOfDomain,
     _image_bound,
     _image_in_ball,
     _local_coeffs,
@@ -117,22 +125,23 @@ class OmegaCertificate:
 class CertifiedDiffeo:
     endo: BallEndo
     cert: OmegaCertificate
+    # induced_level_map results by level; the map is fixed, so they never go stale
+    induced_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def gamma(self):
         return self.endo.gamma
 
 
-def _t_classes(ctx, m):
-    """Fraction representatives of every quotient parameter class mod p^m:
+def _t_classes(p, m):
+    """Representatives (t, v(t)) of every quotient parameter class mod p^m:
     t = 0 plus one member u*p^j of each unit class u mod p^(m-j)."""
-    p = ctx.p
-    ts = [Fraction(0)]
+    ts = [(0, None)]
     for j in range(m):
         for u in range(1, p ** (m - j)):
             if u % p:
-                ts.append(Fraction(u * p ** j))
-    ts.append(Fraction(p ** m))
+                ts.append((u * p ** j, j))
+    ts.append((p ** m, m))
     return ts
 
 
@@ -155,7 +164,7 @@ def certify_omega(endo, m=3):
     k_max = max(b.k for b in sigma.piece_balls())
     bound_ok = True
     for ball in sigma.piece_balls():
-        for P in _local_coeffs(sigma._frac[ball], ball):
+        for P in sigma._chart(ball):
             for c in P.values():
                 if fraction_valuation(c, ctx.p) < v_min + k_max:
                     bound_ok = False
@@ -192,27 +201,66 @@ def _omega_witness_search(endo, m, v_min):
     Quotients are scanned first so a reported witness exhibits the failing
     quotient whenever one exists; value violations (zero direction, t = 0)
     are reported with the same triple shape.
+
+    The scan runs on residues mod p^M, M = m + v_min.  sigma has integral
+    chart coefficients, so its values at integral points are integral and
+    their residues exact (`FunctionModel.residues`).  For t of valuation
+    j <= m the quotient (sigma(x+ty) - sigma(x))/t has valuation below
+    v_min exactly when the difference is nonzero mod p^(j + v_min).  For
+    t = 0 the quotient is p^-k times the chart gradient of the piece of x
+    along y, so it fails exactly when that gradient is nonzero mod
+    p^(v_min + k), and v_min + k <= M because certify_omega keeps piece
+    levels k <= m.  A value fails exactly when it is nonzero mod p^v_min.
     """
     sigma = endo.sigma
     p = endo.ctx.p
-    reps = [tuple(Fraction(i) for i in ints) for ints in endo.ball.level_reps(m)]
-    ts = _t_classes(endo.ctx, m)
-    for xf in reps:
-        base = sigma._eval_fr(xf)
-        for yf in reps:
-            for t in ts:
-                if t == 0:
-                    vals = _dqk_fr(sigma, ("node", ("leaf", xf), ("leaf", yf), t))
+    M = m + v_min
+    reps = list(endo.ball.level_reps(m))
+    ts = [(t, None if j is None else p ** (j + v_min)) for t, j in _t_classes(p, m)]
+    bases = []
+    for x in reps:
+        base = sigma.residues(x, M)
+        bases.append(base)
+        for y in reps:
+            for t, mod in ts:
+                if mod is None:
+                    k, slope = sigma.slope_residues(x, y, M)
+                    low = p ** (v_min + k)
+                    bad = any(r % low for r in slope)
                 else:
-                    shifted = sigma._eval_fr(tuple(a + t * b for a, b in zip(xf, yf)))
-                    vals = tuple((q2 - q1) / t for q1, q2 in zip(base, shifted))
-                if any(fraction_valuation(q, p) < v_min for q in vals):
-                    return ("quotient", xf, yf, t)
+                    shifted = sigma.residues(tuple(a + t * b for a, b in zip(x, y)), M)
+                    bad = any((q2 - q1) % mod for q1, q2 in zip(base, shifted))
+                if bad:
+                    return ("quotient", _fractions(x), _fractions(y), Fraction(t))
     zero = tuple(Fraction(0) for _ in range(endo.d))
-    for xf in reps:
-        if any(fraction_valuation(q, p) < v_min for q in sigma._eval_fr(xf)):
-            return ("value", xf, zero, Fraction(0))
+    low = p ** v_min
+    for x, base in zip(reps, bases):
+        if any(q % low for q in base):
+            return ("value", _fractions(x), zero, Fraction(0))
     return None
+
+
+def _fractions(ints):
+    return tuple(Fraction(i) for i in ints)
+
+
+def _integral(frs):
+    """Integer coordinates of a point of O^d given as integral Fractions,
+    as PadicVector.to_fractions returns them."""
+    if any(q.denominator != 1 for q in frs):
+        raise OutOfDomain("point %s outside the model domain" % (list(frs),))
+    return tuple(q.numerator for q in frs)
+
+
+def _vmod(r, p, M):
+    """Valuation of an int mod p^M, capped at M."""
+    if r == 0:
+        return M
+    v = 0
+    while r % p == 0:
+        r //= p
+        v += 1
+    return v
 
 
 @dataclass(frozen=True)
@@ -226,63 +274,67 @@ def isometry_check(g, pairs):
 
     Any violation indicates a certification bug, so the report should
     always come back empty.
+
+    Runs on residues mod p^M, M one above the largest finite valuation of
+    an input difference.  For x != y with v(x - y) = v < M, the output
+    difference has valuation v exactly when it is 0 mod p^v and nonzero
+    mod p^(v+1), which residues mod p^M decide exactly; x = y gives equal
+    outputs.
     """
     gamma = g.endo.gamma
     p = gamma.ctx.p
-    violations = []
-    checked = 0
+    pts = []
     for x, y in pairs:
-        checked += 1
         xf, yf = x.to_fractions(), y.to_fractions()
-        gx, gy = gamma._eval_fr(xf), gamma._eval_fr(yf)
         vin = min(fraction_valuation(a - b, p) for a, b in zip(xf, yf))
-        vout = min(fraction_valuation(a - b, p) for a, b in zip(gx, gy))
-        if vin != vout:
-            violations.append((x, y))
-    return IsometryReport(checked=checked, violations=tuple(violations))
-
-
-def _reduce_mod(frs, p, M):
+        pts.append((x, y, _integral(xf), _integral(yf), vin))
+    M = 1 + max((v for *_, v in pts if v != INF), default=0)
     mod = p ** M
-    out = []
-    for q in frs:
-        if q.denominator % p == 0:
-            raise ArithmeticError("iterate left the integers")
-        out.append(Fraction(q.numerator * pow(q.denominator, -1, mod) % mod))
-    return tuple(out)
+    violations = []
+    for x, y, xi, yi, vin in pts:
+        if vin == INF:
+            continue
+        diffs = [a - b for a, b in zip(gamma.residues(xi, M), gamma.residues(yi, M))]
+        if min(_vmod(q % mod, p, M) for q in diffs) != vin:
+            violations.append((x, y))
+    return IsometryReport(checked=len(pts), violations=tuple(violations))
 
 
-def _invert_fr(endo, yf, target_v, v_min):
-    """Fixed-point preimage on exact rationals, reduced mod p^M.
+def _invert(endo, y, target_v, v_min):
+    """Fixed-point preimage of an integral point (ints) on ints mod p^M.
 
     Each step replaces x by y - sigma(x); the certificate bounds the
     displacement's quotients by p^-v_min, so successive iterates contract
     by at least that factor and the budget below always suffices.  The
-    residual of the accepted iterate is checked exactly.
+    iteration only needs x mod p^M, and sigma's residues mod p^M are exact
+    (`FunctionModel.residues`), so each iterate is the exact one reduced.
+    The residual of the accepted iterate is checked exactly: with
+    M > target_v, gamma(x) - y has valuation below target_v exactly when
+    it is nonzero mod p^target_v.  Returns the preimage as ints in
+    [0, p^M).
     """
     ctx = endo.ctx
     p = ctx.p
     budget = -(-target_v // v_min) + 2
     M = target_v + v_min + 2
-    yf = _reduce_mod(yf, p, M)
-    x = yf
+    mod = p ** M
+    close = p ** target_v
+    y = [a % mod for a in y]
+    x = y
     for _ in range(budget):
-        nxt = _reduce_mod(
-            tuple(a - q for a, q in zip(yf, endo.sigma._eval_fr(x))), p, M
-        )
-        gap = min(fraction_valuation(a - b, p) for a, b in zip(nxt, x))
+        nxt = [(a - q) % mod for a, q in zip(y, endo.sigma.residues(x, M))]
+        converged = all((a - b) % close == 0 for a, b in zip(nxt, x))
         x = nxt
-        if gap >= target_v:
+        if converged:
             resid = min(
-                fraction_valuation(a - b, p)
-                for a, b in zip(endo.gamma._eval_fr(x), yf)
+                _vmod((a - b) % mod, p, M) for a, b in zip(endo.gamma.residues(x, M), y)
             )
             if resid < target_v:
                 raise RuntimeError(
                     "inversion residual has valuation %s, expected >= %d; "
                     "the certificate is broken" % (resid, target_v)
                 )
-            return x
+            return tuple(x)
     raise IterationBudgetExceeded(
         "no contraction to %d digits within %d steps" % (target_v, budget)
     )
@@ -302,17 +354,15 @@ def invert_at(g, y, target_v):
     yf = y.to_fractions()
     if not endo.ball.contains_fractions(yf):
         raise ValueError("y lies outside the unit ball")
-    x = _invert_fr(endo, yf, target_v, g.cert.v_min)
-    return ctx.vector([ctx.from_fraction(q) for q in x])
+    return ctx.vector(_invert(endo, _integral(yf), target_v, g.cert.v_min))
 
 
 def _preimage_ball(g, ball):
     """Pullback of a sub-ball: same level, center pulled back by inversion."""
     if ball.k == 0:
         return ball
-    yf = tuple(Fraction(i) for i in ball.ints)
-    pre = _invert_fr(g.endo, yf, ball.k, g.cert.v_min)
-    return Ball.from_ints(g.endo.ctx, tuple(int(q) for q in pre), ball.k)
+    pre = _invert(g.endo, ball.ints, ball.k, g.cert.v_min)
+    return Ball.from_ints(g.endo.ctx, pre, ball.k)
 
 
 def compose_diffeos(g1, g2):
@@ -351,27 +401,38 @@ def induced_level_map(g, m):
     """Permutation induced on the p^(d*m) level-m cells of the ball.
 
     Cells are indexed by their representatives in the order produced by
-    level_reps(m); entry i holds the index of the image cell.
+    level_reps(m); entry i holds the index of the image cell.  The cell
+    of gamma(x) is its residues mod p^m, exact by the integer core.
+    Results are kept on g per level and returned again unchanged.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("level must be a positive int")
+    perm = g.induced_cache.get(m)
+    if perm is not None:
+        return perm
     endo = g.endo
-    ctx = endo.ctx
-    reps = list(endo.ball.level_reps(m))
-    index = {ints: i for i, ints in enumerate(reps)}
-    mod = ctx.p ** m
+    mod = endo.ctx.p ** m
     out = []
-    for ints in reps:
-        vals = endo.gamma._eval_fr(tuple(Fraction(i) for i in ints))
-        cell = tuple(q.numerator * pow(q.denominator, -1, mod) % mod for q in vals)
-        out.append(index[cell])
+    # the root ball's level_reps(m) runs over cells in base-p^m digit order
+    for ints in endo.ball.level_reps(m):
+        idx = 0
+        for r in endo.gamma.residues(ints, m):
+            idx = idx * mod + r
+        out.append(idx)
     if len(set(out)) != len(out):
         raise RuntimeError("induced map is not a bijection; certificate is broken")
-    return tuple(out)
+    perm = g.induced_cache[m] = tuple(out)
+    return perm
 
 
 def _image_in_region(f, ball, region):
-    """Sound check that f maps the ball into the clopen region."""
+    """Sound check that f maps the ball into the clopen region.
+
+    The exhaustive leg is reached with s >= 0 and an integral centre
+    value, so the piece's chart coefficients are integral; membership of
+    an integral value in the region reads only its residues mod
+    p^max_level, which the integer core gives exactly.
+    """
     ctx = f.ctx
     val, s = _image_bound(f, ball)
     if s is INF:
@@ -385,10 +446,11 @@ def _image_in_region(f, ball, region):
         return True
     # integral local coefficients: 1-Lipschitz in the chart variable, so
     # sampling at ball.k + max_level keeps membership stable between samples
-    m = ball.k + region.max_level()
+    top = region.max_level()
+    m = ball.k + top
     for reps in ball.level_reps(m):
-        frs = tuple(Fraction(r) for r in reps)
-        if not region.contains_fractions(f._eval_fr(frs)):
+        vals = f.residues(reps, top)
+        if not any(b.contains_ints(vals, top) for b in region.balls):
             return False
     return True
 

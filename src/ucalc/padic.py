@@ -46,16 +46,42 @@ class DivisionByZero(ZeroDivisionError):
     """Inversion or division of an exact zero."""
 
 
-def _is_prime(n):
+# Miller-Rabin with the prime bases 2..41 is exact below this bound, the
+# least strong pseudoprime to all thirteen (Sorenson and Webster, Math.
+# Comp. 86 (2017)); it is itself such a pseudoprime, so it is refused too.
+# Bases 2..37 alone are not enough: 318665857834031151167461 is composite
+# and a strong pseudoprime to all twelve of them.
+PRIME_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin primality test for n < PRIME_BOUND.
+
+    Raises ValueError at or above the bound, where the thirteen bases no
+    longer decide primality.
+    """
+    if n >= PRIME_BOUND:
+        raise ValueError("primality is decided only below %d, got %d" % (PRIME_BOUND, n))
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -81,7 +107,7 @@ class PadicContext:
     __slots__ = ("p", "N", "modulus")
 
     def __init__(self, p, N=12):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError("p must be prime, got %r" % (p,))
         if not isinstance(N, int) or N < 1:
             raise ValueError("precision N must be a positive integer, got %r" % (N,))

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from ucalc import cia
 from ucalc.cia import (
+    InverseCheckFailed,
     NotAUnit,
     PadicMatrix,
     SMatrixSingular,
@@ -351,3 +353,29 @@ def test_algebra_json_roundtrip():
         algebra_from_json({"n": 2, "t": [], "one": []})
     with pytest.raises(ValueError):
         algebra_from_json([1, 2])
+
+
+def test_alg_inverse_check_raises_on_a_wrong_inverse(monkeypatch):
+    A = matrix_algebra(CTX3, 2)
+    u = CTX3.vector([1, 3, 0, 1])
+    alg_inverse(A, u)
+    monkeypatch.setattr(cia, "_inverse_fr", lambda A, af: tuple(q + 1 for q in af))
+    with pytest.raises(InverseCheckFailed):
+        alg_inverse(A, u)
+
+
+def test_tensor_right_inverse_check_raises_on_a_wrong_solve(monkeypatch):
+    Fq = qp_algebra(CTX3)
+    A = matrix_algebra(CTX3, 2)
+    z = [CTX3.vector([3, 6, 3, 9])]
+    tensor_right_inverse(Fq, A, z)
+    original = cia._gauss_inverse
+
+    def perturbed(block, p):
+        inv, pivots = original(block, p)
+        inv[0][0] += 1
+        return inv, pivots
+
+    monkeypatch.setattr(cia, "_gauss_inverse", perturbed)
+    with pytest.raises(InverseCheckFailed):
+        tensor_right_inverse(Fq, A, z)

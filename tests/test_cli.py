@@ -469,3 +469,35 @@ def test_global_flags_a_command_does_not_use_are_refused(command, capsys):
             main([flag, value] + command)
         assert info.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+def test_dq_arity_mismatch_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "f.json", model_to_json(model({(2,): [1]})))
+    base = {"x": "1", "y": "1", "t": "3"}
+    for flag, bad in (("x", "1,2"), ("y", "1,2"), ("t", "1,2")):
+        args = dict(base, **{flag: bad})
+        argv = ["dq", "--fn", path] + [a for k in ("x", "y", "t") for a in ("--" + k, args[k])]
+        code, payload, err = run(capsys, argv)
+        assert code == 2, flag
+        assert payload["error"].startswith("--%s takes 1 value" % flag)
+        assert "usage error" in err and "Traceback" not in err
+
+
+def test_large_prime_scalar_converts_quickly(tmp_path, capsys):
+    import time
+
+    path = write(tmp_path, "s.json", {"p": 2 ** 61 - 1, "v": 0, "digits": [1]})
+    start = time.perf_counter()
+    code, payload, _ = run(capsys, ["convert", "--from", "scalar", "--to", "scalar", "--file", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert payload["p"] == 2 ** 61 - 1
+
+
+def test_prime_beyond_the_primality_bound_is_refused(tmp_path, capsys):
+    path = write(tmp_path, "s.json", {"p": 2 ** 89 - 1, "v": 0, "digits": [1]})
+    code, payload, _ = run(capsys, ["convert", "--from", "scalar", "--to", "scalar", "--file", path])
+    assert code == 2
+    assert payload["path"] == "$.p"
+    with pytest.raises(ConfigInvalid):
+        SuiteConfig(p=2 ** 89 - 1).validate()

@@ -11,10 +11,12 @@ from ucalc.padic import (
     PadicContext,
     PadicScalar,
     PadicVector,
+    PRIME_BOUND,
     PrecisionLoss,
     add,
     fraction_valuation,
     inv,
+    is_prime,
     mul,
     norm_max,
     scalar_from_json,
@@ -233,3 +235,36 @@ def test_digit_window_is_relative():
     assert x.v == 2
     assert x.digits() == [1, 1]
     assert math.isinf(ctx.zero().valuation)
+
+
+def test_is_prime_matches_trial_division_on_small_numbers():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(2000) if is_prime(n)] == [n for n in range(2000) if trial(n)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes_below_the_bound():
+    # Carmichael numbers and the least strong pseudoprimes to the first
+    # 4, 9 and 12 prime bases (2..37); the last needs base 41
+    assert not any(is_prime(n) for n in (561, 41041, 825265, 3215031751))
+    assert 3825123056546413051 == 149491 * 747451 * 34233211
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    assert not is_prime(2 ** 61 + 1)
+
+
+def test_is_prime_refuses_the_bound_and_above():
+    # the bound is itself a strong pseudoprime to all thirteen bases 2..41
+    assert PRIME_BOUND == 1287836182261 * 2575672364521
+    below = PRIME_BOUND - 168  # the largest prime below the bound
+    assert is_prime(below)
+    assert all(pow(a, below - 1, below) == 1 for a in (43, 47, 53, 97))
+    assert not any(is_prime(n) for n in range(below + 1, PRIME_BOUND))
+    for n in (PRIME_BOUND, PRIME_BOUND + 1, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="decided only below"):
+            is_prime(n)
+    with pytest.raises(ValueError):
+        PadicContext(2 ** 89 - 1)
