@@ -157,8 +157,13 @@ class FunctionModel:
             raise OutOfDomain("point %s outside the model domain" % (list(frs),))
         return b
 
-    def _chart(self, ball):
-        """Chart polynomials of a piece (x = c + p^k z), computed once."""
+    def chart(self, ball):
+        """Chart polynomials of a piece: the piece's polynomials rewritten
+        in the chart variable z, x = c + p^k z, with c = ball.ints and k
+        the ball's level.  One dict {exponents: Fraction} per output
+        coordinate; the constant term is the value at the centre c.
+        Computed once per piece and shared by every caller; do not mutate.
+        """
         polys = self._charts.get(ball)
         if polys is None:
             polys = self._charts[ball] = _local_coeffs(self._frac[ball], ball)
@@ -168,7 +173,7 @@ class FunctionModel:
         key = (ball, M, slopes)
         table = self._tables.get(key)
         if table is None:
-            polys = self._chart(ball)
+            polys = self.chart(ball)
             if slopes:
                 polys = tuple(_poly.diff(Q, i) for Q in polys for i in range(self.d))
             table = self._tables[key] = _residue_table(ball, polys, M)
@@ -474,7 +479,7 @@ def _residue_table(ball, polys, M):
 
 def _image_bound(f, ball):
     """Exact value at the center plus a radius bound: image ⊆ val + p^s O^e."""
-    local = f._chart(ball)
+    local = f.chart(ball)
     zero = (0,) * f.d
     val = tuple(P.get(zero, Fraction(0)) for P in local)
     s = INF

@@ -941,6 +941,8 @@ def _certified(model, level):
 def _cmd_diffeo(ns):
     level = ns.verify_level if ns.verify_level is not None else 3
     model = model_from_json(_read_json(ns.endo))
+    if ns.action == "invert":
+        y = _ctx_vector(model.ctx, _flag_values(ns.y, model.d, "y"))
     if ns.action == "certify":
         level = ns.level if ns.level is not None else level
         try:
@@ -964,8 +966,6 @@ def _cmd_diffeo(ns):
         return 0, payload, "certified via %s" % cert.method
     g = _certified(model, level)
     if ns.action == "invert":
-        ctx = g.endo.ctx
-        y = _ctx_vector(ctx, _parse_fractions(ns.y))
         try:
             x = invert_at(g, y, ns.prec)
         except (ValueError, IterationBudgetExceeded) as err:

@@ -7,11 +7,14 @@ inside the open half-radius ball.  That bound makes gamma an isometric
 bijection, so inverses come from plain fixed-point iteration and every
 sub-ball pulls back to a ball of the same level.
 
-Certification is sound but not complete: a cheap per-coefficient bound is
-tried first, then exhaustive evaluation at a stated level, and failures
-carry witnesses instead of guesses.  Maps supported on finitely many balls
-inside a larger clopen region are handled by rescaling each supported ball
-onto the unit ball and certifying the chart copy.
+Certification is sound but not complete.  Three routes are tried in
+order: a uniform bound on the chart coefficients, a symbolic proof from
+each piece's chart coefficients and the congruences of its centre value
+with those of nearby pieces, and exhaustive evaluation at a stated level.
+Only the last rejects, and failures carry witnesses instead of guesses.
+Maps supported on finitely many balls inside a larger clopen region are
+handled by rescaling each supported ball onto the unit ball and
+certifying the chart copy.
 
 Every sampling loop here (the Omega scan, inversion, isometry checks,
 induced cell maps, range checks) runs on the integer core
@@ -149,14 +152,26 @@ def certify_omega(endo, m=3):
     """Certificate that the displacement stays small in values and in all
     first difference quotients.
 
-    Sound, not complete.  The coefficient bound accepts when every local
-    (piece-chart) coefficient, constant term included, has valuation at
-    least v_min + k_max with k_max the finest piece level; that uniform
-    margin keeps even quotients across different pieces inside the bound.
-    Otherwise the quotient set is enumerated exactly at level m.  The range
-    certificate already forces O-integral local coefficients, making the
-    displacement 1-Lipschitz in each piece chart, so level-m data separates
-    every quotient class once m covers the contraction window below.
+    Sound, not complete.  Three routes are tried in order, each sound on
+    its own, and the first to accept names the certificate's method:
+
+    1. "coefficient-bound": every chart coefficient of every piece,
+       constant term included, has valuation at least v_min + k_max with
+       k_max the finest piece level; that uniform margin keeps even
+       quotients across different pieces inside the bound.
+    2. "symbolic" (`_omega_symbolic`): a Gauss-norm bound on each piece's
+       chart coefficients plus congruences between piece-centre values
+       proves the bound for every (x, y, t) at once.
+    3. "exhaustive" (`_omega_witness_search`): the quotient set is
+       enumerated exactly at level m.  The range certificate already
+       forces O-integral local coefficients, making the displacement
+       1-Lipschitz in each piece chart, so level-m data separates every
+       quotient class once m covers the contraction window below.
+
+    The level checks (m >= 2 v_min - 1, pieces no finer than m) come
+    before routes 2 and 3, and a failing one raises ValueError.  Routes 2
+    and 3 record level m, which compose_diffeos reuses for composites.
+    Only the scan rejects; its witness is an exact failing triple.
     """
     ctx = endo.ctx
     v_min = halfball_valuation(ctx.p)
@@ -164,7 +179,7 @@ def certify_omega(endo, m=3):
     k_max = max(b.k for b in sigma.piece_balls())
     bound_ok = True
     for ball in sigma.piece_balls():
-        for P in sigma._chart(ball):
+        for P in sigma.chart(ball):
             for c in P.values():
                 if fraction_valuation(c, ctx.p) < v_min + k_max:
                     bound_ok = False
@@ -179,6 +194,8 @@ def certify_omega(endo, m=3):
         raise ValueError(
             "pieces at level %d are finer than the exhaustive level %d" % (k_max, m)
         )
+    if _omega_symbolic(sigma, v_min):
+        return OmegaCertificate(v_min=v_min, method="symbolic", level=m)
     witness = _omega_witness_search(endo, m, v_min)
     if witness is not None:
         kind, x, y, t = witness
@@ -193,6 +210,67 @@ def certify_omega(endo, m=3):
             witness=(x, y, t),
         )
     return OmegaCertificate(v_min=v_min, method="exhaustive", level=m)
+
+
+def _omega_symbolic(sigma, v_min):
+    """True when three conditions on the chart data of sigma prove that
+    sigma and all its first quotients have valuation >= v_min on O^d.
+
+    Write Q_B for the chart polynomials of a piece B at level k with
+    centre c (x = c + p^k z, `FunctionModel.chart`).  The conditions:
+
+    1. Same-piece quotients.  Every non-constant coefficient of every Q_B
+       has valuation >= v_min + k.  For x, x + ty in B, with
+       s = ty/p^k integral, Q(z+s) - Q(z) = sum_i s_i R_i(z, s) where
+       the R_i are polynomials whose coefficients are integer multiples
+       of those non-constant coefficients.  Dividing by t leaves
+       sum_i (y_i/p^k) R_i, of valuation >= v_min; at t = 0 the formal
+       derivative p^-k grad Q(z) . y obeys the same bound.
+    2. Values.  Every centre value sigma(c) = Q_B(0) is 0 mod p^v_min.
+       With condition 1, Q_B(z) - Q_B(0) has valuation >= v_min + k, so
+       v(sigma(x)) >= v_min everywhere.
+    3. Cross-piece quotients.  For every j < k_max, the pieces of level
+       > j whose centres agree mod p^j have centre values congruent mod
+       p^(v_min + j).  Take x in B, x' = x + ty in a disjoint B' of level
+       k'.  Disjoint balls have delta = v(c' - c) < min(k, k'), so
+       v(ty) = v(x' - x) = delta and v(t) <= delta.  Both pieces have
+       level > delta and centres that agree mod p^delta, so they share
+       the group of j = delta and sigma(c') - sigma(c) has valuation
+       >= v_min + delta.  By condition 1, sigma(x') - sigma(x) differs
+       from it by terms of valuation >= v_min + min(k, k') > v_min +
+       delta.  Dividing by t keeps valuation >= v_min.
+
+    Every value and every (x, y, t) falls under one of the three cases, so
+    an acceptance covers all of O^d, not only the classes of a scan level.
+    Pieces are grouped by centre mod p^j, so the check costs
+    O(pieces * k_max) and never looks at pairs.  Centre values are read once mod p^(v_min + k_max - 1)
+    from `FunctionModel.residues` (exact: the range certificate makes the
+    charts integral) and reduced per j.
+    """
+    p = sigma.ctx.p
+    balls = sigma.piece_balls()
+    const = (0,) * sigma.d
+    for ball in balls:
+        for Q in sigma.chart(ball):
+            for exps, c in Q.items():
+                if exps != const and fraction_valuation(c, p) < v_min + ball.k:
+                    return False
+    k_max = max(b.k for b in balls)
+    M = v_min + max(k_max - 1, 0)
+    low = p ** v_min
+    values = [sigma.residues(ball.ints, M) for ball in balls]
+    if any(r % low for val in values for r in val):
+        return False
+    for j in range(k_max):
+        mod, cut = p ** (v_min + j), p ** j
+        groups = {}
+        for ball, val in zip(balls, values):
+            if ball.k > j:
+                key = tuple(c % cut for c in ball.ints)
+                red = tuple(r % mod for r in val)
+                if groups.setdefault(key, red) != red:
+                    return False
+    return True
 
 
 def _omega_witness_search(endo, m, v_min):

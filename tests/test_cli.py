@@ -483,6 +483,25 @@ def test_dq_arity_mismatch_is_a_usage_error(tmp_path, capsys):
         assert "usage error" in err and "Traceback" not in err
 
 
+def test_diffeo_invert_y_arity_mismatch_is_a_usage_error(tmp_path, capsys):
+    line = model({(1,): (1,), (2,): (3,)})
+    root2 = Ball.from_ints(CTX3, (0, 0), 0)
+    plane = FunctionModel([(root2, {(1, 0): CTX3.vector([1, 9]), (0, 1): CTX3.vector([0, 1])})], e=2)
+    # gamma = 2x fails certification; the arity is refused before that
+    double = model({(1,): (2,)})
+    cases = [(line, "1,2", 1), (plane, "1", 2), (plane, "1,2,3", 2), (double, "1,2", 1)]
+    for i, (f, y, n) in enumerate(cases):
+        path = write(tmp_path, "g%d.json" % i, model_to_json(f))
+        code, payload, err = run(capsys, ["diffeo", "invert", "--endo", path, "--y", y])
+        assert code == 2, y
+        assert payload["error"] == "--y takes %d value%s here, got %d" % (
+            n, "" if n == 1 else "s", y.count(",") + 1)
+        assert "usage error" in err and "Traceback" not in err
+    path = write(tmp_path, "plane.json", model_to_json(plane))
+    code, payload, _ = run(capsys, ["diffeo", "invert", "--endo", path, "--y", "1,2", "--prec", "4"])
+    assert code == 0 and len(payload["preimage"]) == 2
+
+
 def test_large_prime_scalar_converts_quickly(tmp_path, capsys):
     import time
 

@@ -10,6 +10,7 @@ file from `_run_case` for every case in `CASES`.
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from ucalc.padic import PadicContext, scalar_to_json, vector_to_json
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
 
+CTX2 = PadicContext(2, 12)
 CTX3 = PadicContext(3, 12)
 CTX3_4 = PadicContext(3, 4)
 CTX5 = PadicContext(5, 8)
@@ -64,6 +66,15 @@ def _fixtures():
         }) for c in range(3)],
         e=2,
     )
+    # x - (2/3)x^2 + 2x^4 on Z_2: only the exhaustive scan certifies it
+    g_p2 = FunctionModel(
+        [(Ball.from_ints(CTX2, (0,), 0), {
+            (1,): CTX2.vector([1]),
+            (2,): CTX2.vector([CTX2.from_fraction(Fraction(-2, 3))]),
+            (4,): CTX2.vector([2]),
+        })],
+        e=1,
+    )
     halves = ClopenRegion([Ball.from_ints(CTX3, (c,), 1) for c in (0, 1)])
     product = product_model(
         [(ROOT, Ball.from_ints(CTX3, (1,), 1), {(1, 1): CTX3.vector([2])})], e=1
@@ -82,6 +93,7 @@ def _fixtures():
         "g2.json": model_to_json(g2),
         "gpieces.json": model_to_json(g_pieces),
         "gplane.json": model_to_json(g_plane),
+        "gp2.json": model_to_json(g_p2),
         "double.json": model_to_json(_model({(1,): (2,)})),
         "product.json": model_to_json(product),
         "qp.json": algebra_to_json(qp_algebra(CTX3_4)),
@@ -136,6 +148,7 @@ CASES = {
     ],
     "diffeo-certify": ["diffeo", "certify", "--endo", "g.json"],
     "diffeo-certify-pieces": ["--verify-level", "2", "diffeo", "certify", "--endo", "gpieces.json"],
+    "diffeo-certify-exhaustive": ["diffeo", "certify", "--endo", "gp2.json", "--level", "4"],
     "diffeo-certify-reject": ["diffeo", "certify", "--endo", "double.json", "--level", "2"],
     "diffeo-invert": ["diffeo", "invert", "--endo", "g.json", "--y", "1", "--prec", "12"],
     "diffeo-invert-plane": ["diffeo", "invert", "--endo", "gplane.json", "--y", "2,1/2", "--prec", "6"],

@@ -14,6 +14,8 @@ from ucalc.diffeo import (
     NotCertified,
     OmegaCertificate,
     _image_in_region,
+    _omega_symbolic,
+    _omega_witness_search,
     certify_omega,
     compose_diffeos,
     diffc_membership,
@@ -138,24 +140,38 @@ def test_certify_accepts_small_translation():
 def test_certify_exhaustive_route_agrees_with_bound_route():
     # the same map sigma = 3x, stored once as a single piece (bound route)
     # and once split over the level-1 pieces, where the per-piece constant
-    # terms sink below the uniform bound and force the exhaustive scan
+    # terms sink below the uniform bound; the scan accepts the split map,
+    # and the chart slopes and centre values prove it symbolically first
     single = BallEndo.from_displacement(root_disp(CTX3, {(1,): (3,)}))
     assert certify_omega(single).method == "coefficient-bound"
     split = BallEndo.from_displacement(displacement(
         CTX3, [((c,), 1, {(1,): (3,)}) for c in range(3)], e=1))
+    assert _omega_witness_search(split, 3, 1) is None
     cert = certify_omega(split, m=3)
-    assert cert.method == "exhaustive"
+    assert cert.method == "symbolic"
     assert cert.level == 3
 
 
-def test_certify_exhaustive_p2():
+def test_certify_symbolic_p2():
     split = BallEndo.from_displacement(displacement(
         CTX2, [((c,), 1, {(1,): (4,)}) for c in range(2)], e=1))
     cert = certify_omega(split, m=3)
-    assert cert.method == "exhaustive"
+    assert cert.method == "symbolic"
     assert cert.v_min == 2
+    assert cert.level == 3
     with pytest.raises(NotCertified):
         certify_omega(BallEndo.from_displacement(root_disp(CTX2, {(2,): (2,)})), m=3)
+
+
+def test_certify_exhaustive_p2():
+    # sigma = -(2/3) x^2 + 2 x^4 = (2/3) x^2 (3x^2 - 1): both coefficients
+    # have valuation 1 < v_min = 2, so neither the coefficient bound nor the
+    # symbolic route applies, yet every value and quotient has valuation >= 2
+    minus_two_thirds = CTX2.from_fraction(Fraction(-2, 3))
+    endo = BallEndo.from_displacement(root_disp(CTX2, {(2,): (minus_two_thirds,), (4,): (2,)}))
+    assert not _omega_symbolic(endo.sigma, 2)
+    for m in (3, 4, 5):
+        assert certify_omega(endo, m=m) == OmegaCertificate(v_min=2, method="exhaustive", level=m)
 
 
 def test_certify_level_validation():

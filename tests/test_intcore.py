@@ -4,6 +4,8 @@ Each consumer of `FunctionModel.residues` (induced cell maps, inversion,
 isometry checks, the Omega scan) is compared with a reference copy of its
 former Fraction implementation, kept here, on certified maps over
 p in {2, 3, 5}, d in {1, 2}, with one piece or several pieces at levels 0-2.
+The symbolic Omega route is compared with the scan on maps built at the
+edge of its three conditions.
 """
 
 import itertools
@@ -19,7 +21,9 @@ from ucalc.diffeo import (
     BallEndo,
     CertifiedDiffeo,
     IterationBudgetExceeded,
+    NotCertified,
     OmegaCertificate,
+    _omega_symbolic,
     _omega_witness_search,
     certify_omega,
     halfball_valuation,
@@ -334,3 +338,107 @@ def test_isometry_verdict_on_a_contraction(p, d):
     assert len(want) == len(pairs)
     assert isometry_check(g, pairs).violations == want
     assert isometry_check(g, [(x, x) for x, _ in pairs]).violations == ()
+
+
+# -- the symbolic Omega route against the scan
+
+# highest scan level affordable here (p^(2dm) (p^m + 1) quotient classes),
+# and the finest piece level drawn, so that m = max(k_max, 2 v_min - 1)
+# stays within it
+SCAN_TOP = {(2, 1): 4, (3, 1): 3, (5, 1): 2, (2, 2): 3, (3, 2): 1, (5, 2): 1}
+DEPTH = {(2, 1): 3, (3, 1): 3, (5, 1): 2, (2, 2): 2, (3, 2): 1, (5, 2): 1}
+
+
+@st.composite
+def edge_maps(draw, edit):
+    """(ctx, d, sigma, v_min) on a random partition of finest level 0-3.
+
+    A piece with centre c at level k gets non-constant chart coefficients
+    divisible by p^(v_min + k), the margin of condition 1, and the centre
+    value sum_{j<k} p^(v_min+j) h(j, c mod p^(j+1)) + p^(v_min+k) r, so
+    that pieces whose centres first differ at digit j have values that
+    first differ at digit v_min + j, the margin of conditions 2 and 3.
+    Then the edit breaks one condition, or none:
+    "harmless": the value of a piece of level k >= 1 moves by a unit
+    times p^(v_min+k-1), which keeps all three; "slope": one piece gets a unit linear coefficient
+    times p^(v_min+k-1) (condition 1); "value": every centre value moves
+    by a unit times p^j, j < v_min (condition 2 only); "cross": one piece
+    of level k >= 2 has its value moved by a unit times p^(v_min+j),
+    0 <= j <= k-2 (condition 3 only, which binds only between pieces of
+    level >= 2).
+    """
+    cross = edit == "cross"
+    p, d = draw(st.sampled_from([pd for pd in sorted(SCAN_TOP) if DEPTH[pd] >= 2 or not cross]))
+    v_min = halfball_valuation(p)
+    depth = draw(st.integers(2 if cross else 0, DEPTH[(p, d)]))
+    layout, todo = [], [((0,) * d, 0)]
+    while todo:
+        c, k = todo.pop()
+        # the ball around 0 splits down to the drawn depth, others may
+        if k < depth and (not any(c) or draw(st.booleans())):
+            for off in itertools.product(range(p), repeat=d):
+                todo.append((tuple(a + p ** k * o for a, o in zip(c, off)), k + 1))
+        else:
+            layout.append((c, k))
+    digit = st.integers(0, p - 1)
+    unit = draw(st.integers(1, p - 1))
+    h = {}
+    charts = []
+    exps = [e for e in itertools.product(range(3), repeat=d) if 0 < sum(e) <= 2]
+    for c, k in layout:
+        Qs = []
+        for _ in range(d):
+            v = draw(st.integers(0, p)) * p ** (v_min + k)
+            for j in range(k):
+                key = (j, tuple(a % p ** (j + 1) for a in c))
+                if key not in h:
+                    h[key] = [draw(digit) for _ in range(d)]
+                v += p ** (v_min + j) * h[key][len(Qs)]
+            Q = {e: draw(st.integers(0, p ** 2)) * p ** (v_min + k) for e in exps}
+            Q[(0,) * d] = v
+            Qs.append(Q)
+        charts.append(Qs)
+    i = draw(st.integers(0, len(layout) - 1))
+    k = layout[i][1]
+    Q = charts[i][draw(st.integers(0, d - 1))]
+    if edit == "harmless" and k:
+        Q[(0,) * d] += unit * p ** (v_min + k - 1)
+    elif edit == "slope":
+        lin = tuple(int(a == 0) for a in range(d))
+        Q[lin] = Q.get(lin, 0) + unit * p ** (v_min + k - 1)
+    elif edit == "value":
+        shift = unit * p ** draw(st.integers(0, v_min - 1))
+        for Qs in charts:
+            Qs[0][(0,) * d] += shift
+    elif cross:
+        n = draw(st.sampled_from([n for n, (_, kn) in enumerate(layout) if kn >= 2]))
+        j = draw(st.integers(0, layout[n][1] - 2))
+        charts[n][0][(0,) * d] += unit * p ** (v_min + j)
+    return CTX[p], d, chart_model(CTX[p], d, layout, charts), v_min
+
+
+@pytest.mark.parametrize("edit", ["none", "harmless", "slope", "value", "cross"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_symbolic_route_agrees_with_the_scan(edit, data):
+    ctx, d, sigma, v_min = data.draw(edge_maps(edit))
+    endo = BallEndo.from_displacement(sigma)
+    k_max = max(b.k for b in endo.sigma.piece_balls())
+    m = max(k_max, 2 * v_min - 1)
+    accepted = _omega_symbolic(endo.sigma, v_min)
+    # maps at the margins of all three conditions are proved
+    assert accepted or edit not in ("none", "harmless")
+    if accepted:
+        # sound: the scan finds no violation at m, nor one level finer
+        for level in range(m, min(m + 1, SCAN_TOP[(ctx.p, d)]) + 1):
+            assert _omega_witness_search(endo, level, v_min) is None
+        assert certify_omega(endo, m=m).method in ("coefficient-bound", "symbolic")
+        return
+    # a refusal falls through to the scan, whose outcome is kept
+    witness = _omega_witness_search(endo, m, v_min)
+    if witness is None:
+        assert certify_omega(endo, m=m) == OmegaCertificate(v_min, "exhaustive", m)
+    else:
+        with pytest.raises(NotCertified) as info:
+            certify_omega(endo, m=m)
+        assert info.value.witness == witness[1:]
