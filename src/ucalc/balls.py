@@ -98,9 +98,6 @@ class Ball:
     def contains_point(self, x):
         return self.contains_fractions(x.to_fractions())
 
-    def relation(self, other):
-        return ball_relation(self, other)
-
     def parent(self):
         if self.k == 0:
             raise ValueError("the root ball has no parent")
@@ -311,13 +308,6 @@ class IndicatorFunction:
 
     def __repr__(self):
         return "IndicatorFunction(%r)" % (self.support,)
-
-
-def decompose(region):
-    """Canonical minimal ball decomposition of a nonempty region."""
-    if region.empty:
-        raise EmptyRegion("cannot decompose an empty region")
-    return list(region.balls)
 
 
 def subordinate_partition(region, cover):

@@ -653,10 +653,6 @@ def braced_eval(f, pt):
     return dqk(f, pt.to_dqpoint(), pt.k)
 
 
-def braced_domain_contains(f, pt):
-    return dq_domain_contains(f, pt.to_dqpoint())
-
-
 def scaling_exponents(k):
     """Exponent data (i per vector, j per scalar, l) of the rescaling
     symmetry, generated by the doubling induction from the base case
@@ -769,11 +765,6 @@ def identity_model(region):
             coeffs[exps] = ctx.vector([1 if j == i else 0 for j in range(d)])
         pieces.append((b, coeffs))
     return FunctionModel(pieces, e=d)
-
-
-def constant_model(region, value):
-    pieces = [(b, {(0,) * region.d: value}) for b in region.balls]
-    return FunctionModel(pieces, e=value.dim)
 
 
 def zero_model(region, e):

@@ -1,819 +1,54 @@
-"""Command-line front end: seeded verification suites, JSON conversion,
-and one subcommand per engine area.
+"""Command-line front end: one subcommand per engine area, JSON
+conversion, and `verify`, which runs a suite from `ucalc.suites`.
 
 Results go to stdout as JSON with a one-line human summary on stderr.
-Every random draw in a suite descends from the seed in its config
-through one master generator, so any failing sample can be replayed
-from the sample seed recorded in the report.
+Refused input exits 2 with the error (and, for JSON, its path) on
+stdout; a failed computation exits 1.
 """
 
 import argparse
-import itertools
 import json
 import os
-import random
 import sys
-import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .balls import (
-    Ball,
     ClopenRegion,
     CoverIncomplete,
     ball_from_json,
     ball_to_json,
-    partition_of_unity,
     region_from_json,
     region_to_json,
     subordinate_partition,
     verify_partition,
 )
-from .calculus import (
-    DQPoint,
-    FunctionModel,
-    MembershipFailure,
-    OutOfDomain,
-    _dqk_fr,
-    _fr_point,
-    check_chain_rule,
-    check_composition_derivative,
-    check_eval_derivative,
-    check_scaling,
-    dq1,
-    model_from_json,
-    model_to_json,
-    product_model,
-)
-from .cia import (
-    NotAUnit,
-    SMatrixSingular,
-    Singular,
-    alg_inverse,
-    algebra_from_json,
-    algebra_to_json,
-    check_inversion_derivative,
-    matrix_algebra,
-    qp_algebra,
-    quadratic_extension,
-    tensor_algebra,
-    tensor_right_inverse,
-)
+from .calculus import DQPoint, OutOfDomain, dq1, model_from_json, model_to_json
+from .cia import NotAUnit, Singular, alg_inverse, algebra_from_json, algebra_to_json
 from .diffeo import (
     BallEndo,
     CertifiedDiffeo,
     IterationBudgetExceeded,
     NotCertified,
     certify_omega,
-    halfball_valuation,
     induced_level_map,
     invert_at,
-    isometry_check,
 )
-from .padic import PadicContext, ParseError, is_prime, scalar_from_json, scalar_to_json
-from .padic import vector_from_json, vector_to_json
+from .padic import ParseError, scalar_from_json, scalar_to_json, vector_from_json, vector_to_json
+# SUITES is re-exported: tools that trace the suites patch ucalc.cli.SUITES
+from .suites import SUITES, ConfigInvalid, SuiteConfig, UnknownSuite, run_suite  # noqa: F401
 from .weakprod import (
     GlobalDiffeo,
     InverseEntry,
     ModelEntry,
     WeakProductElement,
-    ZeroConditionViolated,
     conjugate_global,
-    oplus_apply,
-    perm_compose,
-    perm_inverse,
     wp_inv,
     wp_mul,
 )
 
 
-class UnknownSuite(ValueError):
-    """The requested verification suite is not registered."""
-
-
 class UsageError(ValueError):
     """A command-line value does not fit the input it is applied to."""
-
-
-class ConfigInvalid(ValueError):
-    """A suite config field violates its invariant."""
-
-
-@dataclass
-class SuiteConfig:
-    seed: int = 42
-    p: int = 3
-    d: int = 1
-    e: int = 1
-    N: int = 12
-    m: int = 3
-    samples: int = 100
-    deg: int = 3
-
-    def validate(self):
-        for name in ("seed", "p", "d", "e", "N", "m", "samples", "deg"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ConfigInvalid("%s must be a positive integer, got %r" % (name, v))
-        if self.seed.bit_length() > 64:
-            raise ConfigInvalid("seed must fit in 64 bits")
-        try:
-            prime = is_prime(self.p)
-        except ValueError as err:
-            raise ConfigInvalid(str(err)) from None
-        if not prime:
-            raise ConfigInvalid("p must be prime, got %d" % self.p)
-
-
-@dataclass
-class Report:
-    suite: str
-    config: SuiteConfig
-    checks: int
-    passed: int
-    failure: dict
-    wall_time: float
-
-    def to_json(self):
-        return {
-            "suite": self.suite,
-            "config": asdict(self.config),
-            "checks": self.checks,
-            "passed": self.passed,
-            "failure": self.failure,
-            "wall_time": self.wall_time,
-        }
-
-
-def _sample_seeds(cfg, rng):
-    for idx in range(cfg.samples):
-        yield idx, rng.getrandbits(64)
-
-
-def _witness(idx, seed, inputs, lhs, rhs):
-    return {
-        "sample": idx,
-        "sample_seed": seed,
-        "inputs": inputs,
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-    }
-
-
-def _rand_vector(ctx, rng, d):
-    return ctx.vector([rng.randrange(ctx.p ** ctx.N) for _ in range(d)])
-
-
-def _monomials(d, deg):
-    exps = [()]
-    for _ in range(d):
-        exps = [e + (j,) for e in exps for j in range(deg + 1)]
-    return [e for e in exps if 0 < sum(e) <= deg or e == (0,) * d]
-
-
-def _rand_model(ctx, rng, d, e, deg, vmin=0):
-    """Random polynomial map of the unit ball with p-integral values."""
-    lead = ctx.p ** vmin
-    coeffs = {}
-    for exps in _monomials(d, deg):
-        if rng.random() < 0.4:
-            continue
-        vec = ctx.vector([lead * rng.randrange(ctx.p ** (ctx.N - vmin)) for _ in range(e)])
-        coeffs[exps] = vec
-    root = Ball.from_ints(ctx, (0,) * d, 0)
-    return FunctionModel([(root, coeffs)], e=e)
-
-
-def _rand_t(ctx, rng, zero_ok=True):
-    pool = [1, ctx.p, ctx.p ** 2, rng.randrange(1, ctx.p ** ctx.N)]
-    if zero_ok:
-        pool.append(0)
-    return ctx.from_int(rng.choice(pool))
-
-
-def _rand_small_model(ctx, rng, d, e, deg, nmono=3, cmax=2):
-    """Random map with few small coefficients, so that composites and
-    t-scaled sums of two such maps stay exactly representable at N digits."""
-    coeffs = {}
-    for exps in rng.sample(_monomials(d, deg), min(nmono, len(_monomials(d, deg)))):
-        vec = ctx.vector([rng.randrange(cmax + 1) for _ in range(e)])
-        coeffs[exps] = vec
-    root = Ball.from_ints(ctx, (0,) * d, 0)
-    return FunctionModel([(root, coeffs)], e=e)
-
-
-def _rand_small_t(ctx, rng, zero_ok=True):
-    pool = [1, 2, ctx.p, ctx.p ** 2]
-    if zero_ok:
-        pool.append(0)
-    return ctx.from_int(rng.choice(pool))
-
-
-def _affordable_level(p, d, m, cap):
-    """Largest level <= m whose cell count p**(d*level) stays within cap.
-
-    Exhaustive per-sample scans cost one evaluation per cell, so suites
-    clamp their level to keep the whole run interactive; the fixed small
-    cases stay at the requested level."""
-    while m > 1 and p ** (d * m) > cap:
-        m -= 1
-    return m
-
-
-def _rand_diffeo(ctx, rng, d=1, multi_piece=False):
-    """Certified diffeomorphism with displacement small enough for the
-    coefficient bound, so certification never falls back to enumeration."""
-    vmin = halfball_valuation(ctx.p)
-    if not multi_piece:
-        sigma = _rand_model(ctx, rng, d, d, 2, vmin=vmin)
-    else:
-        pieces = []
-        root = Ball.from_ints(ctx, (0,) * d, 0)
-        for ball in root.children():
-            lead = ctx.p ** (vmin + 1)
-            coeffs = {
-                exps: ctx.vector(
-                    [lead * rng.randrange(ctx.p ** (ctx.N - vmin - 1)) for _ in range(d)]
-                )
-                for exps in _monomials(d, 2)
-                if rng.random() < 0.6
-            }
-            pieces.append((ball, coeffs))
-        sigma = FunctionModel(pieces, e=d)
-    endo = BallEndo.from_displacement(sigma)
-    return CertifiedDiffeo(endo=endo, cert=certify_omega(endo))
-
-
-def _rand_region(ctx, rng, d, max_level=2):
-    balls = []
-    for _ in range(rng.randint(1, 3)):
-        k = rng.randint(0, max_level)
-        balls.append(
-            Ball.from_ints(ctx, tuple(rng.randrange(ctx.p ** k) for _ in range(d)), k)
-        )
-    return ClopenRegion(balls)
-
-
-def _suite_chain_rule(cfg):
-    rng = random.Random(cfg.seed)
-    ctx = PadicContext(cfg.p, cfg.N)
-    checks = passed = 0
-    failure = None
-    for idx, seed in _sample_seeds(cfg, rng):
-        srng = random.Random(seed)
-        f = _rand_small_model(ctx, srng, cfg.d, cfg.d, cfg.deg)
-        g = _rand_small_model(ctx, srng, cfg.d, cfg.e, cfg.deg)
-        x = _rand_vector(ctx, srng, cfg.d)
-        y = _rand_vector(ctx, srng, cfg.d)
-        t = _rand_small_t(ctx, srng)
-        rep = check_chain_rule(f, g, DQPoint(x, y, t))
-        checks += 1
-        if rep.equal:
-            passed += 1
-        elif failure is None:
-            failure = _witness(idx, seed, {"t": str(t.to_fraction())}, rep.lhs, rep.rhs)
-    return checks, passed, failure
-
-
-def _suite_scaling(cfg):
-    rng = random.Random(cfg.seed)
-    ctx = PadicContext(cfg.p, cfg.N)
-    checks = passed = 0
-    failure = None
-    # trivially passing subcase: order 1 with scaling factor 1
-    base = _rand_model(ctx, random.Random(cfg.seed), cfg.d, cfg.e, cfg.deg)
-    xs = [_rand_vector(ctx, rng, cfg.d) for _ in range(2)]
-    rep = check_scaling(base, 1, xs, [ctx.from_int(rng.randrange(ctx.p ** 4))], ctx.one())
-    checks += 1
-    if rep.equal:
-        passed += 1
-    else:
-        failure = _witness(0, cfg.seed, {"k": "1", "t": "1"}, rep.lhs, rep.rhs)
-    for idx, seed in _sample_seeds(cfg, rng):
-        srng = random.Random(seed)
-        k = srng.randint(1, 3)
-        f = _rand_model(ctx, srng, cfg.d, cfg.e, cfg.deg)
-        xs = [_rand_vector(ctx, srng, cfg.d) for _ in range(2 ** k)]
-        if srng.random() < 0.8:
-            t = ctx.from_int(srng.randrange(1, ctx.p ** ctx.N))
-            while t.to_fraction().numerator % ctx.p == 0:
-                t = ctx.from_int(srng.randrange(1, ctx.p ** ctx.N))
-            depth = 0
-        else:
-            t = ctx.from_int(ctx.p)
-            depth = 3
-        pvec = [
-            ctx.from_int(ctx.p ** depth * srng.randrange(ctx.p ** 4))
-            for _ in range(2 ** k - 1)
-        ]
-        try:
-            rep = check_scaling(f, k, xs, pvec, t)
-            ok, lhs, rhs = rep.equal, rep.lhs, rep.rhs
-        except MembershipFailure as err:
-            ok, lhs, rhs = False, "membership failure", str(err)
-        checks += 1
-        if ok:
-            passed += 1
-        elif failure is None:
-            failure = _witness(
-                idx, seed, {"k": str(k), "t": str(t.to_fraction())}, lhs, rhs
-            )
-    return checks, passed, failure
-
-
-def _suite_bilinear(cfg):
-    rng = random.Random(cfg.seed)
-    ctx = PadicContext(cfg.p, cfg.N)
-    d = cfg.d
-    root = Ball.from_ints(ctx, (0,) * d, 0)
-    checks = passed = 0
-    failure = None
-    for idx, seed in _sample_seeds(cfg, rng):
-        srng = random.Random(seed)
-        if idx % 2 == 0:
-            # linear map: the order-1 quotient must equal the map at y
-            coeffs = {}
-            for i in range(d):
-                exps = tuple(1 if j == i else 0 for j in range(d))
-                coeffs[exps] = _rand_vector(ctx, srng, cfg.e)
-            f = FunctionModel([(root, coeffs)], e=cfg.e)
-            x, y = _rand_vector(ctx, srng, d), _rand_vector(ctx, srng, d)
-            t = _rand_t(ctx, srng)
-            lhs = _dqk_fr(f, _fr_point(DQPoint(x, y, t)))
-            rhs = f._eval_fr(y.to_fractions())
-            inputs = {"kind": "linear", "t": str(t.to_fraction())}
-        else:
-            # bilinear map on a product of unit balls
-            mat = [[srng.randrange(ctx.p ** ctx.N) for _ in range(d)] for _ in range(d)]
-            coeffs = {}
-            for i in range(d):
-                for j in range(d):
-                    exps = tuple(1 if a == i else 0 for a in range(d)) + tuple(
-                        1 if b == j else 0 for b in range(d)
-                    )
-                    coeffs[exps] = ctx.vector([mat[i][j]])
-            f = product_model([(root, root, coeffs)], e=1)
-            x, y = _rand_vector(ctx, srng, 2 * d), _rand_vector(ctx, srng, 2 * d)
-            t = _rand_t(ctx, srng)
-            lhs = _dqk_fr(f, _fr_point(DQPoint(x, y, t)))
-            xf, yf, tf = x.to_fractions(), y.to_fractions(), t.to_fraction()
-
-            def beta(a, b):
-                return sum(mat[i][j] * a[i] * b[j] for i in range(d) for j in range(d))
-
-            rhs = (
-                beta(xf[:d], yf[d:])
-                + beta(yf[:d], xf[d:])
-                + tf * beta(yf[:d], yf[d:]),
-            )
-            inputs = {"kind": "bilinear", "t": str(t.to_fraction())}
-        checks += 1
-        if lhs == tuple(rhs):
-            passed += 1
-        elif failure is None:
-            failure = _witness(idx, seed, inputs, lhs, tuple(rhs))
-    return checks, passed, failure
-
-
-def _suite_eval_deriv(cfg):
-    rng = random.Random(cfg.seed)
-    ctx = PadicContext(cfg.p, cfg.N)
-    checks = passed = 0
-    failure = None
-    for idx, seed in _sample_seeds(cfg, rng):
-        srng = random.Random(seed)
-        gamma = _rand_small_model(ctx, srng, cfg.d, cfg.e, cfg.deg)
-        eta = _rand_small_model(ctx, srng, cfg.d, cfg.e, cfg.deg)
-        x = _rand_vector(ctx, srng, cfg.d)
-        y = _rand_vector(ctx, srng, cfg.d)
-        t = _rand_small_t(ctx, srng, zero_ok=False)
-        rep = check_eval_derivative(gamma, eta, x, y, t)
-        checks += 1
-        if rep.equal:
-            passed += 1
-        elif failure is None:
-            failure = _witness(idx, seed, {"t": str(t.to_fraction())}, rep.lhs, rep.rhs)
-    return checks, passed, failure
-
-
-def _suite_comp_deriv(cfg):
-    rng = random.Random(cfg.seed)
-    ctx = PadicContext(cfg.p, cfg.N)
-    checks = passed = 0
-    failure = None
-    for idx, seed in _sample_seeds(cfg, rng):
-        srng = random.Random(seed)
-        gamma = _rand_small_model(ctx, srng, cfg.d, cfg.e, cfg.deg)
-        gamma1 = _rand_small_model(ctx, srng, cfg.d, cfg.e, cfg.deg)
-        # the limit route compares stored vectors, so the directional term
-        # and the outer map applied to the inner image must both fit in N
-        # digits: keep the inner maps and the sample point very small
-        eta = _rand_small_model(ctx, srng, cfg.d, cfg.d, min(cfg.deg, 2), nmono=2, cmax=1)
-        eta1 = _rand_small_model(ctx, srng, cfg.d, cfg.d, min(cfg.deg, 2), nmono=2, cmax=1)
-        x = ctx.vector([srng.randrange(ctx.p) for _ in range(cfg.d)])
-        t = _rand_small_t(ctx, srng, zero_ok=False)
-        rep = check_composition_derivative(gamma, eta, gamma1, eta1, t, x)
-        checks += 1
-        if rep.equal and rep.limit_consistent:
-            passed += 1
-        elif failure is None:
-            failure = _witness(idx, seed, {"t": str(t.to_fraction())}, rep.lhs, rep.rhs)
-    return checks, passed, failure
-
-
-def _suite_partition(cfg):
-    rng = random.Random(cfg.seed)
-    ctx = PadicContext(cfg.p, cfg.N)
-    checks = passed = 0
-    failure = None
-    root = ClopenRegion([Ball.from_ints(ctx, (0,) * cfg.d, 0)])
-    for idx, seed in _sample_seeds(cfg, rng):
-        srng = random.Random(seed)
-        region = _rand_region(ctx, srng, cfg.d)
-        cover = [_rand_region(ctx, srng, cfg.d) for _ in range(srng.randint(1, 3))]
-        cover.append(root)
-        checks += 1
-        try:
-            parts = subordinate_partition(region, cover)
-            # scanning beyond the finest ball is uniform per cell, so only
-            # go deeper than needed while the cell count stays affordable
-            needed = max(
-                [region.max_level()]
-                + [b.k for b, _ in parts]
-                + [c.max_level() for c in cover if not c.empty]
-            )
-            level = max(needed, _affordable_level(ctx.p, cfg.d, cfg.m, 2000))
-            verify_partition(region, parts, cover, level)
-            passed += 1
-        except (ValueError, CoverIncomplete) as err:
-            if failure is None:
-                failure = _witness(idx, seed, {"balls": repr(region)}, str(err), "clean pass")
-    return checks, passed, failure
-
-
-def _suite_unity(cfg):
-    rng = random.Random(cfg.seed)
-    ctx = PadicContext(cfg.p, cfg.N)
-    checks = passed = 0
-    failure = None
-    root = ClopenRegion([Ball.from_ints(ctx, (0,) * cfg.d, 0)])
-    for idx, seed in _sample_seeds(cfg, rng):
-        srng = random.Random(seed)
-        region = _rand_region(ctx, srng, cfg.d)
-        cover = [_rand_region(ctx, srng, cfg.d) for _ in range(srng.randint(1, 3))]
-        cover.append(root)
-        hs = partition_of_unity(region, cover)
-        level = max(cfg.m, region.max_level())
-        ok, bad = True, None
-        for h, member in zip(hs, cover):
-            if not h.support.empty and not member.contains_region(h.support):
-                ok, bad = False, "support escapes its cover member"
-                break
-        if ok:
-            # spot-check budget; the partition suite owns the cheap
-            # exhaustive structure checks
-            for pt in itertools.islice(region.level_points(level), 1500):
-                frs = tuple(Fraction(c) for c in pt)
-                total = sum(h.at_fractions(frs) for h in hs)
-                if total != 1:
-                    ok, bad = False, "sum %d at %s" % (total, list(pt))
-                    break
-        checks += 1
-        if ok:
-            passed += 1
-        elif failure is None:
-            failure = _witness(idx, seed, {"region": repr(region)}, bad, "1")
-    return checks, passed, failure
-
-
-def _suite_omega_isometry(cfg):
-    rng = random.Random(cfg.seed)
-    ctx = PadicContext(cfg.p, cfg.N)
-    checks = passed = 0
-    failure = None
-    for idx, seed in _sample_seeds(cfg, rng):
-        srng = random.Random(seed)
-        checks += 1
-        try:
-            g = _rand_diffeo(ctx, srng, cfg.d, multi_piece=idx % 3 == 2)
-        except NotCertified as err:
-            if failure is None:
-                failure = _witness(idx, seed, {"stage": "certify"}, str(err), "certificate")
-            continue
-        pairs = [
-            (_rand_vector(ctx, srng, cfg.d), _rand_vector(ctx, srng, cfg.d))
-            for _ in range(50)
-        ]
-        rep = isometry_check(g, pairs)
-        if not rep.violations:
-            passed += 1
-        elif failure is None:
-            x, y = rep.violations[0]
-            failure = _witness(idx, seed, {"x": str(x), "y": str(y)}, "norm changed", "isometry")
-    return checks, passed, failure
-
-
-def _suite_inversion(cfg):
-    rng = random.Random(cfg.seed)
-    ctx = PadicContext(cfg.p, cfg.N)
-    checks = passed = 0
-    failure = None
-    root = Ball.from_ints(ctx, (0,) * cfg.d, 0)
-    level = _affordable_level(ctx.p, cfg.d, min(cfg.m, 3), 250)
-    for idx, seed in _sample_seeds(cfg, rng):
-        srng = random.Random(seed)
-        g = _rand_diffeo(ctx, srng, cfg.d)
-        checks += 1
-        try:
-            ok, note = True, None
-            for _ in range(5):
-                y = _rand_vector(ctx, srng, cfg.d)
-                x = invert_at(g, y, ctx.N)
-                res = tuple(
-                    a - b
-                    for a, b in zip(g.gamma._eval_fr(x.to_fractions()), y.to_fractions())
-                )
-                if any(q.numerator % ctx.p ** ctx.N for q in res if q):
-                    ok, note = False, "residual above tolerance at y=%s" % (y,)
-                    break
-            if ok:
-                # full roundtrip on every affordable cell; deciding a cell
-                # at this level only needs the inverse to that precision
-                for repnt in root.level_reps(level):
-                    yv = ctx.vector(repnt)
-                    x = invert_at(g, yv, level)
-                    img = g.gamma._eval_fr(x.to_fractions())
-                    if any(int(q - c) % ctx.p ** level for q, c in zip(img, repnt)):
-                        ok, note = False, "roundtrip misses cell %s" % (repnt,)
-                        break
-        except IterationBudgetExceeded as err:
-            ok, note = False, str(err)
-        if ok:
-            passed += 1
-        elif failure is None:
-            failure = _witness(idx, seed, {}, note, "exact roundtrip")
-    return checks, passed, failure
-
-
-def _suite_group_axioms(cfg):
-    rng = random.Random(cfg.seed)
-    ctx = PadicContext(cfg.p, cfg.N)
-    ids = tuple(range(8))
-    checks = passed = 0
-    failure = None
-
-    def rand_element(srng):
-        support = {}
-        for _ in range(2):
-            support[srng.choice(ids)] = _rand_diffeo(ctx, srng, cfg.d)
-        return WeakProductElement(ids, support)
-
-    def same(e1, e2, m):
-        for key in set(e1.support) | set(e2.support):
-            p1 = e1.support[key].induced(m) if key in e1.support else None
-            p2 = e2.support[key].induced(m) if key in e2.support else None
-            ident = tuple(range(ctx.p ** (cfg.d * m)))
-            if (p1 or ident) != (p2 or ident):
-                return False
-        return True
-
-    mtop = _affordable_level(ctx.p, cfg.d, cfg.m, 300)
-    for idx, seed in _sample_seeds(cfg, rng):
-        srng = random.Random(seed)
-        checks += 1
-        x, y, z = rand_element(srng), rand_element(srng), rand_element(srng)
-        note = None
-        # composition of certified maps respects the induced maps
-        g1, g2 = _rand_diffeo(ctx, srng, cfg.d), _rand_diffeo(ctx, srng, cfg.d)
-        comp = ModelEntry(g1).compose(ModelEntry(g2))
-        for m in range(1, mtop + 1):
-            want = perm_compose(induced_level_map(g1, m), induced_level_map(g2, m))
-            if comp.induced(m) != want:
-                note = "composition hom fails at level %d" % m
-        if note is None and not same(wp_mul(wp_mul(x, y), z), wp_mul(x, wp_mul(y, z)), mtop):
-            note = "associativity"
-        if note is None and wp_mul(x, wp_inv(x)).support != {}:
-            note = "inverse cancellation"
-        if note is None and not same(wp_mul(x, WeakProductElement(ids, {})), x, mtop):
-            note = "identity law"
-        if note is None:
-            passed += 1
-        elif failure is None:
-            failure = _witness(idx, seed, {}, note, "group axioms")
-    return checks, passed, failure
-
-
-def _suite_cia_tensor(cfg):
-    rng = random.Random(cfg.seed)
-    ctx = PadicContext(cfg.p, cfg.N)
-    F = quadratic_extension(ctx, ctx.p)
-    algebras = [qp_algebra(ctx), matrix_algebra(ctx, 2)]
-    tensors = [tensor_algebra(F, A) for A in algebras]
-    checks = passed = 0
-    failure = None
-    for idx, seed in _sample_seeds(cfg, rng):
-        srng = random.Random(seed)
-        A = algebras[idx % 2]
-        T = tensors[idx % 2]
-        z = [
-            ctx.vector([ctx.p * srng.randrange(ctx.p ** 3) for _ in range(A.n)])
-            for _ in range(F.n)
-        ]
-        checks += 1
-        try:
-            v = tensor_right_inverse(F, A, z)
-        except SMatrixSingular as err:
-            if failure is None:
-                failure = _witness(idx, seed, {"z": str(z)}, str(err), "invertible")
-            continue
-        phi_u = [Fraction(0)] * (F.n * A.n)
-        phi_w = [Fraction(0)] * (F.n * A.n)
-        for k in range(F.n):
-            for a in range(A.n):
-                phi_u[k * A.n + a] = z[k].coords[a].to_fraction()
-                phi_w[k * A.n + a] = v[k].coords[a].to_fraction()
-        u = tuple(q + o for q, o in zip(phi_u, T._one_fr))
-        w = tuple(q + o for q, o in zip(phi_w, T._one_fr))
-        prod = T._mul_fr(u, w)
-        ok = all(
-            q == o or (q - o).numerator % ctx.p ** ctx.N == 0
-            for q, o in zip(prod, T._one_fr)
-        )
-        if ok:
-            direct = alg_inverse(T, ctx.vector([ctx.from_fraction(q) for q in u]))
-            ok = tuple(s.to_fraction() for s in direct.coords) == tuple(
-                ctx.from_fraction(q).to_fraction() for q in w
-            )
-        if ok:
-            passed += 1
-        elif failure is None:
-            failure = _witness(idx, seed, {"alg": "index %d" % (idx % 2)}, prod, "one")
-    return checks, passed, failure
-
-
-def _suite_cia_iota(cfg):
-    rng = random.Random(cfg.seed)
-    ctx = PadicContext(cfg.p, cfg.N)
-    A = matrix_algebra(ctx, 2)
-    one = A.one_vector()
-    checks = passed = 0
-    failure = None
-    for idx, seed in _sample_seeds(cfg, rng):
-        srng = random.Random(seed)
-        x = one + ctx.vector([ctx.p * srng.randrange(ctx.p ** 4) for _ in range(A.n)])
-        v = ctx.vector([srng.randrange(ctx.p ** 6) for _ in range(A.n)])
-        t = _rand_t(ctx, srng)
-        rep = check_inversion_derivative(A, x, v, t)
-        checks += 1
-        if rep.equal:
-            passed += 1
-        elif failure is None:
-            failure = _witness(idx, seed, {"t": str(t.to_fraction())}, rep.lhs, rep.rhs)
-    return checks, passed, failure
-
-
-def _suite_oplus(cfg):
-    rng = random.Random(cfg.seed)
-    ctx = PadicContext(cfg.p, cfg.N)
-    checks = passed = 0
-    failure = None
-    for idx, seed in _sample_seeds(cfg, rng):
-        srng = random.Random(seed)
-        fs = {}
-        coeffs = {}
-        for i in range(5):
-            a, b = srng.randrange(1, ctx.p ** 4), srng.randrange(1, ctx.p ** 4)
-            coeffs[i] = (a, b)
-            fs[i] = _model_from_coeffs(ctx, {(1,): (a,), (2,): (b,)})
-        support = srng.sample(range(5), 2)
-        xs = {i: _rand_vector(ctx, srng, 1) for i in support}
-        checks += 1
-        note = None
-        if idx % 5 == 4:
-            # a constant term outside the exceptional set must be refused
-            bad = dict(fs)
-            bad[3] = _model_from_coeffs(ctx, {(0,): (srng.randrange(1, ctx.p ** 3),)})
-            try:
-                oplus_apply(bad, xs)
-                note = "zero condition accepted a constant term"
-            except ZeroConditionViolated as err:
-                if err.index != 3:
-                    note = "witness index %r, expected 3" % (err.index,)
-        else:
-            out = oplus_apply(fs, xs)
-            if not set(out) <= set(xs):
-                note = "support grew to %s" % sorted(out)
-            else:
-                for i in support:
-                    a, b = coeffs[i]
-                    q = xs[i].to_fractions()[0]
-                    want = ctx.from_fraction(a * q + b * q * q)
-                    got = out.get(i)
-                    if want.is_zero != (got is None) or (
-                        got is not None and got.coords[0] != want
-                    ):
-                        note = "value mismatch at index %d" % i
-                        break
-        if note is None:
-            passed += 1
-        elif failure is None:
-            failure = _witness(idx, seed, {"support": support}, note, "componentwise law")
-    return checks, passed, failure
-
-
-def _suite_conjugate(cfg):
-    rng = random.Random(cfg.seed)
-    ctx = PadicContext(cfg.p, cfg.N)
-    root = Ball.from_ints(ctx, (0,) * cfg.d, 0)
-    balls = tuple(root.children())
-    region = ClopenRegion(list(balls))
-    checks = passed = 0
-    failure = None
-    for idx, seed in _sample_seeds(cfg, rng):
-        srng = random.Random(seed)
-        perm = list(range(len(balls)))
-        srng.shuffle(perm)
-        pieces = []
-        charts = {}
-        for j, ball in enumerate(balls):
-            chart = _rand_diffeo(ctx, srng, cfg.d)
-            charts[ball] = chart
-            pieces.append((ball, balls[perm[j]], chart))
-        gd = GlobalDiffeo(region, pieces)
-        support = {
-            balls[srng.randrange(len(balls))]: _rand_diffeo(ctx, srng, cfg.d)
-            for _ in range(2)
-        }
-        eta1 = WeakProductElement(balls, support)
-        eta2 = WeakProductElement(
-            balls, {balls[srng.randrange(len(balls))]: _rand_diffeo(ctx, srng, cfg.d)}
-        )
-        checks += 1
-        note = None
-        out = conjugate_global(gd, eta1)
-        m = _affordable_level(ctx.p, cfg.d, min(cfg.m, 2), 300)
-        for ball, entry in eta1.support.items():
-            target = gd._by_source[ball][0]
-            ph = induced_level_map(charts[ball], m)
-            want = perm_compose(perm_compose(ph, entry.induced(m)), perm_inverse(ph))
-            if out.support[target].induced(m) != want:
-                note = "entry conjugation at %r" % (ball,)
-                break
-        if note is None:
-            lhs = conjugate_global(gd, wp_mul(eta1, eta2))
-            rhs = wp_mul(conjugate_global(gd, eta1), conjugate_global(gd, eta2))
-            keys = set(lhs.support) | set(rhs.support)
-            ident = tuple(range(ctx.p ** (cfg.d * m)))
-            for key in keys:
-                p1 = lhs.support[key].induced(m) if key in lhs.support else ident
-                p2 = rhs.support[key].induced(m) if key in rhs.support else ident
-                if p1 != p2:
-                    note = "homomorphism law at %r" % (key,)
-                    break
-        if note is None:
-            passed += 1
-        elif failure is None:
-            failure = _witness(idx, seed, {}, note, "conjugation laws")
-    return checks, passed, failure
-
-
-def _model_from_coeffs(ctx, coeffs, d=1):
-    cmap = {exps: ctx.vector(vals) for exps, vals in coeffs.items()}
-    return FunctionModel([(Ball.from_ints(ctx, (0,) * d, 0), cmap)], e=len(next(iter(coeffs.values()))))
-
-
-SUITES = {
-    "chain-rule": _suite_chain_rule,
-    "scaling": _suite_scaling,
-    "bilinear": _suite_bilinear,
-    "eval-deriv": _suite_eval_deriv,
-    "comp-deriv": _suite_comp_deriv,
-    "partition": _suite_partition,
-    "unity": _suite_unity,
-    "omega-isometry": _suite_omega_isometry,
-    "inversion": _suite_inversion,
-    "group-axioms": _suite_group_axioms,
-    "cia-tensor": _suite_cia_tensor,
-    "cia-iota": _suite_cia_iota,
-    "oplus": _suite_oplus,
-    "conjugate": _suite_conjugate,
-}
-
-
-def run_suite(name, cfg):
-    if name not in SUITES:
-        raise UnknownSuite("no suite named %r; known: %s" % (name, ", ".join(sorted(SUITES))))
-    cfg.validate()
-    start = time.perf_counter()
-    checks, passed, failure = SUITES[name](cfg)
-    return Report(
-        suite=name,
-        config=cfg,
-        checks=checks,
-        passed=passed,
-        failure=failure,
-        wall_time=time.perf_counter() - start,
-    )
 
 
 _FORMATS = {

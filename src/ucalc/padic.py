@@ -373,25 +373,6 @@ class PadicVector:
         return "PadicVector(%s)" % (", ".join(repr(c) for c in self.coords))
 
 
-def add(a, b):
-    return a + b
-
-
-def mul(a, b):
-    return a * b
-
-
-def inv(a):
-    return a.inverse()
-
-
-def norm_max(x):
-    """Valuation of the max norm: min over coordinates, INF for zero."""
-    if isinstance(x, PadicVector):
-        return x.norm_valuation()
-    return x.valuation
-
-
 def scalar_to_json(a):
     v = "inf" if a.is_zero else a.v
     return {"p": a.ctx.p, "v": v, "digits": a.digits()}

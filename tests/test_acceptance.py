@@ -31,14 +31,13 @@ from ucalc.cia import (
     tensor_algebra,
     tensor_right_inverse,
 )
-from ucalc.cli import (
+from ucalc.suites import (
     SuiteConfig,
-    _rand_diffeo,
-    _rand_model,
-    _rand_region,
-    _rand_small_model,
-    _rand_t,
-    _rand_vector,
+    rand_diffeo,
+    rand_model,
+    rand_region,
+    rand_small_model,
+    rand_vector,
     run_suite,
 )
 from ucalc.diffeo import (
@@ -52,7 +51,7 @@ from ucalc.diffeo import (
     invert_at,
     isometry_check,
 )
-from ucalc.padic import PadicContext, PrecisionLoss, add, fraction_valuation, inv, mul
+from ucalc.padic import PadicContext, PrecisionLoss, fraction_valuation
 from ucalc.weakprod import (
     GlobalDiffeo,
     ModelEntry,
@@ -116,7 +115,7 @@ def test_01_ultrametric_arithmetic():
             a = ctx.from_int(rng.randrange(p ** 12) * p ** rng.randrange(3))
             b = ctx.from_int(rng.randrange(p ** 12) * p ** rng.randrange(3))
             try:
-                s = add(a, b)
+                s = a + b
             except PrecisionLoss:
                 # every stored digit cancelled; possible only when the
                 # norms agree, where no equality is claimed
@@ -128,13 +127,13 @@ def test_01_ultrametric_arithmetic():
                     bad.append(("sum norm too large", a, b))
                 if a.v != b.v and s.v != min(a.v, b.v):
                     bad.append(("strict case not an equality", a, b))
-            m = mul(a, b)
+            m = a * b
             if a.is_zero or b.is_zero:
                 if not m.is_zero:
                     bad.append(("zero product", a, b))
             elif m.v != a.v + b.v:
                 bad.append(("product norm", a, b))
-            if not a.is_zero and mul(a, inv(a)) != ctx.one():
+            if not a.is_zero and a * a.inverse() != ctx.one():
                 bad.append(("inverse", a))
             if bad:
                 break
@@ -163,8 +162,8 @@ def test_03_chain_rule():
             rng = random.Random(407 * ctx.p + d)
             ts = [0, 1, 2, ctx.p, ctx.p ** 2]
             for i in range(34):
-                f = _rand_small_model(ctx, rng, d, d, 3)
-                g = _rand_small_model(ctx, rng, d, 1, 3)
+                f = rand_small_model(ctx, rng, d, d, 3)
+                g = rand_small_model(ctx, rng, d, 1, 3)
                 x = ctx.vector([rng.randrange(ctx.p ** 3) for _ in range(d)])
                 y = ctx.vector([rng.randrange(ctx.p ** 3) for _ in range(d)])
                 t = ctx.from_int(ts[i % len(ts)])
@@ -185,8 +184,8 @@ def test_04_braced_scaling_ladder():
         rng = random.Random(60 + k)
         for i in range(34):
             ctx, d = combos[i % len(combos)]
-            f = _rand_model(ctx, rng, d, 1, 3)
-            xs = [_rand_vector(ctx, rng, d) for _ in range(2 ** k)]
+            f = rand_model(ctx, rng, d, 1, 3)
+            xs = [rand_vector(ctx, rng, d) for _ in range(2 ** k)]
             if rng.random() < 0.8:
                 t = ctx.from_int(rng.randrange(1, ctx.p ** ctx.N))
                 while t.to_fraction().numerator % ctx.p == 0:
@@ -220,7 +219,7 @@ def test_05_higher_directional_derivatives():
         rng = random.Random(83 * ctx.p)
         for i in range(40):
             d = 2
-            f = _rand_small_model(ctx, rng, d, 1, 3, nmono=4, cmax=2)
+            f = rand_small_model(ctx, rng, d, 1, 3, nmono=4, cmax=2)
             x = ctx.vector([rng.randrange(3) for _ in range(d)])
             u = ctx.vector([rng.randrange(2) for _ in range(d)])
             v = ctx.vector([rng.randrange(2) for _ in range(d)])
@@ -238,7 +237,7 @@ def test_05_higher_directional_derivatives():
             cu = ctx.vector([int(c * a) for a in u.to_fractions()])
             lhs = directional(f, x, [cu, v, w])
             rhs = directional(f, x, [u, v, w])
-            if any(a != mul(ctx.from_int(c), b) for a, b in zip(lhs.coords, rhs.coords)):
+            if any(a != ctx.from_int(c) * b for a, b in zip(lhs.coords, rhs.coords)):
                 bad.append(("homogeneity", ctx.p, i))
     _finish(5, "directional derivative symmetry", bad, t0, 2)
 
@@ -251,8 +250,8 @@ def test_06_partitions_exhaustive_level3():
         root = ClopenRegion([Ball.from_ints(ctx, (0,) * d, 0)])
         rng = random.Random(900 + n)
         for i in range(10):
-            region = _rand_region(ctx, rng, d)
-            cover = [_rand_region(ctx, rng, d) for _ in range(rng.randint(1, 3))]
+            region = rand_region(ctx, rng, d)
+            cover = [rand_region(ctx, rng, d) for _ in range(rng.randint(1, 3))]
             cover.append(root)
             try:
                 parts = subordinate_partition(region, cover)
@@ -278,9 +277,9 @@ def test_07_certified_maps_are_isometries():
     for ctx, d, label in ((CTX3, 1, "1-dim p=3"), (CTX2, 2, "2-dim p=2")):
         rng = random.Random(31 * ctx.p + d)
         for i in range(10):
-            g = _rand_diffeo(ctx, rng, d, multi_piece=i % 2 == 1)
+            g = rand_diffeo(ctx, rng, d, multi_piece=i % 2 == 1)
             pairs = [
-                (_rand_vector(ctx, rng, d), _rand_vector(ctx, rng, d))
+                (rand_vector(ctx, rng, d), rand_vector(ctx, rng, d))
                 for _ in range(10 ** 3)
             ]
             rep = isometry_check(g, pairs)
@@ -298,9 +297,9 @@ def test_08_inversion_roundtrip():
     root = Ball.from_ints(ctx, (0,), 0)
     rng = random.Random(55)
     for i in range(5):
-        g = _rand_diffeo(ctx, rng, 1, multi_piece=i % 2 == 1)
+        g = rand_diffeo(ctx, rng, 1, multi_piece=i % 2 == 1)
         for _ in range(100):
-            y = _rand_vector(ctx, rng, 1)
+            y = rand_vector(ctx, rng, 1)
             try:
                 x = invert_at(g, y, 12)
             except RuntimeError as err:
@@ -330,8 +329,8 @@ def test_09_group_structure():
 
     # induced cell maps turn composition into permutation composition
     for i in range(10):
-        g1 = _rand_diffeo(ctx, rng, 1)
-        g2 = _rand_diffeo(ctx, rng, 1)
+        g1 = rand_diffeo(ctx, rng, 1)
+        g2 = rand_diffeo(ctx, rng, 1)
         comp = ModelEntry(g1).compose(ModelEntry(g2))
         for m in (1, 2, 3):
             want = _perm_compose(induced_level_map(g1, m), induced_level_map(g2, m))
@@ -344,7 +343,7 @@ def test_09_group_structure():
 
     def rand_elt():
         return WeakProductElement(
-            ids, {ids[rng.randrange(8)]: _rand_diffeo(ctx, rng, 1) for _ in range(2)}
+            ids, {ids[rng.randrange(8)]: rand_diffeo(ctx, rng, 1) for _ in range(2)}
         )
 
     for i in range(10):
@@ -362,7 +361,7 @@ def test_09_group_structure():
     def rand_pair_elt():
         return WeakProductElement(
             pair_ids,
-            {pair_ids[rng.randrange(8)]: _rand_diffeo(ctx, rng, 1) for _ in range(2)},
+            {pair_ids[rng.randrange(8)]: rand_diffeo(ctx, rng, 1) for _ in range(2)},
         )
 
     for i in range(10):
@@ -379,7 +378,7 @@ def test_09_group_structure():
         lab = list(pair_ids)
         rng.shuffle(lab)
         pi = {("new", n): old for n, old in enumerate(lab)}
-        beta = {j: _rand_diffeo(ctx, rng, 1) if rng.random() < 0.5 else None for j in pi}
+        beta = {j: rand_diffeo(ctx, rng, 1) if rng.random() < 0.5 else None for j in pi}
         lhs = relabel(wp_mul(x, y), pi, beta)
         rhs = wp_mul(relabel(x, pi, beta), relabel(y, pi, beta))
         if not _same_wp(lhs, rhs, 3, cells):
@@ -389,12 +388,12 @@ def test_09_group_structure():
     halves = tuple(root.children())
     for i in range(10):
         pieces = [
-            (halves[0], halves[1], _rand_diffeo(ctx, rng, 1)),
-            (halves[1], halves[0], _rand_diffeo(ctx, rng, 1)),
+            (halves[0], halves[1], rand_diffeo(ctx, rng, 1)),
+            (halves[1], halves[0], rand_diffeo(ctx, rng, 1)),
         ]
         gd = GlobalDiffeo(ClopenRegion([root]), pieces)
-        e1 = WeakProductElement(halves, {halves[rng.randrange(2)]: _rand_diffeo(ctx, rng, 1)})
-        e2 = WeakProductElement(halves, {halves[rng.randrange(2)]: _rand_diffeo(ctx, rng, 1)})
+        e1 = WeakProductElement(halves, {halves[rng.randrange(2)]: rand_diffeo(ctx, rng, 1)})
+        e2 = WeakProductElement(halves, {halves[rng.randrange(2)]: rand_diffeo(ctx, rng, 1)})
         out = conjugate_global(gd, e1)
         if set(out.index_set) != set(halves):
             bad.append(("closure index", i))

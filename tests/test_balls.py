@@ -14,7 +14,6 @@ from ucalc.balls import (
     ball_relation,
     ball_to_json,
     cutoff,
-    decompose,
     partition_of_unity,
     region_from_json,
     region_to_json,
@@ -85,20 +84,22 @@ def test_relation_matches_exhaustive_membership(ctx):
             assert pts1 < pts2
 
 
-def test_decompose_merges_full_sibling_family():
+def test_balls_merge_full_sibling_family():
     region = R(B(CTX3, (0,), 1), B(CTX3, (1,), 1), B(CTX3, (2,), 1))
-    assert decompose(region) == [B(CTX3, (0,), 0)]
+    assert region.balls == (B(CTX3, (0,), 0),)
 
 
-def test_decompose_complement_of_subball():
+def test_balls_of_complement_of_subball():
     z3 = R(B(CTX3, (0,), 0))
     region = z3.minus(R(B(CTX3, (0,), 1)))
-    assert decompose(region) == [B(CTX3, (1,), 1), B(CTX3, (2,), 1)]
+    assert region.balls == (B(CTX3, (1,), 1), B(CTX3, (2,), 1))
 
 
-def test_decompose_empty_region_raises():
+def test_empty_region_has_no_balls_and_is_refused():
+    empty = ClopenRegion([])
+    assert empty.empty and empty.balls == ()
     with pytest.raises(EmptyRegion):
-        decompose(ClopenRegion([]))
+        subordinate_partition(empty, [R(B(CTX3, (0,), 0))])
 
 
 def test_canonicalization_absorbs_nested():

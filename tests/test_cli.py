@@ -1,24 +1,16 @@
 import copy
 import json
+import warnings
 
 import pytest
 
 from ucalc.balls import Ball, ClopenRegion, ball_from_json, ball_to_json, region_from_json, region_to_json
 from ucalc.calculus import FunctionModel, identity_model, model_from_json, model_to_json
 from ucalc.cia import algebra_from_json, algebra_to_json, qp_algebra
-from ucalc.cli import (
-    SUITES,
-    ConfigInvalid,
-    ParseError,
-    SuiteConfig,
-    UnknownSuite,
-    canonical_json,
-    convert,
-    main,
-    run_suite,
-)
+from ucalc.cli import ParseError, canonical_json, convert, main
 from ucalc.diffeo import BallEndo, CertifiedDiffeo, certify_omega, induced_level_map
 from ucalc.padic import PadicContext, scalar_from_json, scalar_to_json, vector_from_json, vector_to_json
+from ucalc.suites import SUITES, ConfigInvalid, SuiteConfig, UnknownSuite, run_suite
 from fractions import Fraction
 
 CTX3 = PadicContext(3, 12)
@@ -104,6 +96,28 @@ def test_config_invalid():
         run_suite("chain-rule", SuiteConfig(samples=0))
     with pytest.raises(ConfigInvalid):
         run_suite("chain-rule", SuiteConfig(p=4))
+
+
+# least N: above the half-ball valuation (2 at p = 2, 1 otherwise), >= 2, >= m
+@pytest.mark.parametrize("p, m, least", [(2, 1, 3), (2, 3, 3), (3, 1, 2), (3, 3, 3), (3, 4, 4)])
+def test_suite_precision_floor(p, m, least):
+    SuiteConfig(p=p, N=least, m=m).validate()
+    with pytest.raises(ConfigInvalid, match="N must be at least %d" % least):
+        SuiteConfig(p=p, N=least - 1, m=m).validate()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "2", "--N", "2", "verify", "omega-isometry", "--samples", "3"],
+    ["--p", "2", "--N", "2", "verify", "inversion", "--samples", "3"],
+    ["--p", "3", "--N", "1", "verify", "partition", "--samples", "3"],
+])
+def test_verify_refuses_a_precision_below_the_draws(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload, err = run(capsys, argv)
+    assert code == 2
+    assert payload["error"].startswith("N must be at least 3")
+    assert "usage error" in err and "Traceback" not in err
 
 
 # --- convert --------------------------------------------------------------
