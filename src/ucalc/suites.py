@@ -1,10 +1,10 @@
 """Seeded verification suites: the suite config, the random generators,
-one sampling driver, and one per-sample law for each suite.
+one sampling loop, and one per-sample law for each suite.
 
 A suite is a setup step plus a law.  The setup takes (cfg, ctx, rng)
 and builds the state every sample shares; it returns the law, which
 takes (sample index, sample generator) and returns None when the sample
-passes or (inputs, lhs, rhs) when it fails.  The driver `_drive` is the
+passes or (inputs, lhs, rhs) when it fails.  `_run_samples` is the
 only place that draws sample seeds, counts checks and records the
 first-failure witness.  Every random draw descends from the seed in the
 config through one master generator, so any failing sample can be
@@ -222,7 +222,7 @@ def _affordable_level(p, d, m, cap):
     return m
 
 
-def _drive(setup, cfg, fixed=None):
+def _run_samples(setup, cfg, fixed=None):
     """Run one suite and return (checks, passed, failure).
 
     The master generator feeds `fixed`, then `setup`, then one 64-bit
@@ -686,18 +686,18 @@ def _conjugate(cfg, ctx, rng):
 
 # name -> cfg -> (checks, passed, failure)
 SUITES = {
-    "chain-rule": functools.partial(_drive, _chain_rule),
-    "scaling": functools.partial(_drive, _scaling, fixed=_scaling_order_one),
-    "bilinear": functools.partial(_drive, _bilinear),
-    "eval-deriv": functools.partial(_drive, _eval_deriv),
-    "comp-deriv": functools.partial(_drive, _comp_deriv),
-    "partition": functools.partial(_drive, _partition),
-    "unity": functools.partial(_drive, _unity),
-    "omega-isometry": functools.partial(_drive, _omega_isometry),
-    "inversion": functools.partial(_drive, _inversion),
-    "group-axioms": functools.partial(_drive, _group_axioms),
-    "cia-tensor": functools.partial(_drive, _cia_tensor),
-    "cia-iota": functools.partial(_drive, _cia_iota),
-    "oplus": functools.partial(_drive, _oplus),
-    "conjugate": functools.partial(_drive, _conjugate),
+    "chain-rule": functools.partial(_run_samples, _chain_rule),
+    "scaling": functools.partial(_run_samples, _scaling, fixed=_scaling_order_one),
+    "bilinear": functools.partial(_run_samples, _bilinear),
+    "eval-deriv": functools.partial(_run_samples, _eval_deriv),
+    "comp-deriv": functools.partial(_run_samples, _comp_deriv),
+    "partition": functools.partial(_run_samples, _partition),
+    "unity": functools.partial(_run_samples, _unity),
+    "omega-isometry": functools.partial(_run_samples, _omega_isometry),
+    "inversion": functools.partial(_run_samples, _inversion),
+    "group-axioms": functools.partial(_run_samples, _group_axioms),
+    "cia-tensor": functools.partial(_run_samples, _cia_tensor),
+    "cia-iota": functools.partial(_run_samples, _cia_iota),
+    "oplus": functools.partial(_run_samples, _oplus),
+    "conjugate": functools.partial(_run_samples, _conjugate),
 }
