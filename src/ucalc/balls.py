@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .padic import PadicVector, ParseError, at_path, fraction_valuation
+from .padic import PadicVector, ParseError, at_path
 from .padic import vector_from_json, vector_to_json
 
 
@@ -26,13 +26,21 @@ class NotContained(ValueError):
     """Containment precondition K subset of U fails."""
 
 
-def _coord_int(fr, p, k):
-    """Value of an O-integral Fraction mod p**k, as an int in [0, p**k)."""
-    if fraction_valuation(fr, p) < 0:
-        raise ValueError("point has a coordinate outside O: %r" % (fr,))
+def _point_ints(frs, p, k):
+    """A point of Q^d (Fractions or ints) as ints mod p**k, or None when a
+    coordinate lies outside O.
+
+    A rational in lowest terms lies in O exactly when p does not divide
+    its denominator, and then its residue is num * den^-1 mod p**k.
+    """
     m = p ** k
-    num, den = fr.numerator, fr.denominator
-    return num * pow(den, -1, m) % m if m > 1 else 0
+    out = []
+    for fr in frs:
+        num, den = fr.numerator, fr.denominator
+        if den % p == 0:
+            return None
+        out.append(num % m if den == 1 else num * pow(den, -1, m) % m)
+    return tuple(out)
 
 
 class Ball:
@@ -52,14 +60,12 @@ class Ball:
             )
         if center.dim < 1:
             raise ValueError("ball needs dimension >= 1")
-        ints = []
-        for c in center.coords:
-            if not c.is_zero and c.v < 0:
-                raise ValueError("ball center must lie in O^d")
-            ints.append(_coord_int(c.to_fraction(), ctx.p, k))
+        ints = _point_ints(center.to_fractions(), ctx.p, k)
+        if ints is None:
+            raise ValueError("ball center must lie in O^d")
         self.ctx = ctx
         self.k = k
-        self.ints = tuple(ints)
+        self.ints = ints
 
     @classmethod
     def from_ints(cls, ctx, ints, k):
@@ -82,18 +88,13 @@ class Ball:
     def center(self):
         return self.ctx.vector(self.ints)
 
-    def contains_ints(self, ints, level):
-        """Membership of a point given as ints mod p**level, level >= k."""
+    def contains_ints(self, ints):
+        """Membership of a point given by its residues mod p**j, any j >= k."""
         m = self.ctx.p ** self.k
-        return all(x % m == c for x, c in zip(ints, self.ints))
+        return tuple(x % m for x in ints) == self.ints
 
     def contains_fractions(self, frs):
-        p = self.ctx.p
-        for fr in frs:
-            if fraction_valuation(fr, p) < 0:
-                return False
-        pt = tuple(_coord_int(Fraction(fr), p, self.k) for fr in frs)
-        return pt == self.ints
+        return _point_ints(frs, self.ctx.p, self.k) == self.ints
 
     def contains_point(self, x):
         return self.contains_fractions(x.to_fractions())
@@ -219,13 +220,17 @@ class ClopenRegion:
         return self.balls[0].d
 
     def max_level(self):
-        return max((b.k for b in self.balls), default=0)
+        # pieces are sorted by level, so the last one is the finest
+        return self.balls[-1].k if self.balls else 0
 
     def contains_fractions(self, frs):
-        return any(b.contains_fractions(frs) for b in self.balls)
+        if not self.balls:
+            return False
+        ints = _point_ints(frs, self.balls[0].ctx.p, self.balls[-1].k)
+        return ints is not None and any(b.contains_ints(ints) for b in self.balls)
 
     def contains_point(self, x):
-        return any(b.contains_point(x) for b in self.balls)
+        return self.contains_fractions(x.to_fractions())
 
     def contains_ball(self, b):
         return any(
@@ -372,12 +377,24 @@ def cutoff(inner, outer):
     return IndicatorFunction(current)
 
 
+def _cells(balls, m):
+    """Number of points mod p**m in a disjoint family of balls of level <= m."""
+    return sum(b.ctx.p ** (b.d * (m - b.k)) for b in balls)
+
+
 def verify_partition(region, parts, cover, level):
-    """Exhaustively check a tagged partition at the given level.
+    """Check a tagged partition at the given level.
 
     Every point of the region mod p**level must lie in exactly one part
     ball, and that ball's tagged cover member must contain it.  Returns
     the number of points checked.
+
+    Parts that lie in the region, are pairwise disjoint and hold as many
+    cells mod p**m as the region cover it exactly once: their union is a
+    clopen subset of the region with the same Haar measure, so the rest
+    of the region, a clopen set of measure 0, is empty.  That decides
+    the partition without visiting its points.  Otherwise the points are
+    enumerated, which finds the first one covered zero or several times.
     """
     m = max(level, region.max_level(), max((b.k for b, _ in parts), default=0))
     for b, i in parts:
@@ -385,9 +402,15 @@ def verify_partition(region, parts, cover, level):
             raise ValueError("part ball %r sticks out of the region" % (b,))
         if not cover[i].contains_ball(b):
             raise ValueError("part ball %r not inside cover member %d" % (b, i))
+    cells = _cells(region.balls, m)
+    if _cells((b for b, _ in parts), m) == cells and all(
+        ball_relation(a, b) == "disjoint"
+        for (a, _), (b, _) in itertools.combinations(parts, 2)
+    ):
+        return cells
     count = 0
     for pt in region.level_points(m):
-        hits = [j for j, (b, _) in enumerate(parts) if b.contains_ints(pt, m)]
+        hits = [j for j, (b, _) in enumerate(parts) if b.contains_ints(pt)]
         if len(hits) != 1:
             raise ValueError(
                 "point %s (mod p^%d) covered %d times" % (list(pt), m, len(hits))

@@ -509,7 +509,7 @@ def _image_in_ball(f, ball, target):
     # the exact one.
     m = ball.k + target.k
     for ints in ball.level_reps(m):
-        if not target.contains_ints(f.residues(ints, target.k), target.k):
+        if not target.contains_ints(f.residues(ints, target.k)):
             return False, "exhaustive", ints
     return True, "exhaustive", None
 

@@ -528,7 +528,7 @@ def _image_in_region(f, ball, region):
     m = ball.k + top
     for reps in ball.level_reps(m):
         vals = f.residues(reps, top)
-        if not any(b.contains_ints(vals, top) for b in region.balls):
+        if not any(b.contains_ints(vals) for b in region.balls):
             return False
     return True
 

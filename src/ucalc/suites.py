@@ -59,7 +59,7 @@ from .diffeo import (
     invert_at,
     isometry_check,
 )
-from .padic import PadicContext, is_prime
+from .padic import PadicContext, PrecisionLoss, is_prime
 from .weakprod import (
     GlobalDiffeo,
     ModelEntry,
@@ -401,9 +401,13 @@ def _comp_deriv(cfg, ctx, rng):
         eta1 = rand_small_model(ctx, srng, cfg.d, cfg.d, min(cfg.deg, 2), nmono=2, cmax=1)
         x = ctx.vector([srng.randrange(ctx.p) for _ in range(cfg.d)])
         t = rand_small_t(ctx, srng, zero_ok=False)
-        rep = check_composition_derivative(gamma, eta, gamma1, eta1, t, x)
+        inputs = {"t": str(t.to_fraction())}
+        try:
+            rep = check_composition_derivative(gamma, eta, gamma1, eta1, t, x)
+        except PrecisionLoss as err:
+            return inputs, "precision loss", str(err)
         if not (rep.equal and rep.limit_consistent):
-            return {"t": str(t.to_fraction())}, rep.lhs, rep.rhs
+            return inputs, rep.lhs, rep.rhs
 
     return law
 

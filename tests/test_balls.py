@@ -1,7 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ucalc.balls import (
     Ball,
@@ -20,7 +22,7 @@ from ucalc.balls import (
     subordinate_partition,
     verify_partition,
 )
-from ucalc.padic import PadicContext
+from ucalc.padic import PadicContext, fraction_valuation
 
 CTX3 = PadicContext(3, 8)
 CTX2 = PadicContext(2, 8)
@@ -216,14 +218,14 @@ def test_region_set_algebra_exhaustive():
 
     for _ in range(60):
         a, b = random_region(), random_region()
-        set_a = {pt for pt in universe if any(x.contains_ints(pt, m) for x in a.balls)}
-        set_b = {pt for pt in universe if any(x.contains_ints(pt, m) for x in b.balls)}
+        set_a = {pt for pt in universe if any(x.contains_ints(pt) for x in a.balls)}
+        set_b = {pt for pt in universe if any(x.contains_ints(pt) for x in b.balls)}
         inter = a.intersect(b)
         diff = a.minus(b)
         uni = a.union(b)
-        set_i = {pt for pt in universe if any(x.contains_ints(pt, m) for x in inter.balls)}
-        set_d = {pt for pt in universe if any(x.contains_ints(pt, m) for x in diff.balls)}
-        set_u = {pt for pt in universe if any(x.contains_ints(pt, m) for x in uni.balls)}
+        set_i = {pt for pt in universe if any(x.contains_ints(pt) for x in inter.balls)}
+        set_d = {pt for pt in universe if any(x.contains_ints(pt) for x in diff.balls)}
+        set_u = {pt for pt in universe if any(x.contains_ints(pt) for x in uni.balls)}
         assert set_i == set_a & set_b
         assert set_d == set_a - set_b
         assert set_u == set_a | set_b
@@ -246,3 +248,190 @@ def test_level_points_order_and_count():
     assert len(pts) == 4
     assert len(set(pts)) == 4
     assert all(x % 2 == 0 and y % 2 == 0 for x, y in pts)
+
+
+# Differential tests of the two membership decisions that visit no
+# points: verify_partition's measure route against a reference copy of
+# the point enumeration, and ClopenRegion.contains_fractions against a
+# reference copy of the per-ball test, over p in {2, 3, 5}, d in {1, 2}.
+
+CTXS = {p: PadicContext(p, 8) for p in (2, 3, 5)}
+
+
+def _enumerated_partition(region, parts, cover, level):
+    """Reference: every point of the region mod p^m, against every part."""
+    m = max(level, region.max_level(), max((b.k for b, _ in parts), default=0))
+    for b, i in parts:
+        if not region.contains_ball(b):
+            raise ValueError("part ball %r sticks out of the region" % (b,))
+        if not cover[i].contains_ball(b):
+            raise ValueError("part ball %r not inside cover member %d" % (b, i))
+    count = 0
+    for pt in region.level_points(m):
+        hits = [
+            j for j, (b, _) in enumerate(parts)
+            if all((x - c) % b.ctx.p ** b.k == 0 for x, c in zip(pt, b.ints))
+        ]
+        if len(hits) != 1:
+            raise ValueError(
+                "point %s (mod p^%d) covered %d times" % (list(pt), m, len(hits))
+            )
+        count += 1
+    return count
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _top_level(p, d):
+    """Finest ball level drawn: one level more stays within about a
+    thousand cells, so the reference enumeration stays quick."""
+    k = 1
+    while k < 3 and p ** (d * (k + 2)) <= 1000:
+        k += 1
+    return k
+
+
+@st.composite
+def _ball(draw, ctx, d, top):
+    k = draw(st.integers(0, top))
+    return B(ctx, tuple(draw(st.integers(0, ctx.p ** k - 1)) for _ in range(d)), k)
+
+
+@st.composite
+def _regions(draw, ctx, d, top, min_size=1):
+    return ClopenRegion(draw(st.lists(_ball(ctx, d, top), min_size=min_size, max_size=3)))
+
+
+@st.composite
+def tagged_partitions(draw):
+    """(region, cover, exact tagged partition, level) on Z_p^d."""
+    p = draw(st.sampled_from(sorted(CTXS)))
+    d = draw(st.sampled_from((1, 2)))
+    ctx, top = CTXS[p], _top_level(p, d)
+    region = draw(_regions(ctx, d, top))
+    cover = [draw(_regions(ctx, d, top)) for _ in range(draw(st.integers(0, 2)))]
+    cover.append(R(B(ctx, (0,) * d, 0)))
+    parts = subordinate_partition(region, cover)
+    return region, cover, parts, draw(st.integers(0, top + 1))
+
+
+def _split(parts, data):
+    """A part replaced by its children, and the indices of the children."""
+    i = data.draw(st.integers(0, len(parts) - 1))
+    b, tag = parts[i]
+    kids = [(c, tag) for c in b.children()]
+    return parts[:i] + kids + parts[i + 1:], st.integers(i, i + len(kids) - 1)
+
+
+def _overlap(region, cover, parts, data):
+    extra = parts[data.draw(st.integers(0, len(parts) - 1))]
+    return parts + [extra]
+
+
+def _overlap_of_equal_measure(region, cover, parts, data):
+    # one child stands in for a sibling: the cell count is unchanged
+    parts, kids = _split(parts, data)
+    j, k = data.draw(st.lists(kids, min_size=2, max_size=2, unique=True))
+    parts[j] = parts[k]
+    return parts
+
+
+def _gap(region, cover, parts, data):
+    parts, kids = _split(parts, data)
+    del parts[data.draw(kids)]
+    return parts
+
+
+def _outside_region(region, cover, parts, data):
+    ctx, d = region.ctx, region.d
+    rest = R(B(ctx, (0,) * d, 0)).minus(region)
+    assume(not rest.empty)
+    stray = rest.balls[data.draw(st.integers(0, len(rest.balls) - 1))]
+    return parts + [(stray, len(cover) - 1)]
+
+
+def _outside_member(region, cover, parts, data):
+    i = data.draw(st.integers(0, len(parts) - 1))
+    b = parts[i][0]
+    wrong = [j for j, member in enumerate(cover) if not member.contains_ball(b)]
+    assume(wrong)
+    return parts[:i] + [(b, data.draw(st.sampled_from(wrong)))] + parts[i + 1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tagged_partitions())
+def test_partition_measure_route_matches_enumeration_on_exact_covers(case):
+    region, cover, parts, level = case
+    assert verify_partition(region, parts, cover, level) == _enumerated_partition(
+        region, parts, cover, level
+    )
+
+
+@pytest.mark.parametrize("edit", [
+    _overlap, _overlap_of_equal_measure, _gap, _outside_region, _outside_member,
+])
+@settings(max_examples=30, deadline=None)
+@given(case=tagged_partitions(), data=st.data())
+def test_partition_measure_route_fails_like_enumeration(edit, case, data):
+    region, cover, parts, level = case
+    bad = edit(region, cover, parts, data)
+    want = _outcome(_enumerated_partition, region, bad, cover, level)
+    assert isinstance(want, tuple) and want[0] is ValueError
+    assert _outcome(verify_partition, region, bad, cover, level) == want
+
+
+@pytest.mark.parametrize("ctx", sorted(CTXS.values(), key=lambda c: c.p), ids=lambda c: "p%d" % c.p)
+def test_partition_of_empty_region_checks_no_points(ctx):
+    cover = [R(B(ctx, (0, 0), 0))]
+    assert verify_partition(ClopenRegion([]), [], cover, 2) == 0
+    assert _enumerated_partition(ClopenRegion([]), [], cover, 2) == 0
+
+
+def _per_ball_contains(region, frs):
+    """Reference: each ball tests each coordinate's valuation and residue."""
+    for b in region.balls:
+        p, m = b.ctx.p, b.ctx.p ** b.k
+        if any(fraction_valuation(fr, p) < 0 for fr in frs):
+            continue
+        pt = tuple(fr.numerator * pow(fr.denominator, -1, m) % m if m > 1 else 0 for fr in frs)
+        if pt == b.ints:
+            return True
+    return False
+
+
+@st.composite
+def _coordinate(draw, p, kind, c, k):
+    """A coordinate near c mod p^k: an integer, a rational whose lowest-terms
+    denominator is a p-adic unit, or one whose denominator p divides."""
+    unit = st.integers(1, 60).filter(lambda u: u % p)
+    if kind == "p-denominator":
+        num = draw(st.integers(-p ** 4, p ** 4).filter(lambda a: a % p))
+        return Fraction(num, p ** draw(st.integers(1, 2)) * draw(unit))
+    u = 1 if kind == "integral" else draw(unit)
+    num = c * u + p ** k * draw(st.integers(-p ** 3, p ** 3)) + draw(st.sampled_from((0, 0, 1)))
+    return Fraction(num, u)
+
+
+@pytest.mark.parametrize("kind", ["integral", "unit-denominator", "p-denominator", "mixed"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_region_contains_fractions_matches_per_ball_reference(kind, data):
+    p = data.draw(st.sampled_from(sorted(CTXS)))
+    d = data.draw(st.sampled_from((1, 2)))
+    ctx = CTXS[p]
+    region = data.draw(_regions(ctx, d, 3, min_size=0))
+    near = data.draw(_ball(ctx, d, 3)) if region.empty else data.draw(st.sampled_from(region.balls))
+    kinds = ["integral", "unit-denominator", "p-denominator"] if kind == "mixed" else [kind]
+    frs = tuple(
+        data.draw(_coordinate(p, data.draw(st.sampled_from(kinds)), c, near.k)) for c in near.ints
+    )
+    want = _per_ball_contains(region, frs)
+    assert region.contains_fractions(frs) is want
+    assert any(b.contains_fractions(frs) for b in region.balls) is want
+    if kind == "p-denominator" or region.empty:
+        assert want is False

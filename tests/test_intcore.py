@@ -210,7 +210,7 @@ def test_piece_lookup_returns_the_model_balls():
     for ints in Ball.from_ints(ctx, (0, 0), 0).level_reps(2):
         b = sigma._find_piece(tuple(map(Fraction, ints)))
         assert any(b is own for own in balls)
-        assert b.contains_ints(ints, 2)
+        assert b.contains_ints(ints)
     with pytest.raises(OutOfDomain):
         sigma._find_piece((Fraction(1, 3), Fraction(0)))
 
