@@ -387,14 +387,13 @@ def verify_partition(region, parts, cover, level):
 
     Every point of the region mod p**level must lie in exactly one part
     ball, and that ball's tagged cover member must contain it.  Returns
-    the number of points checked.
+    the number of points, the region's cells mod p**m.
 
     Parts that lie in the region, are pairwise disjoint and hold as many
     cells mod p**m as the region cover it exactly once: their union is a
     clopen subset of the region with the same Haar measure, so the rest
     of the region, a clopen set of measure 0, is empty.  That decides
-    the partition without visiting its points.  Otherwise the points are
-    enumerated, which finds the first one covered zero or several times.
+    the partition without visiting its points.
     """
     m = max(level, region.max_level(), max((b.k for b, _ in parts), default=0))
     for b, i in parts:
@@ -402,21 +401,15 @@ def verify_partition(region, parts, cover, level):
             raise ValueError("part ball %r sticks out of the region" % (b,))
         if not cover[i].contains_ball(b):
             raise ValueError("part ball %r not inside cover member %d" % (b, i))
-    cells = _cells(region.balls, m)
-    if _cells((b for b, _ in parts), m) == cells and all(
-        ball_relation(a, b) == "disjoint"
-        for (a, _), (b, _) in itertools.combinations(parts, 2)
-    ):
-        return cells
-    count = 0
-    for pt in region.level_points(m):
-        hits = [j for j, (b, _) in enumerate(parts) if b.contains_ints(pt)]
-        if len(hits) != 1:
-            raise ValueError(
-                "point %s (mod p^%d) covered %d times" % (list(pt), m, len(hits))
-            )
-        count += 1
-    return count
+    for (a, _), (b, _) in itertools.combinations(parts, 2):
+        if ball_relation(a, b) != "disjoint":
+            raise ValueError("part balls %r and %r overlap" % (a, b))
+    covered, cells = _cells((b for b, _ in parts), m), _cells(region.balls, m)
+    if covered != cells:
+        raise ValueError(
+            "parts cover %d of the region's %d cells mod p^%d" % (covered, cells, m)
+        )
+    return cells
 
 
 def ball_to_json(b):

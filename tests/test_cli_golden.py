@@ -10,14 +10,10 @@ file from `_run_case` for every case in `CASES`.
 
 import json
 import os
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
 
 import pytest
 
-import ucalc
 from ucalc.balls import Ball, ClopenRegion, ball_to_json, region_to_json
 from ucalc.calculus import FunctionModel, identity_model, model_to_json, product_model
 from ucalc.cia import algebra_to_json, matrix_algebra, qp_algebra, quadratic_extension
@@ -190,13 +186,10 @@ def golden():
         return json.load(fh)
 
 
-def _case_argv(name, root):
-    return [str(root / tok) if tok.endswith(".json") else tok for tok in CASES[name]]
-
-
 def _run_case(name, root, capsys):
     """(exit code, stdout) of one case; a verify report loses its wall_time."""
-    code = main(_case_argv(name, root))
+    argv = [str(root / tok) if tok.endswith(".json") else tok for tok in CASES[name]]
+    code = main(argv)
     out = capsys.readouterr().out
     if "verify" in CASES[name]:
         payload = json.loads(out)
@@ -214,35 +207,3 @@ def test_golden_output(name, fixture_dir, golden, capsys):
     code, out = _run_case(name, fixture_dir, capsys)
     assert code == golden[name]["code"]
     assert out == _canonical(golden[name]["payload"])
-
-
-# Runs the cases named on its command line through `main` in one process
-# and prints {name: [exit code, stdout]} and the interpreter's -O flag.
-_SUBPROCESS_CASES = textwrap.dedent("""
-    import contextlib, io, json, sys
-    from ucalc.cli import main
-    out = {}
-    for name, argv in json.loads(sys.argv[1]).items():
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv)
-        out[name] = [code, buf.getvalue()]
-    print(json.dumps({"optimize": sys.flags.optimize, "cases": out}))
-""")
-
-
-def test_partition_cases_hold_under_python_O(fixture_dir, golden):
-    """The partition verdicts rest on raised exceptions, not on asserts,
-    which `python -O` strips: the golden outputs still hold there."""
-    names = sorted(name for name in CASES if name.startswith("partition"))
-    argvs = {name: _case_argv(name, fixture_dir) for name in names}
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ucalc.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _SUBPROCESS_CASES, json.dumps(argvs)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["optimize"] == 1
-    for name in names:
-        assert result["cases"][name] == [golden[name]["code"], _canonical(golden[name]["payload"])]
