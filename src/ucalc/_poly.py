@@ -1,19 +1,16 @@
-"""Sparse multivariate polynomials over Fraction, keyed by exponent tuples.
+"""Sparse multivariate polynomials keyed by exponent tuples.
 
 Internal helper for the calculus machinery.  A polynomial is a plain dict
-mapping exponent tuples (one slot per variable) to nonzero Fractions; the
-zero polynomial is the empty dict.
+mapping exponent tuples (one slot per variable) to nonzero coefficients,
+Fractions or ints (the integer model store); the zero polynomial is the
+empty dict.  Every operation keeps ints as ints.
 """
 
+import operator
 from fractions import Fraction
 
 
-def zero():
-    return {}
-
-
 def const(nvars, c):
-    c = Fraction(c)
     if c == 0:
         return {}
     return {(0,) * nvars: c}
@@ -45,7 +42,6 @@ def sub(a, b):
 
 
 def scale(a, c):
-    c = Fraction(c)
     if c == 0:
         return {}
     return {e: c * x for e, x in a.items()}
@@ -55,7 +51,7 @@ def mul(a, b):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(operator.add, ea, eb))
             s = out.get(e, 0) + ca * cb
             if s:
                 out[e] = s
@@ -92,26 +88,20 @@ def diff(a, i):
     return out
 
 
-def subst(a, subs, nvars_new):
-    """Substitute subs[i] (a poly in the new variables) for variable i."""
-    powers = {}
-
-    def power(i, k):
-        key = (i, k)
-        if key not in powers:
-            if k == 0:
-                powers[key] = const(nvars_new, 1)
-            else:
-                powers[key] = mul(power(i, k - 1), subs[i])
-        return powers[key]
-
-    out = {}
+def subst(a, subs, nvars_new, i=0):
+    """Substitute subs[j] (a poly in the new variables) for variable j,
+    for every j >= i, by Horner's rule in one variable at a time: each
+    step multiplies by one substituted poly, never by a power of it."""
+    if i == len(subs):
+        return const(nvars_new, sum(a.values()))
+    by_exp = {}
     for e, c in a.items():
-        term = const(nvars_new, c)
-        for i, k in enumerate(e):
-            if k:
-                term = mul(term, power(i, k))
-        out = add(out, term)
+        by_exp.setdefault(e[i], {})[e] = c
+    out = {}
+    for k in range(max(by_exp, default=0), -1, -1):
+        out = mul(out, subs[i])
+        if k in by_exp:
+            out = add(out, subst(by_exp[k], subs, nvars_new, i + 1))
     return out
 
 
@@ -138,6 +128,3 @@ def rename(a, mapping, nvars_new):
         out[tuple(e2)] = c
     return out
 
-
-def degree(a):
-    return max((sum(e) for e in a), default=-1)

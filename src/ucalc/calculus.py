@@ -1,10 +1,15 @@
 """Difference-quotient calculus for piecewise polynomial maps on Z_p^d.
 
 A FunctionModel is a finite family of polynomial pieces over disjoint
-balls.  All evaluation runs on exact rationals derived from the stored
-digits and truncates once at the output, so every identity that holds
-in Q holds bit-exactly at precision N when no coefficient overflows
-the digit window.
+balls, each stored once as p^-s times an integer polynomial.  Building
+models (sums, scaling, charts x = c + p^k z by a Taylor shift, composites
+by Horner's rule) is integer arithmetic that cuts each coefficient of
+the exact result to N digits, exactly as `PadicContext.from_fraction`
+would.  Fractions remain where general rationals are needed: values at
+points, quotients at t != 0 and the identity checks run on exact
+rationals read from the store and truncate once at the output, so every
+identity that holds in Q holds bit-exactly at precision N when no
+coefficient overflows the digit window.
 
 Certified maps also have an integer evaluation core (`residues`): the
 exact value mod p^M at an integral point, computed on ints from the
@@ -63,11 +68,16 @@ class FunctionModel:
     pieces: list of (Ball, coeffs) with coeffs a dict mapping exponent
     tuples (length d) to PadicVector values (length e).  Ball pieces
     must be pairwise disjoint; the domain is their union.
+
+    Each piece is stored once (`_store`) as (s, polys): p^-s times one
+    integer dict {exponents: int} per output coordinate, so coefficient
+    u*p^v is the int u*p^(v+s), with s >= 0 least.  `pieces`, `domain`
+    and the Fraction view `_frac` are built from the store on first use.
     """
 
     __slots__ = (
-        "pieces", "domain", "d", "e", "ctx", "factors", "_frac", "_sym",
-        "_charts", "_index", "_tables",
+        "d", "e", "ctx", "factors", "_store", "_pieces", "_domain", "_fracs",
+        "_sym", "_charts", "_index", "_tables",
     )
 
     def __init__(self, pieces, e=None, factors=None):
@@ -83,17 +93,11 @@ class FunctionModel:
             if ball_relation(b1, b2) != "disjoint":
                 raise ValueError("piece balls %r and %r overlap" % (b1, b2))
         if e is None:
-            for _, coeffs in pieces:
-                for vec in coeffs.values():
-                    e = vec.dim
-                    break
-                if e is not None:
-                    break
+            e = next((vec.dim for _, coeffs in pieces for vec in coeffs.values()), None)
         if e is None:
             raise ValueError("codomain dimension e is required for zero models")
-        frac = {}
+        store = {}
         for b, coeffs in pieces:
-            polys = [dict() for _ in range(e)]
             for exps, vec in coeffs.items():
                 if len(exps) != d or any(n < 0 or not isinstance(n, int) for n in exps):
                     raise ValueError("bad exponent tuple %r" % (exps,))
@@ -101,27 +105,57 @@ class FunctionModel:
                     raise ValueError("coefficient dimension %d, expected %d" % (vec.dim, e))
                 if vec.ctx != ctx:
                     raise ValueError("coefficient context differs from ball context")
-                for j, c in enumerate(vec.coords):
-                    q = c.to_fraction()
-                    if q:
-                        polys[j][tuple(exps)] = q
-            frac[b] = tuple(polys)
-        self.pieces = tuple(pieces)
-        self.domain = ClopenRegion([b for b, _ in pieces])
-        self.d = d
-        self.e = e
-        self.ctx = ctx
+            s = max([0] + [-c.v for vec in coeffs.values() for c in vec.coords if not c.is_zero])
+            store[b] = (s, tuple({tuple(x): vec[j].u * ctx.p ** (vec[j].v + s) for x, vec in coeffs.items()
+                                  if not vec[j].is_zero} for j in range(e)))
+        self._setup(ctx, d, e, store)
+        self._pieces = tuple(pieces)
         self.factors = dict(factors) if factors else None
-        self._frac = frac
-        self._sym = {}
-        # integer core, filled on first use: chart polynomials per piece,
-        # the piece index, and residue tables per (piece, modulus)
-        self._charts = {}
-        self._index = None
-        self._tables = {}
+
+    @classmethod
+    def _build(cls, ctx, d, e, store, domain=None):
+        """Model from a store truncated to N digits on disjoint balls; unchecked."""
+        self = object.__new__(cls)
+        self._setup(ctx, d, e, store, domain)
+        return self
+
+    def _setup(self, ctx, d, e, store, domain=None):
+        self.d, self.e, self.ctx, self.factors = d, e, ctx, None
+        self._store, self._domain, self._pieces, self._fracs = store, domain, None, None
+        # filled on first use: quotient polynomials, chart polynomials per
+        # piece, the piece index, and residue tables per (piece, modulus)
+        self._sym, self._charts, self._index, self._tables = {}, {}, None, {}
+
+    @property
+    def pieces(self):
+        """(ball, {exponents: PadicVector}) per piece."""
+        if self._pieces is None:
+            self._pieces = tuple((b, _polys_to_coeffs(v, self.ctx)) for b, v in self._store.items())
+        return self._pieces
+
+    @property
+    def domain(self):
+        if self._domain is None:
+            self._domain = ClopenRegion(self._store)
+        return self._domain
+
+    @property
+    def _frac(self):
+        """Exact rational view: ball -> one {exponents: Fraction} per coordinate."""
+        if self._fracs is None:
+            p = self.ctx.p
+            self._fracs = {b: tuple({x: Fraction(a, p ** s) for x, a in P.items()} for P in polys)
+                           for b, (s, polys) in self._store.items()}
+        return self._fracs
 
     def piece_balls(self):
-        return [b for b, _ in self.pieces]
+        return list(self._store)
+
+    def min_valuation(self):
+        """Least valuation of a stored coefficient; INF for the zero map."""
+        p = self.ctx.p
+        return min((fraction_valuation(a, p) - s for s, polys in self._store.values()
+                    for P in polys for a in P.values()), default=INF)
 
     def _piece_at(self, ints):
         """The piece containing an integral point given as ints, or None.
@@ -133,7 +167,7 @@ class FunctionModel:
         index = self._index
         if index is None:
             by_level = {}
-            for b, _ in self.pieces:
+            for b in self._store:
                 by_level.setdefault(b.k, {})[b.ints] = b
             p = self.ctx.p
             index = self._index = tuple((p ** k, by_level[k]) for k in sorted(by_level))
@@ -160,23 +194,24 @@ class FunctionModel:
     def chart(self, ball):
         """Chart polynomials of a piece: the piece's polynomials rewritten
         in the chart variable z, x = c + p^k z, with c = ball.ints and k
-        the ball's level.  One dict {exponents: Fraction} per output
-        coordinate; the constant term is the value at the centre c.
+        the ball's level.  Returned as (s, polys) like the store: p^-s
+        times one integer dict {exponents: int} per output coordinate;
+        the constant term is p^s times the value at the centre c.
         Computed once per piece and shared by every caller; do not mutate.
         """
-        polys = self._charts.get(ball)
-        if polys is None:
-            polys = self._charts[ball] = _local_coeffs(self._frac[ball], ball)
-        return polys
+        chart = self._charts.get(ball)
+        if chart is None:
+            chart = self._charts[ball] = _local_coeffs(self._store[ball], ball)
+        return chart
 
     def _table(self, ball, M, slopes):
         key = (ball, M, slopes)
         table = self._tables.get(key)
         if table is None:
-            polys = self.chart(ball)
+            s, polys = self.chart(ball)
             if slopes:
                 polys = tuple(_poly.diff(Q, i) for Q in polys for i in range(self.d))
-            table = self._tables[key] = _residue_table(ball, polys, M)
+            table = self._tables[key] = _residue_table(ball, s, polys, M)
         return table
 
     def _chart_residues(self, ints, M, slopes):
@@ -266,7 +301,7 @@ class FunctionModel:
             self.ctx.p,
             self.d,
             self.e,
-            len(self.pieces),
+            len(self._store),
         )
 
 
@@ -443,52 +478,75 @@ class CheckReport:
     limit_consistent: object = None
 
 
-def _local_coeffs(polys, ball):
-    """Piece polynomials rewritten in chart coordinates z, x = c + p^k z."""
-    d = ball.d
-    scale = Fraction(ball.ctx.p) ** ball.k
-    subs = [
-        _poly.add(_poly.const(d, Fraction(c)), _poly.scale(_poly.var(d, i), scale))
-        for i, c in enumerate(ball.ints)
-    ]
-    return tuple(_poly.subst(P, subs, d) for P in polys)
+def _local_coeffs(entry, ball):
+    """A stored piece rewritten in chart coordinates z, x = c + p^k z:
+    an integer Taylor shift, which keeps the scale."""
+    step = ball.ctx.p ** ball.k
+    subs = [_poly.add(_poly.const(ball.d, c), {x: step}) for c, x in zip(ball.ints, _units(ball.d))]
+    return _subst(entry, (0, subs), ball.ctx.p, ball.d)
 
 
-def _residue_table(ball, polys, M):
-    """Chart polynomials reduced mod p^M: (p^M, p^k, centre, top exponent
-    per variable, terms per polynomial as (coefficient, ((var, exp), ...)))."""
+def _units(d):
+    """Exponent tuples of the d coordinate monomials x_i."""
+    return [tuple(int(j == i) for j in range(d)) for i in range(d)]
+
+
+def _truncate(entry, ctx):
+    """An exact piece (s, polys) with every coefficient a/p^s cut to N
+    digits as `PadicContext.from_fraction` cuts it, at the least scale."""
+    s, polys = entry
+    p = ctx.p
+    vals = tuple({x: (a, fraction_valuation(a, p)) for x, a in P.items()} for P in polys)
+    low = max([0] + [s - t for V in vals for _, t in V.values()])
+    return low, tuple({x: a // p ** t % ctx.modulus * p ** (t + low - s) for x, (a, t) in V.items()}
+                      for V in vals)
+
+
+def _subst(outer, inner, p, nvars):
+    """outer(inner) on stored pieces, exactly: with D the total degree of
+    G, p^-s G(p^-r F) = p^-(s + rD) sum_a G_a p^(r(D - |a|)) F^a."""
+    s, G = outer
+    r, F = inner
+    D = max((sum(exps) for P in G for exps in P), default=0)
+    return s + r * D, tuple(_poly.subst({x: a * p ** (r * (D - sum(x))) for x, a in P.items()}, F, nvars)
+                            for P in G)
+
+
+def _residue_table(ball, s, polys, M):
+    """Chart polynomials p^-s polys reduced mod p^M: (p^M, p^k, centre,
+    top exponent per variable, terms per polynomial as (coefficient,
+    ((var, exp), ...)))."""
     p = ball.ctx.p
     mod = p ** M
+    unit = p ** s
     top = [0] * ball.d
     comps = []
     for P in polys:
         terms = []
-        for exps, c in P.items():
-            den = c.denominator
-            if den % p == 0:
+        for exps, a in P.items():
+            c, rem = divmod(a, unit)
+            if rem:
                 raise NonIntegralChart(
-                    "chart coefficient %s of piece %r is not %d-integral" % (c, ball, p)
+                    "chart coefficient %s of piece %r is not %d-integral"
+                    % (Fraction(a, unit), ball, p)
                 )
-            r = c.numerator * pow(den, -1, mod) % mod
+            r = c % mod
             if r:
                 terms.append((r, tuple((i, n) for i, n in enumerate(exps) if n)))
-                top = [max(a, n) for a, n in zip(top, exps)]
+                top = [max(t, n) for t, n in zip(top, exps)]
         comps.append(tuple(terms))
     return mod, p ** ball.k, ball.ints, tuple(top), tuple(comps)
 
 
 def _image_bound(f, ball):
-    """Exact value at the center plus a radius bound: image ⊆ val + p^s O^e."""
-    local = f.chart(ball)
-    zero = (0,) * f.d
-    val = tuple(P.get(zero, Fraction(0)) for P in local)
-    s = INF
+    """Exact value at the center plus a radius bound: image ⊆ val + p^s O^e,
+    s the least valuation of a non-constant chart coefficient."""
+    k, local = f.chart(ball)
     p = f.ctx.p
-    for P in local:
-        for e, c in P.items():
-            if any(e):
-                s = min(s, fraction_valuation(c, p))
-    return val, s
+    zero = (0,) * f.d
+    val = tuple(Fraction(P.get(zero, 0), p ** k) for P in local)
+    s = min((fraction_valuation(a, p) for P in local for x, a in P.items() if x != zero), default=INF)
+    return val, s - k
 
 
 def _image_in_ball(f, ball, target):
@@ -519,13 +577,12 @@ def compose(g, f, certificate):
     certificate maps every piece of f into the stated piece of g."""
     if f.e != g.d:
         raise ValueError("codomain of f (%d) does not match domain of g (%d)" % (f.e, g.d))
-    g_balls = set(g.piece_balls())
-    new_pieces = []
-    for ball, _ in f.pieces:
+    store = {}
+    for ball in f._store:
         if ball not in certificate:
             raise CertificateInvalid("no certificate entry for piece %r" % (ball,))
         target = certificate[ball]
-        if target not in g_balls:
+        if target not in g._store:
             raise CertificateInvalid("certificate target %r is not a piece of g" % (target,))
         ok, method, witness = _image_in_ball(f, ball, target)
         if not ok:
@@ -533,22 +590,19 @@ def compose(g, f, certificate):
                 "piece %r does not map into %r (%s check, witness %r)"
                 % (ball, target, method, witness)
             )
-        subs = list(f._frac[ball])
-        comp = tuple(_poly.subst(Q, subs, f.d) for Q in g._frac[target])
-        coeffs = _polys_to_coeffs(comp, f.ctx, g.e)
-        new_pieces.append((ball, coeffs))
-    return FunctionModel(new_pieces, e=g.e)
+        store[ball] = _truncate(_subst(g._store[target], f._store[ball], f.ctx.p, f.d), f.ctx)
+    return FunctionModel._build(f.ctx, f.d, g.e, store, f._domain)
 
 
-def _polys_to_coeffs(polys, ctx, e):
+def _polys_to_coeffs(entry, ctx):
+    """PadicVector coefficients {exponents: vector} of a stored piece."""
+    s, polys = entry
     by_exp = {}
     for j, P in enumerate(polys):
-        for exps, c in P.items():
-            by_exp.setdefault(exps, [Fraction(0)] * e)[j] = c
-    return {
-        exps: ctx.vector([ctx.from_fraction(q) for q in vals])
-        for exps, vals in by_exp.items()
-    }
+        for exps, a in P.items():
+            t = fraction_valuation(a, ctx.p)
+            by_exp.setdefault(exps, [ctx.zero()] * len(polys))[j] = ctx.from_unit(t - s, a // ctx.p ** t)
+    return {exps: PadicVector(vals, ctx=ctx) for exps, vals in by_exp.items()}
 
 
 def find_certificate(g, f):
@@ -557,18 +611,14 @@ def find_certificate(g, f):
     Returns (f_refined, certificate).  Raises CompositionUncertified when
     some piece cannot be certified even at the finest representable level.
     """
-    queue = [(b, c) for b, c in f.pieces]
-    done = []
+    queue = list(f._store.items())
+    done = {}
     cert = {}
     while queue:
-        ball, coeffs = queue.pop()
-        sub = FunctionModel([(ball, coeffs)], e=f.e)
+        ball, entry = queue.pop()
+        sub = FunctionModel._build(f.ctx, f.d, f.e, {ball: entry})
         val, _ = _image_bound(sub, ball)
-        target = None
-        for gb, _ in g.pieces:
-            if gb.contains_fractions(val):
-                target = gb
-                break
+        target = next((gb for gb in g._store if gb.contains_fractions(val)), None)
         if target is None:
             raise CompositionUncertified(
                 "image point %s of piece %r lies outside the domain of g"
@@ -576,7 +626,7 @@ def find_certificate(g, f):
             )
         ok, _, _ = _image_in_ball(sub, ball, target)
         if ok:
-            done.append((ball, coeffs))
+            done[ball] = entry
             cert[ball] = target
             continue
         if ball.k >= ball.ctx.N:
@@ -584,9 +634,8 @@ def find_certificate(g, f):
                 "piece %r cannot be certified at the finest level" % (ball,)
             )
         for child in ball.children():
-            queue.append((child, coeffs))
-    refined = FunctionModel(done, e=f.e)
-    return refined, cert
+            queue.append((child, entry))
+    return FunctionModel._build(f.ctx, f.d, f.e, done), cert
 
 
 def check_chain_rule(f, g, pt):
@@ -711,60 +760,88 @@ def check_scaling(f, k, xs, pvec, t):
     return CheckReport(lhs=f._vec(lhs_fr), rhs=f._vec(rhs_fr), equal=lhs_fr == rhs_fr)
 
 
-def _refine_common(f, g):
-    """Restrict two models to the common refinement of their partitions."""
-    pieces_f, pieces_g = [], []
-    for bf, cf in f.pieces:
-        for bg, cg in g.pieces:
+def refine(f, balls):
+    """(model, owner): f on the common refinement of its pieces and the
+    disjoint balls, pieces in the order (piece of f, ball), and owner
+    mapping each piece ball of the model to the ball that holds it."""
+    store, owner = {}, {}
+    for bf, entry in f._store.items():
+        for bg in balls:
             rel = ball_relation(bf, bg)
             if rel == "disjoint":
                 continue
             b = bf if rel in ("equal", "B2_contains_B1") else bg
-            pieces_f.append((b, cf))
-            pieces_g.append((b, cg))
-    if not pieces_f:
+            store[b] = entry
+            owner[b] = bg
+    if not store:
         raise OutOfDomain("the two models have disjoint domains")
-    return FunctionModel(pieces_f, e=f.e), FunctionModel(pieces_g, e=g.e)
+    return FunctionModel._build(f.ctx, f.d, f.e, store), owner
 
 
 def model_add(f, g):
+    """f + g on the common refinement, each coefficient of the exact sum
+    truncated to N digits."""
     if f.e != g.e:
         raise ValueError("codomain mismatch")
-    rf, rg = _refine_common(f, g)
-    pieces = []
-    for (b, _), (_, _) in zip(rf.pieces, rg.pieces):
-        polys = tuple(
-            _poly.add(P, Q) for P, Q in zip(rf._frac[b], rg._frac[b])
-        )
-        pieces.append((b, _polys_to_coeffs(polys, f.ctx, f.e)))
-    return FunctionModel(pieces, e=f.e)
+    rf, owner = refine(f, g.piece_balls())
+    p = f.ctx.p
+    store = {}
+    for b, (s1, P1) in rf._store.items():
+        s2, P2 = g._store[owner[b]]
+        s = max(s1, s2)
+        polys = tuple(_poly.add(_poly.scale(A, p ** (s - s1)), _poly.scale(B, p ** (s - s2)))
+                      for A, B in zip(P1, P2))
+        store[b] = _truncate((s, polys), f.ctx)
+    return FunctionModel._build(f.ctx, f.d, f.e, store)
 
 
 def model_scale(f, s):
-    q = s.to_fraction() if isinstance(s, PadicScalar) else Fraction(s)
-    pieces = []
-    for b, _ in f.pieces:
-        polys = tuple(_poly.scale(P, q) for P in f._frac[b])
-        pieces.append((b, _polys_to_coeffs(polys, f.ctx, f.e)))
-    return FunctionModel(pieces, e=f.e)
+    """s * f for a PadicScalar s, each coefficient of the exact product
+    truncated to N digits."""
+    u, v = (0, 0) if s.is_zero else (s.u, s.v)
+    store = {}
+    for b, (k, polys) in f._store.items():
+        # s * A/p^k = u*A / p^(k - v)
+        polys = tuple(_poly.scale(P, u * f.ctx.p ** max(v - k, 0)) for P in polys)
+        store[b] = _truncate((max(k - v, 0), polys), f.ctx)
+    return FunctionModel._build(f.ctx, f.d, f.e, store, f._domain)
 
 
-def model_sub(f, g):
-    return model_add(f, model_scale(g, -1))
+def add_identity(f, sign=1):
+    """f + id (sign 1), or f plus p^N - 1 times id (sign -1: the N-digit
+    truncation of -id), cut to N digits as model_add cuts the sum.  Only
+    the coefficient of x_i in coordinate i changes.  Pieces keep the order
+    of f, which is model_add's order when the domain is one ball."""
+    if f.d != f.e:
+        raise ValueError("codomain mismatch")
+    c = 1 if sign > 0 else f.ctx.modulus - 1
+    store = {b: _truncate((s, tuple(_poly.add(P, {x: c * f.ctx.p ** s}) for P, x in zip(polys, _units(f.d)))),
+                          f.ctx) for b, (s, polys) in f._store.items()}
+    return FunctionModel._build(f.ctx, f.d, f.e, store, f._domain)
 
 
 def identity_model(region):
     """The identity map of a region, one linear piece per ball."""
-    ctx = region.ctx
-    d = region.d
-    pieces = []
-    for b in region.balls:
-        coeffs = {}
-        for i in range(d):
-            exps = tuple(1 if j == i else 0 for j in range(d))
-            coeffs[exps] = ctx.vector([1 if j == i else 0 for j in range(d)])
-        pieces.append((b, coeffs))
-    return FunctionModel(pieces, e=d)
+    ctx, d = region.ctx, region.d
+    polys = tuple({x: 1} for x in _units(d))
+    return FunctionModel._build(ctx, d, d, {b: (0, polys) for b in region.balls}, region)
+
+
+def rescaled_chart(f, ball):
+    """f seen in the chart of a ball, z -> f(c + p^k z)/p^k: a model on the
+    unit ball whose pieces are the chart images of the pieces meeting it."""
+    ctx = f.ctx
+    step = ctx.p ** ball.k
+    store = {}
+    for pb, entry in f._store.items():
+        rel = ball_relation(pb, ball)
+        if rel == "disjoint":
+            continue
+        fine = ball if rel == "B1_contains_B2" else pb
+        ints = tuple((i - c) // step for i, c in zip(fine.ints, ball.ints))
+        s, polys = _local_coeffs(entry, ball)
+        store[Ball.from_ints(ctx, ints, fine.k - ball.k)] = _truncate((s + ball.k, polys), ctx)
+    return FunctionModel._build(ctx, f.d, f.e, store)
 
 
 def zero_model(region, e):
@@ -860,21 +937,16 @@ def curry(f, x):
     if f.factors is None:
         raise NotProductPartition("model was not built with product structure")
     xf = x.to_fractions()
-    chosen = []
-    for b, _ in f.pieces:
-        bu, bv = f.factors[b]
-        if bu.contains_fractions(xf):
-            chosen.append((b, bu, bv))
+    chosen = [(b, f.factors[b][1]) for b in f._store if f.factors[b][0].contains_fractions(xf)]
     if not chosen:
         raise OutOfDomain("x lies outside the U factor of the product domain")
-    d1 = chosen[0][1].d
-    d2 = f.d - d1
-    pieces = []
-    for b, bu, bv in chosen:
-        subs = [_poly.const(d2, q) for q in xf] + [_poly.var(d2, i) for i in range(d2)]
-        polys = tuple(_poly.subst(P, subs, d2) for P in f._frac[b])
-        pieces.append((bv, _polys_to_coeffs(polys, f.ctx, f.e)))
-    return FunctionModel(pieces, e=f.e)
+    d2 = chosen[0][1].d
+    p = f.ctx.p
+    # x = X/p^r with integer X, and z = p^-r (p^r z): one common scale
+    r = max([0] + [-c.v for c in x.coords if not c.is_zero])
+    subs = [_poly.const(d2, int(q * p ** r)) for q in xf] + [{u: p ** r} for u in _units(d2)]
+    store = {bv: _truncate(_subst(f._store[b], (r, subs), p, d2), f.ctx) for b, bv in chosen}
+    return FunctionModel._build(f.ctx, d2, f.e, store)
 
 
 def model_to_json(f):
@@ -900,6 +972,12 @@ def model_to_json(f):
     return out
 
 
+# Largest total degree, and so largest exponent, of a monomial that
+# model_from_json accepts: evaluation, charts and composites (whose degree
+# is the product of the factors') cost more with it, without bound.
+MAX_DEGREE = 16
+
+
 def _piece_from_json(entry, path, e):
     """(ball, coeffs) of one model piece; the checks across pieces are
     left to FunctionModel."""
@@ -918,6 +996,9 @@ def _piece_from_json(entry, path, e):
         if not (isinstance(exps, list) and len(exps) == ball.d
                 and all(type(n) is int and n >= 0 for n in exps)):
             raise ParseError("exps must be %d nonnegative ints, got %r" % (ball.d, exps), mpath + ".exps")
+        if sum(exps) > MAX_DEGREE:
+            raise ParseError("monomial degree %d exceeds the limit %d" % (sum(exps), MAX_DEGREE),
+                             mpath + ".exps")
         vec = vector_from_json(mono.get("coef"), mpath + ".coef")
         if vec.dim != e or vec.ctx != ball.ctx:
             raise ParseError("coefficient must be %d scalars in %r" % (e, ball.ctx), mpath + ".coef")

@@ -107,10 +107,6 @@ def _flag_values(text, n, flag):
     return vals
 
 
-def _ctx_vector(ctx, frs):
-    return ctx.vector([ctx.from_fraction(q) for q in frs])
-
-
 def _cmd_partition(ns):
     region = region_from_json(_read_json(ns.region))
     cover = [region_from_json(_read_json(path)) for path in ns.cover]
@@ -135,8 +131,8 @@ def _cmd_partition(ns):
 def _cmd_dq(ns):
     f = model_from_json(_read_json(ns.fn))
     ctx = f.ctx
-    x = _ctx_vector(ctx, _flag_values(ns.x, f.d, "x"))
-    y = _ctx_vector(ctx, _flag_values(ns.y, f.d, "y"))
+    x = ctx.vector(_flag_values(ns.x, f.d, "x"))
+    y = ctx.vector(_flag_values(ns.y, f.d, "y"))
     (tq,) = _flag_values(ns.t, 1, "t")
     t = ctx.from_fraction(tq)
     try:
@@ -168,6 +164,17 @@ def _cmd_verify(ns):
     return (0 if ok else 1), report.to_json(), human
 
 
+# `diffeo induced` lists the image of each of the p^(d*m) level-m cells;
+# a level with more cells than this is refused before certification
+MAX_INDUCED_CELLS = 2 ** 16
+
+
+def too_many_cells(p, d, m):
+    """p^(d*m) > MAX_INDUCED_CELLS; as p >= 2, capping the exponent at the
+    budget's bit length keeps the answer and the power small."""
+    return p ** min(d * m, MAX_INDUCED_CELLS.bit_length()) > MAX_INDUCED_CELLS
+
+
 def _certified(model, level):
     endo = BallEndo(model)
     return CertifiedDiffeo(endo=endo, cert=certify_omega(endo, m=level))
@@ -177,7 +184,10 @@ def _cmd_diffeo(ns):
     level = ns.verify_level if ns.verify_level is not None else 3
     model = model_from_json(_read_json(ns.endo))
     if ns.action == "invert":
-        y = _ctx_vector(model.ctx, _flag_values(ns.y, model.d, "y"))
+        y = model.ctx.vector(_flag_values(ns.y, model.d, "y"))
+    if ns.action == "induced" and too_many_cells(model.ctx.p, model.d, ns.m):
+        raise UsageError("--m %d gives %d^%d cells, more than the %d allowed"
+                         % (ns.m, model.ctx.p, model.d * ns.m, MAX_INDUCED_CELLS))
     if ns.action == "certify":
         level = ns.level if ns.level is not None else level
         try:

@@ -28,22 +28,20 @@ its valuation test mod p^M is the exact test.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import _poly
-from .balls import Ball, ClopenRegion, ball_relation
+from .balls import Ball, ClopenRegion
 from .calculus import (
     CertificateInvalid,
     CompositionUncertified,
-    FunctionModel,
     OutOfDomain,
     _image_bound,
     _image_in_ball,
-    _local_coeffs,
-    _polys_to_coeffs,
+    add_identity,
     compose,
     find_certificate,
     identity_model,
     model_add,
-    model_sub,
+    refine,
+    rescaled_chart,
 )
 from .padic import INF, fraction_valuation
 
@@ -96,7 +94,7 @@ class BallEndo:
                     % (piece, method, witness)
                 )
         self.gamma = gamma
-        self.sigma = model_sub(gamma, identity_model(gamma.domain))
+        self.sigma = add_identity(gamma, -1)
         self.ball = ball
         self.ctx = gamma.ctx
         self.d = gamma.d
@@ -104,13 +102,13 @@ class BallEndo:
     @classmethod
     def from_displacement(cls, sigma):
         """Build id + sigma and certify its range."""
-        return cls(model_add(identity_model(sigma.domain), sigma))
+        return cls(add_identity(sigma))
 
     def __repr__(self):
         return "BallEndo(p=%d, d=%d, pieces=%d)" % (
             self.ctx.p,
             self.d,
-            len(self.gamma.pieces),
+            len(self.gamma.piece_balls()),
         )
 
 
@@ -177,13 +175,8 @@ def certify_omega(endo, m=3):
     v_min = halfball_valuation(ctx.p)
     sigma = endo.sigma
     k_max = max(b.k for b in sigma.piece_balls())
-    bound_ok = True
-    for ball in sigma.piece_balls():
-        for P in sigma.chart(ball):
-            for c in P.values():
-                if fraction_valuation(c, ctx.p) < v_min + k_max:
-                    bound_ok = False
-    if bound_ok:
+    bounds = [_image_bound(sigma, ball) for ball in sigma.piece_balls()]
+    if all(min([s] + [fraction_valuation(c, ctx.p) for c in val]) >= v_min + k_max for val, s in bounds):
         return OmegaCertificate(v_min=v_min, method="coefficient-bound")
     if m < 2 * v_min - 1:
         raise ValueError(
@@ -249,12 +242,8 @@ def _omega_symbolic(sigma, v_min):
     """
     p = sigma.ctx.p
     balls = sigma.piece_balls()
-    const = (0,) * sigma.d
-    for ball in balls:
-        for Q in sigma.chart(ball):
-            for exps, c in Q.items():
-                if exps != const and fraction_valuation(c, p) < v_min + ball.k:
-                    return False
+    if any(_image_bound(sigma, ball)[1] < v_min + ball.k for ball in balls):
+        return False
     k_max = max(b.k for b in balls)
     M = v_min + max(k_max - 1, 0)
     low = p ** v_min
@@ -330,17 +319,6 @@ def _integral(frs):
     return tuple(q.numerator for q in frs)
 
 
-def _vmod(r, p, M):
-    """Valuation of an int mod p^M, capped at M."""
-    if r == 0:
-        return M
-    v = 0
-    while r % p == 0:
-        r //= p
-        v += 1
-    return v
-
-
 @dataclass(frozen=True)
 class IsometryReport:
     checked: int
@@ -373,7 +351,7 @@ def isometry_check(g, pairs):
         if vin == INF:
             continue
         diffs = [a - b for a, b in zip(gamma.residues(xi, M), gamma.residues(yi, M))]
-        if min(_vmod(q % mod, p, M) for q in diffs) != vin:
+        if min(fraction_valuation(q % mod, p) for q in diffs) != vin:
             violations.append((x, y))
     return IsometryReport(checked=len(pts), violations=tuple(violations))
 
@@ -405,7 +383,7 @@ def _invert(endo, y, target_v, v_min):
         x = nxt
         if converged:
             resid = min(
-                _vmod((a - b) % mod, p, M) for a, b in zip(endo.gamma.residues(x, M), y)
+                fraction_valuation((a - b) % mod, p) for a, b in zip(endo.gamma.residues(x, M), y)
             )
             if resid < target_v:
                 raise RuntimeError(
@@ -454,18 +432,9 @@ def compose_diffeos(g1, g2):
     e1, e2 = g1.endo, g2.endo
     if e1.ctx != e2.ctx or e1.d != e2.d:
         raise ValueError("the two maps live on different balls")
-    pre = [(_preimage_ball(g2, b), b) for b in e1.sigma.piece_balls()]
-    pieces = []
-    cert = {}
-    for ball, coeffs in e2.gamma.pieces:
-        for cj, bj in pre:
-            rel = ball_relation(ball, cj)
-            if rel == "disjoint":
-                continue
-            fine = cj if rel == "B1_contains_B2" else ball
-            pieces.append((fine, coeffs))
-            cert[fine] = bj
-    refined = FunctionModel(pieces, e=e2.d)
+    pre = {_preimage_ball(g2, b): b for b in e1.sigma.piece_balls()}
+    refined, owner = refine(e2.gamma, list(pre))
+    cert = {fine: pre[c] for fine, c in owner.items()}
     comp = compose(e1.sigma, refined, cert)
     sigma = model_add(e2.sigma, comp)
     endo = BallEndo.from_displacement(sigma)
@@ -602,33 +571,6 @@ class DiffcDecision:
     witness: object = None
 
 
-def _chart_displacement(sigma, ball):
-    """The displacement seen in the chart of a ball: z -> sigma(c + p^k z)/p^k.
-
-    The result is a model on the unit ball whose pieces are the chart
-    images of the pieces of sigma meeting the ball.
-    """
-    ctx = sigma.ctx
-    d = sigma.d
-    scale = Fraction(ctx.p) ** ball.k
-    pieces = []
-    for pb in sigma.piece_balls():
-        rel = ball_relation(pb, ball)
-        if rel == "disjoint":
-            continue
-        polys = tuple(
-            _poly.scale(P, 1 / scale) for P in _local_coeffs(sigma._frac[pb], ball)
-        )
-        if rel in ("equal", "B1_contains_B2"):
-            pieces = [(_root_ball(ctx, d), _polys_to_coeffs(polys, ctx, d))]
-            break
-        step = ctx.p ** ball.k
-        ints = tuple((i - c) // step for i, c in zip(pb.ints, ball.ints))
-        chart_ball = Ball.from_ints(ctx, ints, pb.k - ball.k)
-        pieces.append((chart_ball, _polys_to_coeffs(polys, ctx, d)))
-    return FunctionModel(pieces, e=d)
-
-
 def diffc_membership(a, m=3):
     """Decide membership of id + sigma in the diffeomorphism group of U.
 
@@ -639,7 +581,7 @@ def diffc_membership(a, m=3):
     """
     certificates = {}
     for ball in a.support.balls:
-        chart = _chart_displacement(a.sigma, ball)
+        chart = rescaled_chart(a.sigma, ball)
         try:
             endo = BallEndo.from_displacement(chart)
         except ValueError as err:

@@ -87,11 +87,14 @@ def is_prime(n):
 
 def fraction_valuation(q, p):
     """p-adic valuation of a Fraction or int; INF for zero."""
-    q = Fraction(q)
-    if q == 0:
+    if isinstance(q, int):
+        num, den = q, 1
+    else:
+        q = Fraction(q)
+        num, den = q.numerator, q.denominator
+    if num == 0:
         return INF
     v = 0
-    num, den = q.numerator, q.denominator
     while num % p == 0:
         num //= p
         v += 1
@@ -139,15 +142,18 @@ class PadicContext:
         return PadicScalar(self, v, u)
 
     def from_int(self, n):
-        return self.from_fraction(Fraction(n))
+        return self.from_fraction(n)
 
     def from_fraction(self, q):
-        """Truncate an exact rational to N significant digits."""
-        q = Fraction(q)
-        if q == 0:
+        """Truncate an exact rational (or int) to N significant digits."""
+        if isinstance(q, int):
+            num, den = q, 1
+        else:
+            q = Fraction(q)
+            num, den = q.numerator, q.denominator
+        if num == 0:
             return self.zero()
         v = 0
-        num, den = q.numerator, q.denominator
         p = self.p
         while num % p == 0:
             num //= p
@@ -161,7 +167,7 @@ class PadicContext:
     def vector(self, values):
         """Vector from an iterable of ints, Fractions or PadicScalars."""
         coords = tuple(
-            x if isinstance(x, PadicScalar) else self.from_fraction(Fraction(x))
+            x if isinstance(x, PadicScalar) else self.from_fraction(x)
             for x in values
         )
         return PadicVector(coords, ctx=self)
@@ -200,7 +206,9 @@ class PadicScalar:
         """Exact rational value of the representative."""
         if self.is_zero:
             return Fraction(0)
-        return Fraction(self.u) * Fraction(self.ctx.p) ** self.v
+        if self.v >= 0:
+            return Fraction(self.u * self.ctx.p ** self.v)
+        return Fraction(self.u, self.ctx.p ** -self.v)
 
     def digits(self):
         """The N significant base-p digits of the unit part, lowest first."""

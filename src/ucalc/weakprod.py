@@ -55,18 +55,7 @@ def perm_inverse(f):
 
 def _model_is_identity(g):
     """Displacement indistinguishable from zero at the working precision."""
-    sigma = g.endo.sigma
-    N = g.endo.ctx.N
-    p = g.endo.ctx.p
-    for ball in sigma.piece_balls():
-        for P in sigma._frac[ball]:
-            for c in P.values():
-                num = c.numerator
-                for _ in range(N):
-                    if num % p:
-                        return False
-                    num //= p
-    return True
+    return g.endo.sigma.min_valuation() >= g.endo.ctx.N
 
 
 class IdentityEntry:

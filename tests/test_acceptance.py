@@ -19,6 +19,7 @@ from ucalc.calculus import (
     check_scaling,
     directional,
     identity_model,
+    rescaled_chart,
     zero_model,
 )
 from ucalc.cia import (
@@ -42,7 +43,6 @@ from ucalc.suites import (
 )
 from ucalc.diffeo import (
     CompactlySupportedEndo,
-    _chart_displacement,
     certify_omega,
     diffc_membership,
     endo_compose,
@@ -528,7 +528,7 @@ def test_12_compactly_supported_maps():
         bad.append(("bad element accepted",))
     else:
         ball, wit = dec.witness
-        chart = _chart_displacement(sigma, ball)
+        chart = rescaled_chart(sigma, ball)
         xf, yf, t = wit
         if t:
             moved = chart._eval_fr(tuple(a + t * b for a, b in zip(xf, yf)))

@@ -5,9 +5,9 @@ import warnings
 import pytest
 
 from ucalc.balls import Ball, ClopenRegion, ball_from_json, ball_to_json, region_from_json, region_to_json
-from ucalc.calculus import FunctionModel, identity_model, model_from_json, model_to_json
+from ucalc.calculus import MAX_DEGREE, FunctionModel, identity_model, model_from_json, model_to_json
 from ucalc.cia import algebra_from_json, algebra_to_json, qp_algebra
-from ucalc.cli import ParseError, canonical_json, convert, main
+from ucalc.cli import MAX_INDUCED_CELLS, ParseError, canonical_json, convert, main, too_many_cells
 from ucalc.diffeo import BallEndo, CertifiedDiffeo, certify_omega, induced_level_map
 from ucalc.padic import PadicContext, scalar_from_json, scalar_to_json, vector_from_json, vector_to_json
 from ucalc.suites import SUITES, ConfigInvalid, SuiteConfig, UnknownSuite, run_suite
@@ -534,3 +534,58 @@ def test_prime_beyond_the_primality_bound_is_refused(tmp_path, capsys):
     assert payload["path"] == "$.p"
     with pytest.raises(ConfigInvalid):
         SuiteConfig(p=2 ** 89 - 1).validate()
+
+
+def _monomial_model(d, exps):
+    ball = Ball.from_ints(CTX3, (0,) * d, 0)
+    return model_to_json(FunctionModel([(ball, {exps: CTX3.vector([1])})], e=1))
+
+
+@pytest.mark.parametrize("exps", [(MAX_DEGREE,), (MAX_DEGREE - 7, 7)])
+def test_loader_accepts_monomials_at_the_degree_limit(exps):
+    f = model_from_json(_monomial_model(len(exps), exps))
+    assert list(f.pieces[0][1]) == [exps]
+
+
+@pytest.mark.parametrize("exps", [(MAX_DEGREE + 1,), (MAX_DEGREE - 7, 8), (10 ** 8,)])
+def test_loader_refuses_monomials_past_the_degree_limit(exps):
+    with pytest.raises(ParseError) as info:
+        model_from_json(_monomial_model(len(exps), exps))
+    assert info.value.path == "$.pieces[0].poly[0].exps"
+
+
+def test_dq_on_a_huge_exponent_exits_2_at_once(tmp_path, capsys):
+    import time
+
+    obj = _monomial_model(1, (MAX_DEGREE,))
+    obj["pieces"][0]["poly"][0]["exps"] = [10 ** 8]
+    path = write(tmp_path, "huge.json", obj)
+    start = time.perf_counter()
+    code, payload, err = run(capsys, ["dq", "--fn", path, "--x", "2", "--y", "1", "--t", "0"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert payload["path"] == "$.pieces[0].poly[0].exps"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("p, d, m", [(2, 1, 16), (2, 2, 8), (2, 4, 4), (3, 1, 10), (5, 1, 6)])
+def test_induced_cell_budget_boundary(p, d, m):
+    """The last level inside the budget and the first past it; the count
+    is computed, no cell is enumerated."""
+    assert p ** (d * m) <= MAX_INDUCED_CELLS < p ** (d * (m + 1))
+    assert not too_many_cells(p, d, m)
+    assert too_many_cells(p, d, m + 1)
+    assert too_many_cells(p, d, 10 ** 9)
+
+
+def test_induced_past_the_cell_budget_exits_2_before_certifying(tmp_path, capsys):
+    import time
+
+    # gamma = 2x fails certification, so only a refusal up front exits 2
+    path = write(tmp_path, "double.json", model_to_json(model({(1,): (2,)})))
+    start = time.perf_counter()
+    code, payload, err = run(capsys, ["diffeo", "induced", "--endo", path, "--m", "16"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert payload["error"].startswith("--m 16 gives 3^16 cells")
+    assert "usage error" in err

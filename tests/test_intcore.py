@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from ucalc import _poly
 from ucalc.balls import Ball
-from ucalc.calculus import FunctionModel, NonIntegralChart, OutOfDomain, _dqk_fr, _polys_to_coeffs
+from ucalc.calculus import FunctionModel, NonIntegralChart, OutOfDomain, _dqk_fr
 from ucalc.diffeo import (
     BallEndo,
     CertifiedDiffeo,
@@ -60,7 +60,8 @@ def chart_model(ctx, d, layout, charts):
             for i, c in enumerate(ball.ints)
         ]
         polys = tuple(_poly.subst({e: Fraction(c) for e, c in Q.items() if c}, subs, d) for Q in Qs)
-        pieces.append((ball, _polys_to_coeffs(polys, ctx, d)))
+        keys = {e for P in polys for e in P}
+        pieces.append((ball, {e: ctx.vector([P.get(e, 0) for P in polys]) for e in keys}))
     return FunctionModel(pieces, e=d)
 
 

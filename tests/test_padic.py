@@ -102,10 +102,25 @@ def test_to_fraction_roundtrip():
         assert ctx.from_fraction(x.to_fraction()) == x
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_to_fraction_matches_power_product(p, data):
+    """u*p^v, or u/p^-v, is the value Fraction(u) * Fraction(p)**v, for v
+    across [-N, N] and for exact zero."""
+    n = 6
+    ctx = PadicContext(p, n)
+    u = data.draw(st.integers(1, p ** n - 1).filter(lambda u: u % p))
+    x = ctx.from_unit(data.draw(st.integers(-n, n)), u)
+    assert x.to_fraction() == Fraction(x.u) * Fraction(p) ** x.v
+    assert ctx.zero().to_fraction() == 0
+
+
 def test_fraction_valuation():
     assert fraction_valuation(Fraction(18), 3) == 2
     assert fraction_valuation(Fraction(5, 9), 3) == -2
     assert fraction_valuation(0, 3) == INF
+    assert fraction_valuation(-54, 3) == 3
 
 
 def test_mixed_context_rejected():
