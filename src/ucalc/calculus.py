@@ -122,8 +122,7 @@ class FunctionModel:
     def _setup(self, ctx, d, e, store, domain=None):
         self.d, self.e, self.ctx, self.factors = d, e, ctx, None
         self._store, self._domain, self._pieces, self._fracs = store, domain, None, None
-        # filled on first use: quotient polynomials, chart polynomials per
-        # piece, the piece index, and residue tables per (piece, modulus)
+        # filled on first use: quotient and chart polynomials, piece index, residue tables
         self._sym, self._charts, self._index, self._tables = {}, {}, None, {}
 
     @property
@@ -771,8 +770,7 @@ def refine(f, balls):
             if rel == "disjoint":
                 continue
             b = bf if rel in ("equal", "B2_contains_B1") else bg
-            store[b] = entry
-            owner[b] = bg
+            store[b], owner[b] = entry, bg
     if not store:
         raise OutOfDomain("the two models have disjoint domains")
     return FunctionModel._build(f.ctx, f.d, f.e, store), owner
@@ -815,8 +813,11 @@ def add_identity(f, sign=1):
     if f.d != f.e:
         raise ValueError("codomain mismatch")
     c = 1 if sign > 0 else f.ctx.modulus - 1
-    store = {b: _truncate((s, tuple(_poly.add(P, {x: c * f.ctx.p ** s}) for P, x in zip(polys, _units(f.d)))),
-                          f.ctx) for b, (s, polys) in f._store.items()}
+    units = _units(f.d)
+    store = {}
+    for b, (s, polys) in f._store.items():
+        summed = tuple(_poly.add(P, {x: c * f.ctx.p ** s}) for P, x in zip(polys, units))
+        store[b] = _truncate((s, summed), f.ctx)
     return FunctionModel._build(f.ctx, f.d, f.e, store, f._domain)
 
 
