@@ -7,7 +7,6 @@ empty dict.  Every operation keeps ints as ints.
 """
 
 import operator
-from fractions import Fraction
 
 
 def const(nvars, c):
@@ -19,7 +18,7 @@ def const(nvars, c):
 def var(nvars, i):
     e = [0] * nvars
     e[i] = 1
-    return {tuple(e): Fraction(1)}
+    return {tuple(e): 1}
 
 
 def add(a, b):
@@ -60,14 +59,27 @@ def mul(a, b):
     return out
 
 
-def evaluate(a, xs):
-    total = Fraction(0)
+def total_degree(a):
+    """Largest total degree of a monomial; 0 for the zero polynomial."""
+    return max(map(sum, a), default=0)
+
+
+def eval_over(a, nums, pows=None):
+    """a at the point nums / L, computed on ints and scaled to an int.
+
+    pows is [1, L, ..., L^D] with D >= total_degree(a), and the result is
+    L^D a(nums / L) = sum of c_e nums^e L^(D - |e|); without pows, L = 1
+    and the result is a(nums).
+    """
+    top = len(pows) - 1 if pows else 0
+    total = 0
     for e, c in a.items():
-        term = c
-        for x, k in zip(xs, e):
+        for x, k in zip(nums, e):
             if k:
-                term *= x ** k
-        total += term
+                c *= x ** k
+        if pows:
+            c *= pows[top - sum(e)]
+        total += c
     return total
 
 

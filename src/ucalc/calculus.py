@@ -5,11 +5,18 @@ balls, each stored once as p^-s times an integer polynomial.  Building
 models (sums, scaling, charts x = c + p^k z by a Taylor shift, composites
 by Horner's rule) is integer arithmetic that cuts each coefficient of
 the exact result to N digits, exactly as `PadicContext.from_fraction`
-would.  Fractions remain where general rationals are needed: values at
-points, quotients at t != 0 and the identity checks run on exact
-rationals read from the store and truncate once at the output, so every
-identity that holds in Q holds bit-exactly at precision N when no
-coefficient overflows the digit window.
+would.
+
+Exact values are integer work too.  A point of rationals is written as
+nums / L over one common denominator, and a piece p^-s P of total degree
+D takes the value sum c_e nums^e L^(D - |e|) / (p^s L^D), summed on ints
+with one Fraction per output coordinate (`_eval_fr`).  The symbolic
+quotient polynomials are built from the store and keep its scale, and
+the t = 0 quotients and `directional` evaluate them the same way.
+Quotients at t != 0 and the identity checks combine these exact values
+as Fractions and truncate once at the output, so every identity that
+holds in Q holds bit-exactly at precision N when no coefficient overflows
+the digit window.
 
 Certified maps also have an integer evaluation core (`residues`): the
 exact value mod p^M at an integral point, computed on ints from the
@@ -27,6 +34,7 @@ defining permutation of its arguments.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,6 +63,10 @@ class NotProductPartition(ValueError):
 
 class MembershipFailure(ValueError):
     """A scaling-check argument leaves the higher-order domain."""
+
+
+class CompositeTooLarge(ValueError):
+    """A composite's degree bound exceeds MAX_COMPOSITE_DEGREE."""
 
 
 class NonIntegralChart(ArithmeticError):
@@ -149,6 +161,10 @@ class FunctionModel:
 
     def piece_balls(self):
         return list(self._store)
+
+    def nonzero_balls(self):
+        """Balls of the pieces on which the map is not identically zero."""
+        return [b for b, (_, polys) in self._store.items() if any(polys)]
 
     def min_valuation(self):
         """Least valuation of a stored coefficient; INF for the zero map."""
@@ -271,8 +287,12 @@ class FunctionModel:
         return ball.k, out
 
     def _eval_fr(self, frs):
+        """Exact value at a point of rationals: one Fraction per coordinate."""
         b = self._find_piece(frs)
-        return tuple(_poly.evaluate(P, frs) for P in self._frac[b])
+        s, polys = self._store[b]
+        L, nums = _over_common(frs)
+        unit = self.ctx.p ** s
+        return tuple(_value(P, nums, L, unit) for P in polys)
 
     def _vec(self, frs):
         return self.ctx.vector([self.ctx.from_fraction(q) for q in frs])
@@ -281,18 +301,22 @@ class FunctionModel:
         return self._vec(self._eval_fr(x.to_fractions()))
 
     def _symbolic(self, ball, j):
-        """Polynomials of the order-j quotient of this piece, flat layout."""
+        """The order-j quotient of this piece, flat layout, as (s, polys,
+        grads, degs): p^-s times one integer polynomial per coordinate (a
+        quotient step is linear with integer coefficients, so it keeps
+        the store's scale), their gradients, and per coordinate a bound
+        on the total degree of the gradient polynomials."""
         key = (ball, j)
         if key in self._sym:
             return self._sym[key]
         if j == 0:
-            polys = self._frac[ball]
+            s, polys = self._store[ball]
         else:
-            lower, _ = self._symbolic(ball, j - 1)
-            n = _nvars(self.d, j - 1)
-            polys = _dq1_symbolic(lower, n)
+            s, lower, _, _ = self._symbolic(ball, j - 1)
+            polys = _dq1_symbolic(lower, _nvars(self.d, j - 1))
         grads = tuple(tuple(_poly.diff(P, i) for i in range(_nvars(self.d, j))) for P in polys)
-        self._sym[key] = (polys, grads)
+        degs = tuple(max(_poly.total_degree(P) - 1, 0) for P in polys)
+        self._sym[key] = (s, polys, grads, degs)
         return self._sym[key]
 
     def __repr__(self):
@@ -306,6 +330,33 @@ class FunctionModel:
 
 def _nvars(d, j):
     return (2 ** j) * (d + 1) - 1
+
+
+def _over_common(frs):
+    """(L, nums): rationals (Fractions or ints) as nums / L over their
+    least common denominator L."""
+    L = math.lcm(*[q.denominator for q in frs])
+    if L == 1:
+        return 1, [q.numerator for q in frs]
+    return L, [q.numerator * (L // q.denominator) for q in frs]
+
+
+def _powers(L, D):
+    """[1, L, ..., L^D], or None when L = 1."""
+    if L == 1:
+        return None
+    pows = [1]
+    for _ in range(D):
+        pows.append(pows[-1] * L)
+    return pows
+
+
+def _value(P, nums, L, unit):
+    """P(nums / L) / unit as one Fraction, the sum taken on ints."""
+    if L == 1:
+        return Fraction(_poly.eval_over(P, nums), unit)
+    D = _poly.total_degree(P)
+    return Fraction(_poly.eval_over(P, nums, _powers(L, D)), unit * L ** D)
 
 
 def _dq1_symbolic(polys, n):
@@ -423,16 +474,19 @@ def _dqk_fr(f, node):
         return tuple((q - r) / t for q, r in zip(vb, va))
     j = _fr_order(a)
     ball = _common_piece(f, _fr_leaves(a))
-    polys, grads = f._symbolic(ball, j)
-    fx = _fr_flatten(a)
-    fy = _fr_flatten(b)
+    s, _, grads, degs = f._symbolic(ball, j)
+    # sum_i dP/dx_i (xs / L) * ys_i / M, over the one denominator p^s L^D M
+    L, xs = _over_common(_fr_flatten(a))
+    M, ys = _over_common(_fr_flatten(b))
+    unit = f.ctx.p ** s * M
     out = []
-    for grad in grads:
-        val = Fraction(0)
-        for i, yv in enumerate(fy):
-            if yv:
-                val += _poly.evaluate(grad[i], fx) * yv
-        out.append(val)
+    for grad, D in zip(grads, degs):
+        pows = _powers(L, D)
+        total = 0
+        for G, y in zip(grad, ys):
+            if y:
+                total += _poly.eval_over(G, xs, pows) * y
+        out.append(Fraction(total, unit * L ** D))
     return tuple(out)
 
 
@@ -454,18 +508,23 @@ def directional(f, x, dirs):
         raise ValueError("directional needs at least one direction")
     frs = x.to_fractions()
     ball = f._find_piece(frs)
-    cur = f._frac[ball]
+    s, cur = f._store[ball]
+    # each direction is vs / M with integer vs: differentiate along vs and
+    # fold M into the one denominator of the value
+    unit = f.ctx.p ** s
     for v in dirs:
-        vf = v.to_fractions()
+        M, vs = _over_common(v.to_fractions())
+        unit *= M
         nxt = []
         for P in cur:
             acc = {}
-            for i, c in enumerate(vf):
+            for i, c in enumerate(vs):
                 if c:
                     acc = _poly.add(acc, _poly.scale(_poly.diff(P, i), c))
             nxt.append(acc)
         cur = tuple(nxt)
-    return f._vec(tuple(_poly.evaluate(P, frs) for P in cur))
+    L, nums = _over_common(frs)
+    return f._vec(tuple(_value(P, nums, L, unit) for P in cur))
 
 
 @dataclass
@@ -571,18 +630,43 @@ def _image_in_ball(f, ball, target):
     return True, "exhaustive", None
 
 
+# Largest degree bound of a composite that `compose` builds.  The bound
+# of a piece is deg(outer piece) * deg(inner piece), and substitution
+# cost grows steeply with it: on a 2-vCPU Xeon with Python 3.11, a dense
+# d = 2 composite of degree 64 takes about 1.5 s, of degree 100 about
+# 8 s and of degree 144 about 30 s.  The seeded suites and golden cases
+# reach 9.
+MAX_COMPOSITE_DEGREE = 64
+
+
+def _degree(entry):
+    """Total degree of a stored piece."""
+    return max(map(_poly.total_degree, entry[1]))
+
+
 def compose(g, f, certificate):
     """Composite model g∘f on f's partition, after verifying that the
-    certificate maps every piece of f into the stated piece of g."""
+    certificate maps every piece of f into the stated piece of g.
+
+    Raises CompositeTooLarge, before any image check or substitution,
+    when some piece's degree bound exceeds MAX_COMPOSITE_DEGREE."""
     if f.e != g.d:
         raise ValueError("codomain of f (%d) does not match domain of g (%d)" % (f.e, g.d))
-    store = {}
-    for ball in f._store:
+    for ball, entry in f._store.items():
         if ball not in certificate:
             raise CertificateInvalid("no certificate entry for piece %r" % (ball,))
         target = certificate[ball]
         if target not in g._store:
             raise CertificateInvalid("certificate target %r is not a piece of g" % (target,))
+        outer, inner = _degree(g._store[target]), _degree(entry)
+        if outer * inner > MAX_COMPOSITE_DEGREE:
+            raise CompositeTooLarge(
+                "composite of degree %d x %d = %d exceeds the limit %d"
+                % (outer, inner, outer * inner, MAX_COMPOSITE_DEGREE)
+            )
+    store = {}
+    for ball in f._store:
+        target = certificate[ball]
         ok, method, witness = _image_in_ball(f, ball, target)
         if not ok:
             raise CertificateInvalid(

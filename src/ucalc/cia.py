@@ -1,11 +1,14 @@
 """Finite-dimensional algebras over Q_p with constructive inversion.
 
-Everything runs exactly: stored scalars are lifted to rationals, linear
-algebra is exact Gauss-Jordan elimination, and results are truncated once
-on the way out.  "Invertible at precision N" means the pivot valuations of
-the regular representation stay below N.
+Everything runs exactly: stored scalars are lifted to their exact values
+(ints where integral, so products of integral coordinates stay integer
+arithmetic), linear algebra is exact Gauss-Jordan elimination on integer
+rows, and results are truncated once on the way out.  "Invertible at
+precision N" means the pivot valuations of the regular representation
+stay below N.
 """
 
+import math
 from fractions import Fraction
 
 from .calculus import CheckReport
@@ -89,35 +92,69 @@ class PadicMatrix:
         return "PadicMatrix(n=%d, p=%d)" % (self.n, self.ctx.p)
 
 
+def _row(nums, den, e):
+    """The row nums * p^e / den with den > 0 prime to p, divided by the
+    content gcd(nums, den), which is prime to p as it divides den."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return nums, den, e
+    return [a // g for a in nums], den // g, e
+
+
 def _gauss_inverse(frs, p):
     """Exact Gauss-Jordan on rational rows, pivoting on minimal valuation.
 
     Returns (inverse rows, pivot valuations in elimination order).
+
+    Each row of [A | I] is kept on integers as nums * p^e / den, with den
+    prime to p and e the row's p-exponent, so an entry's valuation is
+    v(num) + e.  Every step is exact: the normalised pivot row is
+    Q * p^eq / dq with Q[col] = dq * p^-eq, and row r minus its col entry
+    times it is (Q[col] nums - b Q) * p^(e + eq) / (den dq), b = nums[col].
+    Each row therefore holds the same rationals as Fraction elimination
+    does at every step, so the pivots (least valuation, first row on
+    ties), their valuations and the inverse are the same; a Fraction is
+    built only for each entry of the inverse.
     """
     n = len(frs)
-    aug = [list(frs[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows = []
+    for i, fr in enumerate(frs):
+        den = math.lcm(*[q.denominator for q in fr])
+        nums = [q.numerator * (den // q.denominator) for q in fr] + [den * (i == j) for j in range(n)]
+        e = 0 if den == 1 else -fraction_valuation(den, p)
+        rows.append(_row(nums, den // p ** -e, e))
     pivots = []
     for col in range(n):
         best, best_val = -1, INF
         for r in range(col, n):
-            q = aug[r][col]
-            if q == 0:
+            a = rows[r][0][col]
+            if a == 0:
                 continue
-            val = fraction_valuation(q, p)
+            val = fraction_valuation(a, p) + rows[r][2]
             if val < best_val:
                 best, best_val = r, val
         if best < 0:
             raise Singular("no pivot in column %d" % col)
         pivots.append(best_val)
-        aug[col], aug[best] = aug[best], aug[col]
-        piv = aug[col][col]
-        aug[col] = [q / piv for q in aug[col]]
+        rows[col], rows[best] = rows[best], rows[col]
+        nums, _, e = rows[col]
+        a = nums[col]
+        va = best_val - e
+        dq = abs(a) // p ** va
+        Q, dq, eq = piv = _row([q if a > 0 else -q for q in nums], dq, -va)
+        lead = Q[col]
         for r in range(n):
-            if r == col or aug[r][col] == 0:
+            nums, den, e = rows[r]
+            b = nums[col]
+            if r == col or b == 0:
                 continue
-            factor = aug[r][col]
-            aug[r] = [q - factor * w for q, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug], pivots
+            rows[r] = _row([lead * x - b * y for x, y in zip(nums, Q)], den * dq, e + eq)
+        rows[col] = piv
+    out = []
+    for nums, den, e in rows:
+        scale = p ** abs(e)
+        out.append([Fraction(q * scale, den) if e >= 0 else Fraction(q, den * scale) for q in nums[n:]])
+    return out, pivots
 
 
 def mat_inverse_profile(M):
@@ -163,21 +200,18 @@ class StructAlgebra:
         self.n = n
         self.t = t
         self.one = one
-        mult = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                row.append(tuple((k, t[i][j][k].to_fraction()) for k in range(n) if not t[i][j][k].is_zero))
-            mult.append(tuple(row))
-        self._mult = tuple(mult)
-        self._one_fr = tuple(s.to_fraction() for s in one)
+        # exact values: ints where integral, so that products of integral
+        # coordinates (the axiom checks) take no Fraction arithmetic
+        self._mult = tuple(tuple(tuple((k, _exact(c)) for k, c in enumerate(row) if not c.is_zero)
+                                 for row in plane) for plane in t)
+        self._one_fr = tuple(_exact(s) for s in one)
         self._check_axioms()
 
     def _basis_fr(self, i):
-        return tuple(Fraction(int(j == i)) for j in range(self.n))
+        return tuple(int(j == i) for j in range(self.n))
 
     def _mul_fr(self, xf, yf):
-        out = [Fraction(0)] * self.n
+        out = [0] * self.n
         for i, xi in enumerate(xf):
             if xi == 0:
                 continue
@@ -226,6 +260,15 @@ class StructAlgebra:
         return "StructAlgebra(n=%d, p=%d)" % (self.n, self.ctx.p)
 
 
+def _exact(s):
+    """Exact value of a scalar: an int when integral, else a Fraction."""
+    if s.is_zero:
+        return 0
+    if s.v >= 0:
+        return s.u * s.ctx.p ** s.v
+    return Fraction(s.u, s.ctx.p ** -s.v)
+
+
 def alg_mul(A, x, y):
     """Product in coordinates, exact before the final truncation."""
     return A.vec(A._mul_fr(A.coords_fr(x), A.coords_fr(y)))
@@ -234,7 +277,7 @@ def alg_mul(A, x, y):
 def _lambda_fr(A, af):
     """Left regular representation of the element with rational coords af."""
     n = A.n
-    L = [[Fraction(0)] * n for _ in range(n)]
+    L = [[0] * n for _ in range(n)]
     for i, ai in enumerate(af):
         if ai == 0:
             continue
@@ -346,18 +389,16 @@ def tensor_right_inverse(F, A, z):
     s = [[None] * n for _ in range(n)]
     for k in range(n):
         for j in range(n):
-            entry = [Fraction(0)] * m
-            if k == j:
-                entry = list(A._one_fr)
+            entry = list(A._one_fr) if k == j else [0] * m
             for i in range(n):
-                cf = F.t[i][j][k].to_fraction()
+                cf = _exact(F.t[i][j][k])
                 if cf == 0:
                     continue
                 for a in range(m):
                     entry[a] += cf * z[i][a]
             s[k][j] = tuple(entry)
     nm = n * m
-    block = [[Fraction(0)] * nm for _ in range(nm)]
+    block = [[0] * nm for _ in range(nm)]
     for k in range(n):
         for j in range(n):
             lam = _lambda_fr(A, s[k][j])

@@ -22,7 +22,7 @@ from .balls import (
     subordinate_partition,
     verify_partition,
 )
-from .calculus import DQPoint, OutOfDomain, dq1, model_from_json, model_to_json
+from .calculus import CompositeTooLarge, DQPoint, OutOfDomain, dq1, model_from_json, model_to_json
 from .cia import NotAUnit, Singular, alg_inverse, algebra_from_json, algebra_to_json
 from .diffeo import (
     BallEndo,
@@ -310,6 +310,9 @@ def _cmd_wp(ns):
             return 0, payload, "conjugated: support on %d balls" % len(out.support)
     except ParseError:
         raise
+    except CompositeTooLarge as err:
+        flags = "--a and --b" if ns.action == "mul" else "--global and --eta"
+        raise UsageError("%s (maps from %s)" % (err, flags)) from None
     except (ValueError, NotCertified) as err:
         return 1, {"error": str(err)}, "wp %s failed: %s" % (ns.action, err)
     payload = _element_payload(out, min(level, 3))

@@ -520,7 +520,7 @@ class CompactlySupportedEndo:
             )
         if sigma.domain != U:
             raise ValueError("the displacement partition must cover exactly U")
-        nonzero = [b for b in sigma.piece_balls() if any(sigma._frac[b])]
+        nonzero = sigma.nonzero_balls()
         if support is None:
             support = ClopenRegion(nonzero)
         else:

@@ -27,6 +27,7 @@ from .balls import (
     verify_partition,
 )
 from .calculus import (
+    MAX_COMPOSITE_DEGREE,
     DQPoint,
     FunctionModel,
     MembershipFailure,
@@ -260,6 +261,10 @@ def run_suite(name, cfg):
     if name not in SUITES:
         raise UnknownSuite("no suite named %r; known: %s" % (name, ", ".join(sorted(SUITES))))
     cfg.validate()
+    # chain-rule composes two random maps of degree up to deg
+    if name == "chain-rule" and cfg.deg ** 2 > MAX_COMPOSITE_DEGREE:
+        raise ConfigInvalid("--deg %d gives chain-rule composites of degree up to %d, above the limit %d"
+                            % (cfg.deg, cfg.deg ** 2, MAX_COMPOSITE_DEGREE))
     start = time.perf_counter()
     checks, passed, failure = SUITES[name](cfg)
     return Report(
@@ -444,8 +449,7 @@ def _unity(cfg, ctx, rng):
         # spot-check budget; the partition suite decides the structure
         # of every partition exactly
         for pt in itertools.islice(region.level_points(level), 1500):
-            frs = tuple(Fraction(c) for c in pt)
-            total = sum(h.at_fractions(frs) for h in hs)
+            total = sum(h.at_fractions(pt) for h in hs)
             if total != 1:
                 return inputs, "sum %d at %s" % (total, list(pt)), "1"
 
@@ -562,7 +566,9 @@ def _cia_tensor(cfg, ctx, rng):
         phi_w = [c.to_fraction() for vec in v for c in vec.coords]
         u = tuple(q + o for q, o in zip(phi_u, T._one_fr))
         w = tuple(q + o for q, o in zip(phi_w, T._one_fr))
-        prod = T._mul_fr(u, w)
+        # Fractions throughout, so a failure witness prints the same for
+        # every coordinate (an untouched one stays the int 0 in _mul_fr)
+        prod = tuple(Fraction(q) for q in T._mul_fr(u, w))
         ok = all(
             q == o or (q - o).numerator % ctx.p ** ctx.N == 0
             for q, o in zip(prod, T._one_fr)

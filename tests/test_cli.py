@@ -5,7 +5,14 @@ import warnings
 import pytest
 
 from ucalc.balls import Ball, ClopenRegion, ball_from_json, ball_to_json, region_from_json, region_to_json
-from ucalc.calculus import MAX_DEGREE, FunctionModel, identity_model, model_from_json, model_to_json
+from ucalc.calculus import (
+    MAX_COMPOSITE_DEGREE,
+    MAX_DEGREE,
+    FunctionModel,
+    identity_model,
+    model_from_json,
+    model_to_json,
+)
 from ucalc.cia import algebra_from_json, algebra_to_json, qp_algebra
 from ucalc.cli import MAX_INDUCED_CELLS, ParseError, canonical_json, convert, main, too_many_cells
 from ucalc.diffeo import BallEndo, CertifiedDiffeo, certify_omega, induced_level_map
@@ -589,3 +596,76 @@ def test_induced_past_the_cell_budget_exits_2_before_certifying(tmp_path, capsys
     assert code == 2
     assert payload["error"].startswith("--m 16 gives 3^16 cells")
     assert "usage error" in err
+
+
+def _sparse_endo(n):
+    """x + 9x^n: one monomial of degree n beyond the identity, so the
+    composites below stay a handful of terms."""
+    return model_to_json(model({(1,): (1,), (n,): (9,)}))
+
+
+@pytest.mark.parametrize("outer, inner", [(8, 8), (5, 13)])
+def test_wp_mul_composite_degree_limit(outer, inner, tmp_path, capsys):
+    """wp mul composes sigma_a, of degree outer, with gamma_b, of degree
+    inner: accepted at the limit, refused one past it."""
+    a = write(tmp_path, "a.json", {"index": [0], "support": [{"id": 0, "endo": _sparse_endo(outer)}]})
+    b = write(tmp_path, "b.json", {"index": [0], "support": [{"id": 0, "endo": _sparse_endo(inner)}]})
+    code, payload, err = run(capsys, ["wp", "mul", "--a", a, "--b", b])
+    if outer * inner <= MAX_COMPOSITE_DEGREE:
+        assert outer * inner == MAX_COMPOSITE_DEGREE
+        assert code == 0
+        assert payload["support"][0]["entry"]["kind"] == "model"
+    else:
+        assert outer * inner == MAX_COMPOSITE_DEGREE + 1
+        assert code == 2
+        assert payload["error"] == "composite of degree 5 x 13 = 65 exceeds the limit 64 (maps from --a and --b)"
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("outer, inner", [(8, 8), (5, 13)])
+def test_wp_conjugate_composite_degree_limit(outer, inner, tmp_path, capsys):
+    """conjugate composes each chart's sigma, of degree outer, with the
+    entry's gamma, of degree inner."""
+    balls = [Ball.from_ints(CTX3, (c,), 1) for c in range(3)]
+    chart = _sparse_endo(outer)
+    gd = write(tmp_path, "gd.json", {
+        "region": region_to_json(ClopenRegion([ROOT])),
+        "pieces": [{"source": ball_to_json(b), "target": ball_to_json(b), "chart": chart} for b in balls],
+    })
+    eta = write(tmp_path, "eta.json", {
+        "index": [ball_to_json(b) for b in balls],
+        "support": [{"id": ball_to_json(balls[1]), "endo": _sparse_endo(inner)}],
+    })
+    code, payload, _ = run(capsys, ["wp", "conjugate", "--global", gd, "--eta", eta])
+    if outer * inner <= MAX_COMPOSITE_DEGREE:
+        assert code == 0
+        assert len(payload["support"]) == 1
+    else:
+        assert code == 2
+        assert payload["error"].endswith("exceeds the limit 64 (maps from --global and --eta)")
+
+
+def test_chain_rule_degree_limit(capsys):
+    """chain-rule composes two maps of degree up to --deg: deg^2 = 64 runs,
+    deg = 9 (81) is refused before any sample."""
+    assert 8 ** 2 == MAX_COMPOSITE_DEGREE
+    code, payload, _ = run(capsys, ["verify", "chain-rule", "--deg", "8", "--samples", "2"])
+    assert code == 0
+    assert payload["passed"] == 2
+    code, payload, err = run(capsys, ["verify", "chain-rule", "--deg", "9", "--samples", "2"])
+    assert code == 2
+    assert payload["error"].startswith("--deg 9 gives chain-rule composites of degree up to 81")
+    assert "usage error" in err
+
+
+def test_compose_refuses_before_any_substitution(monkeypatch):
+    from ucalc import calculus
+
+    def no_subst(*args):
+        raise AssertionError("substitution started")
+
+    monkeypatch.setattr(calculus, "_subst", no_subst)
+    g = model({(1,): (1,), (5,): (9,)})
+    f = model({(1,): (1,), (13,): (9,)})
+    with pytest.raises(calculus.CompositeTooLarge):
+        calculus.compose(g, f, {ROOT: ROOT})

@@ -6,11 +6,14 @@ report are stored in tests/golden/suites.json and compared with their
 shape (p = 3, d = 2, m = 3), and a few small precisions pin failing
 reports, so the first-failure witness (sample index, sample seed, inputs,
 lhs and rhs) is fixed too.  A deliberate change of output rewrites that
-file from `_run_case` for every case in `CASES`.
+file from `_run_case` for every case in `CASES`.  The cia-tensor and
+scaling cases also run under `python -O`, which strips `assert`.
 """
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -77,3 +80,17 @@ def test_suite_golden(name, golden, capsys):
     code, report = _run_case(name, capsys)
     assert code == golden[name]["code"]
     assert report == golden[name]["report"]
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.startswith(("cia-tensor", "scaling"))])
+def test_suite_golden_under_python_O(name, golden):
+    """The exact kernels signal broken invariants by exceptions, not by
+    `assert`, so the reports are the same with asserts stripped."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-m", "ucalc.cli"] + CASES[name],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == golden[name]["code"], proc.stderr
+    report = json.loads(proc.stdout)
+    report.pop("wall_time")
+    assert json.dumps(report, sort_keys=True) == json.dumps(golden[name]["report"], sort_keys=True)
