@@ -84,7 +84,8 @@ class FunctionModel:
     Each piece is stored once (`_store`) as (s, polys): p^-s times one
     integer dict {exponents: int} per output coordinate, so coefficient
     u*p^v is the int u*p^(v+s), with s >= 0 least.  `pieces`, `domain`
-    and the Fraction view `_frac` are built from the store on first use.
+    and the Fraction view `_frac` are built from the store on first use;
+    no value the library computes is read from `_frac`.
     """
 
     __slots__ = (
