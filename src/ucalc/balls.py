@@ -8,7 +8,6 @@ nested, which keeps all the region algebra exact and finite.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .padic import PadicVector, ParseError, at_path
 from .padic import vector_from_json, vector_to_json
@@ -96,9 +95,6 @@ class Ball:
     def contains_fractions(self, frs):
         return _point_ints(frs, self.ctx.p, self.k) == self.ints
 
-    def contains_point(self, x):
-        return self.contains_fractions(x.to_fractions())
-
     def parent(self):
         if self.k == 0:
             raise ValueError("the root ball has no parent")
@@ -122,15 +118,6 @@ class Ball:
         span = p ** (m - self.k)
         for off in itertools.product(range(span), repeat=self.d):
             yield tuple(c + step * o for c, o in zip(self.ints, off))
-
-    def to_chart(self, frs):
-        """Ambient point -> chart coordinates z with x = c + p^k z."""
-        s = Fraction(self.ctx.p) ** self.k
-        return tuple((Fraction(fr) - c) / s for fr, c in zip(frs, self.ints))
-
-    def from_chart(self, zs):
-        s = Fraction(self.ctx.p) ** self.k
-        return tuple(c + s * Fraction(z) for z, c in zip(zs, self.ints))
 
     def __eq__(self, other):
         if not isinstance(other, Ball):

@@ -27,8 +27,9 @@ scans, exhaustive range checks) run on it instead of on Fractions.
 Difference quotients: dq1 evaluates (f(x+ty) - f(x))/t, with the t = 0
 case filled in by formal differentiation of the piece polynomial (its
 unique continuous extension).  dqk iterates this through nested points,
-and braced_eval evaluates the reordered variant through the recursive
-defining permutation of its arguments.
+and check_scaling evaluates the reordered variant on the nested point
+that the recursive defining permutation of its arguments builds
+(`_braced_tree`).
 """
 
 from __future__ import annotations
@@ -220,6 +221,18 @@ class FunctionModel:
             chart = self._charts[ball] = _local_coeffs(self._store[ball], ball)
         return chart
 
+    def image_bound(self, ball):
+        """(val, s): the exact value at the centre of a piece ball and a
+        radius bound, f(ball) inside val + p^s O^e, with s the least
+        valuation of a non-constant chart coefficient (INF for a constant
+        piece)."""
+        k, local = self.chart(ball)
+        p = self.ctx.p
+        zero = (0,) * self.d
+        val = tuple(Fraction(P.get(zero, 0), p ** k) for P in local)
+        s = min((fraction_valuation(a, p) for P in local for x, a in P.items() if x != zero), default=INF)
+        return val, s - k
+
     def _table(self, ball, M, slopes):
         key = (ball, M, slopes)
         table = self._tables.get(key)
@@ -377,11 +390,6 @@ def _dq1_symbolic(polys, n):
         base = _poly.rename(P, list(range(n)), m)
         out.append(_poly.div_var(_poly.sub(shifted, base), m - 1))
     return tuple(out)
-
-
-def evaluate(f, x):
-    """Value of the unique piece containing x, truncated once."""
-    return f.eval(x)
 
 
 class DQPoint:
@@ -597,36 +605,33 @@ def _residue_table(ball, s, polys, M):
     return mod, p ** ball.k, ball.ints, tuple(top), tuple(comps)
 
 
-def _image_bound(f, ball):
-    """Exact value at the center plus a radius bound: image ⊆ val + p^s O^e,
-    s the least valuation of a non-constant chart coefficient."""
-    k, local = f.chart(ball)
-    p = f.ctx.p
-    zero = (0,) * f.d
-    val = tuple(Fraction(P.get(zero, 0), p ** k) for P in local)
-    s = min((fraction_valuation(a, p) for P in local for x, a in P.items() if x != zero), default=INF)
-    return val, s - k
+def _image_in_ball(f, ball, targets):
+    """Certify that f maps a piece ball into the union of the disjoint
+    target balls; returns (ok, method, witness).
 
-
-def _image_in_ball(f, ball, target):
-    """Certify f(ball) ⊆ target; returns (ok, method, witness)."""
-    val, s = _image_bound(f, ball)
-    if not target.contains_fractions(val):
+    The image lies in val + p^s O^e (`FunctionModel.image_bound`).  The
+    centre value must lie in some target, its home; when s reaches the
+    home's level the whole image does.  Otherwise the residues decide.
+    """
+    val, s = f.image_bound(ball)
+    home = next((b for b in targets if b.contains_fractions(val)), None)
+    if home is None:
         return False, "center", tuple(val)
-    if s >= target.k:
+    if s >= home.k:
         return True, "bound", None
     if s < 0:
         return False, "unbounded", None
     # integral chart coefficients make f 1-Lipschitz in the chart variable,
     # which loses ball.k digits in ambient terms: sampling must be fine
     # enough that target membership survives a p^m perturbation.  Here
-    # s >= 0 and the centre value lies in target, so every chart
-    # coefficient is integral, and membership of an integral value in a
-    # level-k ball reads only its residues mod p^k: the residue test is
-    # the exact one.
-    m = ball.k + target.k
-    for ints in ball.level_reps(m):
-        if not target.contains_ints(f.residues(ints, target.k)):
+    # s >= 0 and the centre value lies in a target, so every chart
+    # coefficient is integral, and membership of an integral value in
+    # balls of level at most top reads only its residues mod p^top: the
+    # residue test is the exact one.
+    top = max(b.k for b in targets)
+    for ints in ball.level_reps(ball.k + top):
+        vals = f.residues(ints, top)
+        if not any(b.contains_ints(vals) for b in targets):
             return False, "exhaustive", ints
     return True, "exhaustive", None
 
@@ -668,7 +673,7 @@ def compose(g, f, certificate):
     store = {}
     for ball in f._store:
         target = certificate[ball]
-        ok, method, witness = _image_in_ball(f, ball, target)
+        ok, method, witness = _image_in_ball(f, ball, (target,))
         if not ok:
             raise CertificateInvalid(
                 "piece %r does not map into %r (%s check, witness %r)"
@@ -701,14 +706,14 @@ def find_certificate(g, f):
     while queue:
         ball, entry = queue.pop()
         sub = FunctionModel._build(f.ctx, f.d, f.e, {ball: entry})
-        val, _ = _image_bound(sub, ball)
+        val, _ = sub.image_bound(ball)
         target = next((gb for gb in g._store if gb.contains_fractions(val)), None)
         if target is None:
             raise CompositionUncertified(
                 "image point %s of piece %r lies outside the domain of g"
                 % (list(val), ball)
             )
-        ok, _, _ = _image_in_ball(sub, ball, target)
+        ok, _, _ = _image_in_ball(sub, ball, (target,))
         if ok:
             done[ball] = entry
             cert[ball] = target
@@ -738,52 +743,6 @@ def check_chain_rule(f, g, pt):
     fdq = _dqk_fr(refined, tree)
     rhs_fr = _dqk_fr(g, ("node", ("leaf", fx), ("leaf", fdq), pt.t.to_fraction()))
     return CheckReport(lhs=h._vec(lhs_fr), rhs=g._vec(rhs_fr), equal=lhs_fr == rhs_fr)
-
-
-class BracedPoint:
-    """Argument pack of the reordered order-k quotient: 2^k vectors
-    followed by 2^k - 1 scalars, the last scalar being the outer
-    quotient parameter."""
-
-    __slots__ = ("xs", "ss")
-
-    def __init__(self, xs, ss):
-        xs = tuple(xs)
-        ss = tuple(ss)
-        n = len(xs)
-        if n < 2 or n & (n - 1):
-            raise ValueError("need a power of two vectors, got %d" % n)
-        if len(ss) != n - 1:
-            raise ValueError("need %d scalars for %d vectors, got %d" % (n - 1, n, len(ss)))
-        for x in xs:
-            if not isinstance(x, PadicVector):
-                raise TypeError("vector slots must be PadicVectors")
-        for s in ss:
-            if not isinstance(s, PadicScalar):
-                raise TypeError("scalar slots must be PadicScalars")
-        self.xs = xs
-        self.ss = ss
-
-    @property
-    def k(self):
-        return len(self.xs).bit_length() - 1
-
-    def to_dqpoint(self):
-        """Nested point whose iterated quotient is the reordered one:
-        the first half of the vectors with the first half of the scalars
-        forms the base point, the second halves the displacement, and
-        the final scalar is the outer parameter."""
-        if len(self.xs) == 2:
-            return DQPoint(self.xs[0], self.xs[1], self.ss[0])
-        h = len(self.xs) // 2
-        first = BracedPoint(self.xs[:h], self.ss[: h - 1])
-        second = BracedPoint(self.xs[h:], self.ss[h - 1 : 2 * h - 2])
-        return DQPoint(first.to_dqpoint(), second.to_dqpoint(), self.ss[2 * h - 2])
-
-
-def braced_eval(f, pt):
-    """Reordered order-k quotient via the defining argument permutation."""
-    return dqk(f, pt.to_dqpoint(), pt.k)
 
 
 def scaling_exponents(k):
@@ -928,11 +887,6 @@ def rescaled_chart(f, ball):
         s, polys = _local_coeffs(entry, ball)
         store[Ball.from_ints(ctx, ints, fine.k - ball.k)] = _truncate((s + ball.k, polys), ctx)
     return FunctionModel._build(ctx, f.d, f.e, store)
-
-
-def zero_model(region, e):
-    pieces = [(b, {}) for b in region.balls]
-    return FunctionModel(pieces, e=e)
 
 
 def check_eval_derivative(gamma, eta, x, y, t):

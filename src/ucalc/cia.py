@@ -32,66 +32,6 @@ class InverseCheckFailed(ArithmeticError):
     """A computed inverse fails its exact residual check."""
 
 
-class PadicMatrix:
-    """Square matrix of scalars sharing one context."""
-
-    __slots__ = ("ctx", "n", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if not rows or any(len(r) != len(rows) for r in rows):
-            raise ValueError("matrix must be square and nonempty")
-        ctx = None
-        for r in rows:
-            for s in r:
-                if not isinstance(s, PadicScalar):
-                    raise TypeError("entries must be PadicScalar")
-                if ctx is None:
-                    ctx = s.ctx
-                elif s.ctx != ctx:
-                    raise ValueError("entries must share one context")
-        self.ctx = ctx
-        self.n = len(rows)
-        self.rows = rows
-
-    @classmethod
-    def identity(cls, ctx, n):
-        one, zero = ctx.one(), ctx.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_fractions(cls, ctx, frs):
-        return cls([[ctx.from_fraction(q) for q in row] for row in frs])
-
-    def to_fractions(self):
-        return [[s.to_fraction() for s in r] for r in self.rows]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __mul__(self, other):
-        if not isinstance(other, PadicMatrix):
-            return NotImplemented
-        if other.ctx != self.ctx or other.n != self.n:
-            raise ValueError("size or context mismatch")
-        a, b = self.to_fractions(), other.to_fractions()
-        n = self.n
-        prod = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        return PadicMatrix.from_fractions(self.ctx, prod)
-
-    def __eq__(self, other):
-        if not isinstance(other, PadicMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return "PadicMatrix(n=%d, p=%d)" % (self.n, self.ctx.p)
-
-
 def _row(nums, den, e):
     """The row nums * p^e / den with den > 0 prime to p, divided by the
     content gcd(nums, den), which is prime to p as it divides den."""
@@ -155,19 +95,6 @@ def _gauss_inverse(frs, p):
         scale = p ** abs(e)
         out.append([Fraction(q * scale, den) if e >= 0 else Fraction(q, den * scale) for q in nums[n:]])
     return out, pivots
-
-
-def mat_inverse_profile(M):
-    """Inverse together with the pivot valuations of the elimination."""
-    inv, pivots = _gauss_inverse(M.to_fractions(), M.ctx.p)
-    N = M.ctx.N
-    if any(v >= N for v in pivots) or sum(pivots) >= N:
-        raise Singular("not invertible at precision %d (pivot valuations %r)" % (N, pivots))
-    return PadicMatrix.from_fractions(M.ctx, inv), tuple(pivots)
-
-
-def mat_inverse(M):
-    return mat_inverse_profile(M)[0]
 
 
 class StructAlgebra:
@@ -269,11 +196,6 @@ def _exact(s):
     return Fraction(s.u, s.ctx.p ** -s.v)
 
 
-def alg_mul(A, x, y):
-    """Product in coordinates, exact before the final truncation."""
-    return A.vec(A._mul_fr(A.coords_fr(x), A.coords_fr(y)))
-
-
 def _lambda_fr(A, af):
     """Left regular representation of the element with rational coords af."""
     n = A.n
@@ -289,7 +211,8 @@ def _lambda_fr(A, af):
 
 
 def _inverse_fr(A, af):
-    """Exact inverse coordinates, or NotAUnit."""
+    """(exact inverse coordinates, inverse rows of the left regular
+    representation L(af)), or NotAUnit."""
     L = _lambda_fr(A, af)
     try:
         inv, pivots = _gauss_inverse(L, A.ctx.p)
@@ -298,12 +221,12 @@ def _inverse_fr(A, af):
     N = A.ctx.N
     if any(v >= N for v in pivots) or sum(pivots) >= N:
         raise NotAUnit("regular representation is singular at precision %d" % N)
-    return tuple(sum(inv[k][j] * A._one_fr[j] for j in range(A.n)) for k in range(A.n))
+    return tuple(sum(inv[k][j] * A._one_fr[j] for j in range(A.n)) for k in range(A.n)), inv
 
 
 def alg_inverse(A, a):
     af = A.coords_fr(a)
-    xf = _inverse_fr(A, af)
+    xf, _ = _inverse_fr(A, af)
     if A._mul_fr(af, xf) != A._one_fr:
         raise InverseCheckFailed("a * inverse is not the unit of the algebra")
     return A.vec(xf)
@@ -436,11 +359,11 @@ def check_inversion_derivative(A, x, v, t):
     """
     xf = A.coords_fr(x)
     vf = A.coords_fr(v)
-    ix = _inverse_fr(A, xf)
+    ix, inv = _inverse_fr(A, xf)
     if not t.is_zero:
         tf = t.to_fraction()
         yf = tuple(q + tf * w for q, w in zip(xf, vf))
-        iy = _inverse_fr(A, yf)
+        iy, _ = _inverse_fr(A, yf)
         lhs = tuple((q2 - q1) / tf for q1, q2 in zip(ix, iy))
         rhs = tuple(-q for q in A._mul_fr(A._mul_fr(iy, vf), ix))
         return CheckReport(lhs=A.vec(lhs), rhs=A.vec(rhs), equal=lhs == rhs)
@@ -449,8 +372,6 @@ def check_inversion_derivative(A, x, v, t):
     L1 = _lambda_fr(A, vf)
     n = A.n
     L1a0 = tuple(sum(L1[k][j] * ix[j] for j in range(n)) for k in range(n))
-    L0 = _lambda_fr(A, xf)
-    inv, _ = _gauss_inverse(L0, A.ctx.p)
     a1 = tuple(-sum(inv[k][j] * L1a0[j] for j in range(n)) for k in range(n))
     rhs = tuple(-q for q in A._mul_fr(A._mul_fr(ix, vf), ix))
     return CheckReport(lhs=A.vec(a1), rhs=A.vec(rhs), equal=a1 == rhs)

@@ -28,6 +28,7 @@ from .diffeo import (
     BallEndo,
     CertifiedDiffeo,
     IterationBudgetExceeded,
+    LevelRefused,
     NotCertified,
     certify_omega,
     induced_level_map,
@@ -175,9 +176,18 @@ def too_many_cells(p, d, m):
     return p ** min(d * m, MAX_INDUCED_CELLS.bit_length()) > MAX_INDUCED_CELLS
 
 
+def _certify(endo, level, flag):
+    """certify_omega at the level a flag gave; a level it refuses is a
+    usage error naming that flag."""
+    try:
+        return certify_omega(endo, m=level)
+    except LevelRefused as err:
+        raise UsageError("%s (%s)" % (err, flag)) from None
+
+
 def _certified(model, level):
     endo = BallEndo(model)
-    return CertifiedDiffeo(endo=endo, cert=certify_omega(endo, m=level))
+    return CertifiedDiffeo(endo=endo, cert=_certify(endo, level, "--verify-level"))
 
 
 def _cmd_diffeo(ns):
@@ -185,6 +195,10 @@ def _cmd_diffeo(ns):
     model = model_from_json(_read_json(ns.endo))
     if ns.action == "invert":
         y = model.ctx.vector(_flag_values(ns.y, model.d, "y"))
+        if not 1 <= ns.prec <= model.ctx.N:
+            raise UsageError("--prec must be between 1 and the precision N=%d, got %d" % (model.ctx.N, ns.prec))
+    if ns.action == "induced" and ns.m < 1:
+        raise UsageError("--m must be a positive int, got %d" % ns.m)
     if ns.action == "induced" and too_many_cells(model.ctx.p, model.d, ns.m):
         raise UsageError("--m %d gives %d^%d cells, more than the %d allowed"
                          % (ns.m, model.ctx.p, model.d * ns.m, MAX_INDUCED_CELLS))
@@ -195,7 +209,7 @@ def _cmd_diffeo(ns):
         except ValueError as err:
             return 1, {"certified": False, "error": str(err)}, "not a self-map: %s" % err
         try:
-            cert = certify_omega(endo, m=level)
+            cert = _certify(endo, level, "--level" if ns.level is not None else "--verify-level")
         except NotCertified as err:
             payload = {
                 "certified": False,
@@ -308,7 +322,7 @@ def _cmd_wp(ns):
             out = conjugate_global(gd, _load_bundle(ns.eta, level, ball_ids=True))
             payload = _element_payload(out, min(level, 2), ball_ids=True)
             return 0, payload, "conjugated: support on %d balls" % len(out.support)
-    except ParseError:
+    except (ParseError, UsageError):
         raise
     except CompositeTooLarge as err:
         flags = "--a and --b" if ns.action == "mul" else "--global and --eta"

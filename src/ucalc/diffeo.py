@@ -33,7 +33,6 @@ from .calculus import (
     CertificateInvalid,
     CompositionUncertified,
     OutOfDomain,
-    _image_bound,
     _image_in_ball,
     add_identity,
     compose,
@@ -57,6 +56,29 @@ class NotCertified(ValueError):
 
 class IterationBudgetExceeded(RuntimeError):
     """Fixed-point inversion ran past its guaranteed step count."""
+
+
+class LevelRefused(ValueError):
+    """certify_omega cannot scan at the requested level: it is too coarse
+    to separate quotient classes, coarser than the pieces, or its class
+    count exceeds MAX_SCAN_CLASSES.  Raised before any scan starts."""
+
+
+# Largest number of quotient classes p^(2dm)(p^m + 1) that the exhaustive
+# scan of certify_omega visits at level m in dimension d.  On a 2-vCPU
+# Xeon with Python 3.11, the p = 2, d = 1 map x - (2/3)x^2 + 2x^4 scans
+# 266240 classes (level 6) in 1.9 s and 2113536 (level 7) in 13.6 s.
+# The tests, golden cases, suites and benchmark workloads reach at most
+# 65610 (p = 3, d = 2, m = 2).
+MAX_SCAN_CLASSES = 2 ** 20
+
+
+def _scan_too_large(p, d, m):
+    """p^(2dm)(p^m + 1) > MAX_SCAN_CLASSES; as p >= 2, capping each
+    exponent at the budget's bit length keeps the answer and the powers
+    small."""
+    cap = MAX_SCAN_CLASSES.bit_length()
+    return p ** min(2 * d * m, cap) * (p ** min(m, cap) + 1) > MAX_SCAN_CLASSES
 
 
 def halfball_valuation(p):
@@ -87,7 +109,7 @@ class BallEndo:
         if gamma.domain != ClopenRegion([ball]):
             raise ValueError("the model domain must be the unit ball O^d")
         for piece in gamma.piece_balls():
-            ok, method, witness = _image_in_ball(gamma, piece, ball)
+            ok, method, witness = _image_in_ball(gamma, piece, (ball,))
             if not ok:
                 raise ValueError(
                     "range certificate failed on piece %r (%s check, witness %r)"
@@ -167,28 +189,34 @@ def certify_omega(endo, m=3):
        quotient class once m covers the contraction window below.
 
     The level checks (m >= 2 v_min - 1, pieces no finer than m) come
-    before routes 2 and 3, and a failing one raises ValueError.  Routes 2
-    and 3 record level m, which compose_diffeos reuses for composites.
-    Only the scan rejects; its witness is an exact failing triple.
+    before routes 2 and 3, and the class budget (MAX_SCAN_CLASSES) before
+    route 3; a failing one raises LevelRefused.  Routes 2 and 3 record
+    level m, which compose_diffeos reuses for composites.  Only the scan
+    rejects; its witness is an exact failing triple.
     """
     ctx = endo.ctx
     v_min = halfball_valuation(ctx.p)
     sigma = endo.sigma
     k_max = max(b.k for b in sigma.piece_balls())
-    bounds = [_image_bound(sigma, ball) for ball in sigma.piece_balls()]
+    bounds = [sigma.image_bound(ball) for ball in sigma.piece_balls()]
     if all(min([s] + [fraction_valuation(c, ctx.p) for c in val]) >= v_min + k_max for val, s in bounds):
         return OmegaCertificate(v_min=v_min, method="coefficient-bound")
     if m < 2 * v_min - 1:
-        raise ValueError(
+        raise LevelRefused(
             "exhaustive level %d cannot separate quotient classes for p=%d; "
             "need at least %d" % (m, ctx.p, 2 * v_min - 1)
         )
     if k_max > m:
-        raise ValueError(
+        raise LevelRefused(
             "pieces at level %d are finer than the exhaustive level %d" % (k_max, m)
         )
     if _omega_symbolic(sigma, v_min):
         return OmegaCertificate(v_min=v_min, method="symbolic", level=m)
+    if _scan_too_large(ctx.p, endo.d, m):
+        raise LevelRefused(
+            "level %d gives %d^%d (%d^%d + 1) quotient classes to scan, more than the %d allowed"
+            % (m, ctx.p, 2 * endo.d * m, ctx.p, m, MAX_SCAN_CLASSES)
+        )
     witness = _omega_witness_search(endo, m, v_min)
     if witness is not None:
         kind, x, y, t = witness
@@ -242,7 +270,7 @@ def _omega_symbolic(sigma, v_min):
     """
     p = sigma.ctx.p
     balls = sigma.piece_balls()
-    if any(_image_bound(sigma, ball)[1] < v_min + ball.k for ball in balls):
+    if any(sigma.image_bound(ball)[1] < v_min + ball.k for ball in balls):
         return False
     k_max = max(b.k for b in balls)
     M = v_min + max(k_max - 1, 0)
@@ -472,36 +500,6 @@ def induced_level_map(g, m):
     return perm
 
 
-def _image_in_region(f, ball, region):
-    """Sound check that f maps the ball into the clopen region.
-
-    The exhaustive leg is reached with s >= 0 and an integral centre
-    value, so the piece's chart coefficients are integral; membership of
-    an integral value in the region reads only its residues mod
-    p^max_level, which the integer core gives exactly.
-    """
-    ctx = f.ctx
-    val, s = _image_bound(f, ball)
-    if s is INF:
-        return region.contains_fractions(val)
-    if s < 0 or any(fraction_valuation(q, ctx.p) < 0 for q in val):
-        return False
-    sk = min(s, ctx.N)
-    mod = ctx.p ** sk
-    ints = tuple(q.numerator * pow(q.denominator, -1, mod) % mod for q in val)
-    if region.contains_ball(Ball.from_ints(ctx, ints, sk)):
-        return True
-    # integral local coefficients: 1-Lipschitz in the chart variable, so
-    # sampling at ball.k + max_level keeps membership stable between samples
-    top = region.max_level()
-    m = ball.k + top
-    for reps in ball.level_reps(m):
-        vals = f.residues(reps, top)
-        if not any(b.contains_ints(vals) for b in region.balls):
-            return False
-    return True
-
-
 class CompactlySupportedEndo:
     """id + sigma on a clopen region U, identity outside the support.
 
@@ -534,7 +532,7 @@ class CompactlySupportedEndo:
                     )
         gamma = model_add(identity_model(U), sigma)
         for ball in gamma.piece_balls():
-            if not _image_in_region(gamma, ball, U):
+            if not _image_in_ball(gamma, ball, U.balls)[0]:
                 raise ValueError("id + sigma does not map %r into U" % (ball,))
         self.U = U
         self.sigma = sigma

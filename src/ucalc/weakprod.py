@@ -2,10 +2,11 @@
 
 A WeakProductElement carries one certified diffeomorphism per finitely
 many indices of a finite index set, identity everywhere else.  Entries
-multiply componentwise; inverses are precision-indexed evaluators rather
-than models, so an entry is one of three shapes: a certified model, the
-inverse of one, or a composition chain of those.  Equality of entries is
-always decided through induced level maps, never structurally.
+multiply componentwise.  An inverse is not built as a model: an entry is
+one of three shapes, a certified model, the formal inverse of one, or a
+composition chain of those, and each acts through its induced level maps
+(the inverse permutation for an inverse).  Equality of entries is always
+decided through those maps, never structurally.
 
 regroup and relabel realize the bookkeeping isomorphisms between index
 sets (fiberwise grouping, bijective relabeling with per-index
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .balls import ClopenRegion
 from .calculus import OutOfDomain
-from .diffeo import CertifiedDiffeo, compose_diffeos, induced_level_map, invert_at
+from .diffeo import CertifiedDiffeo, compose_diffeos, induced_level_map
 
 
 class MalformedIndex(ValueError):
@@ -73,9 +74,6 @@ class IdentityEntry:
     def induced(self, m):
         return tuple(range(self.ctx.p ** (self.d * m)))
 
-    def apply(self, x, prec):
-        return x
-
     def inverse(self):
         return self
 
@@ -102,9 +100,6 @@ class ModelEntry:
     def induced(self, m):
         return induced_level_map(self.g, m)
 
-    def apply(self, x, prec):
-        return self.g.gamma.eval(x)
-
     def inverse(self):
         return InverseEntry(self.g)
 
@@ -116,7 +111,7 @@ class ModelEntry:
 
 
 class InverseEntry:
-    """Entry evaluating the inverse of a certified diffeomorphism."""
+    """Entry standing for the inverse of a certified diffeomorphism."""
 
     __slots__ = ("g", "ctx", "d")
 
@@ -131,9 +126,6 @@ class InverseEntry:
     def induced(self, m):
         return perm_inverse(induced_level_map(self.g, m))
 
-    def apply(self, x, prec):
-        return invert_at(self.g, x, prec)
-
     def inverse(self):
         return ModelEntry(self.g)
 
@@ -145,11 +137,8 @@ class InverseEntry:
 
 
 class ComposedEntry:
-    """Left-after-right chain of entries, evaluated right to left.
-
-    Every entry is an isometry of the unit ball, so evaluating both links
-    at the requested precision keeps the composite at that precision.
-    """
+    """Left-after-right chain of entries; its induced map applies the
+    right link's first."""
 
     __slots__ = ("left", "right", "ctx", "d")
 
@@ -164,9 +153,6 @@ class ComposedEntry:
 
     def induced(self, m):
         return perm_compose(self.left.induced(m), self.right.induced(m))
-
-    def apply(self, x, prec):
-        return self.left.apply(self.right.apply(x, prec), prec)
 
     def inverse(self):
         return ComposedEntry(self.right.inverse(), self.left.inverse())
@@ -234,10 +220,6 @@ class WeakProductElement:
             len(self.index_set),
             len(self.support),
         )
-
-
-def wp_identity(index_set):
-    return WeakProductElement(index_set, {})
 
 
 def wp_mul(a, b):
@@ -414,13 +396,6 @@ class GlobalDiffeo:
         self.region = region
         self.pieces = tuple(pieces)
         self._by_source = {c: (d, g) for c, d, g in pieces}
-
-    def eval_fr(self, frs):
-        """Exact image of a point of the region."""
-        for c, d, g in self.pieces:
-            if c.contains_fractions(frs):
-                return d.from_chart(g.gamma._eval_fr(c.to_chart(frs)))
-        raise OutOfDomain("point %s outside the region" % (list(frs),))
 
     def __repr__(self):
         return "GlobalDiffeo(pieces=%d)" % (len(self.pieces),)

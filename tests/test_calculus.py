@@ -7,7 +7,6 @@ import pytest
 from ucalc import _poly
 from ucalc.balls import Ball, ClopenRegion
 from ucalc.calculus import (
-    BracedPoint,
     CertificateInvalid,
     CheckReport,
     CompositionUncertified,
@@ -16,7 +15,9 @@ from ucalc.calculus import (
     MembershipFailure,
     NotProductPartition,
     OutOfDomain,
-    braced_eval,
+    _braced_tree,
+    _dqk_fr,
+    _fr_point,
     check_chain_rule,
     check_composition_derivative,
     check_eval_derivative,
@@ -27,7 +28,6 @@ from ucalc.calculus import (
     dq1,
     dq_domain_contains,
     dqk,
-    evaluate,
     find_certificate,
     identity_model,
     model_add,
@@ -36,7 +36,6 @@ from ucalc.calculus import (
     model_to_json,
     product_model,
     scaling_exponents,
-    zero_model,
 )
 from ucalc.padic import PadicContext
 
@@ -68,11 +67,11 @@ def test_eval_piecewise():
         ((1,), 1, {(0,): (1,), (2,): (1,)}),  # 1 + x^2 on 1+3Z_3
         ((2,), 1, {(0,): (5,)}),          # constant 5
     ])
-    assert evaluate(f, CTX3.vector([3])) == CTX3.vector([6])
-    assert evaluate(f, CTX3.vector([4])) == CTX3.vector([17])
-    assert evaluate(f, CTX3.vector([2])) == CTX3.vector([5])
+    assert f.eval(CTX3.vector([3])) == CTX3.vector([6])
+    assert f.eval(CTX3.vector([4])) == CTX3.vector([17])
+    assert f.eval(CTX3.vector([2])) == CTX3.vector([5])
     with pytest.raises(OutOfDomain):
-        evaluate(f, CTX3.vector([CTX3.from_fraction(Fraction(1, 3))]))
+        f.eval(CTX3.vector([CTX3.from_fraction(Fraction(1, 3))]))
 
 
 def test_model_rejects_overlapping_pieces():
@@ -85,7 +84,7 @@ def test_dq1_linear_closed_form():
     f = root_model(CTX3, 1, {(1,): (5,)})
     x, y = CTX3.vector([2]), CTX3.vector([7])
     for t in (CTX3.zero(), CTX3.one(), CTX3.from_int(3), CTX3.from_int(-2)):
-        assert dq1(f, DQPoint(x, y, t)) == evaluate(f, y)
+        assert dq1(f, DQPoint(x, y, t)) == f.eval(y)
 
 
 def test_dq1_monomial_hand_formula():
@@ -288,7 +287,7 @@ def test_compose_eval_agreement_and_errors():
     h = compose(g, f, cert)
     for n in range(9):
         x = CTX3.vector([n])
-        assert evaluate(h, x) == evaluate(g, evaluate(f, x))
+        assert h.eval(x) == g.eval(f.eval(x))
     bad = dict(cert)
     del bad[f.piece_balls()[0]]
     with pytest.raises(CertificateInvalid):
@@ -317,7 +316,7 @@ def test_compose_exhaustive_route():
     h = compose(g, refined, cert)
     for n in range(4):
         x = CTX2.vector([n])
-        assert evaluate(h, x) == evaluate(g, evaluate(f, x))
+        assert h.eval(x) == g.eval(f.eval(x))
 
 
 def test_compose_rejects_sub_lipschitz_certificate():
@@ -339,26 +338,12 @@ def test_composition_uncertified_outside_domain():
         find_certificate(g, f)
 
 
-def test_braced_point_structure():
-    x = [CTX3.vector([i]) for i in range(4)]
-    s = [CTX3.from_int(i + 1) for i in range(3)]
-    bp = BracedPoint(x, s)
-    assert bp.k == 2
-    nested = bp.to_dqpoint()
-    assert nested.order == 2
-    assert nested.x.x == x[0] and nested.x.y == x[1]
-    assert nested.y.x == x[2] and nested.y.y == x[3]
-    assert nested.x.t == s[0] and nested.y.t == s[1] and nested.t == s[2]
-    with pytest.raises(ValueError):
-        BracedPoint(x[:3], s[:2])
-    with pytest.raises(ValueError):
-        BracedPoint(x, s[:2])
-
-
 def test_braced_k1_is_dq1():
     f = root_model(CTX3, 1, {(2,): (1,), (1,): (2,)})
     x, y, t = CTX3.vector([2]), CTX3.vector([4]), CTX3.from_int(3)
-    assert braced_eval(f, BracedPoint([x, y], [t])) == dq1(f, DQPoint(x, y, t))
+    tree = _braced_tree([x.to_fractions(), y.to_fractions()], [t.to_fraction()])
+    assert tree == _fr_point(DQPoint(x, y, t))
+    assert f._vec(_dqk_fr(f, tree)) == dq1(f, DQPoint(x, y, t))
 
 
 def _braced_symbolic(polys, d, k):
@@ -401,20 +386,17 @@ def _braced_symbolic(polys, d, k):
     (2, 2, {(1, 1): (1, 2), (2, 0): (0, 1)}, 2),
 ])
 def test_braced_eval_matches_symbolic_permutation_route(d, k, coeffs, e):
+    """The braced tree that check_scaling evaluates, against the
+    regrouped symbolic quotient, exactly."""
     f = root_model(CTX3, d, coeffs, e=e)
     sym = _braced_symbolic(f._frac[f.piece_balls()[0]], d, k)
     rng = random.Random(100 * d + k)
     for _ in range(12):
-        xs = [CTX3.vector([rng.randrange(27) for _ in range(d)]) for _ in range(2 ** k)]
-        raw = [rng.choice([0, 1, 2, 3, 5, 9]) for _ in range(2 ** k - 1)]
-        ss = [CTX3.from_int(v) if v else CTX3.zero() for v in raw]
-        flat = []
-        for x in xs:
-            flat.extend(x.to_fractions())
-        flat.extend(Fraction(v) for v in raw)
+        xs = [tuple(Fraction(rng.randrange(27)) for _ in range(d)) for _ in range(2 ** k)]
+        ss = [Fraction(rng.choice([0, 1, 2, 3, 5, 9])) for _ in range(2 ** k - 1)]
+        flat = [c for x in xs for c in x] + ss
         want = tuple(_fr_evaluate(P, flat) for P in sym)
-        got = braced_eval(f, BracedPoint(xs, ss))
-        assert got == f._vec(want)
+        assert _dqk_fr(f, _braced_tree(xs, ss)) == want
 
 
 def test_scaling_exponents_sequence():
@@ -534,7 +516,7 @@ def test_curry_roundtrip():
         xv, yv = rng.randrange(27), rng.randrange(27)
         x, y = CTX3.vector([xv]), CTX3.vector([yv])
         fy = curry(f, x)
-        assert evaluate(fy, y) == evaluate(f, CTX3.vector([xv, yv]))
+        assert fy.eval(y) == f.eval(CTX3.vector([xv, yv]))
     with pytest.raises(NotProductPartition):
         curry(root_model(CTX3, 2, {(1, 1): (1,)}), CTX3.vector([0]))
 
@@ -547,7 +529,7 @@ def test_product_model_refines_mixed_levels():
     assert len(f.pieces) == 3
     assert all(b.k == 1 for b, _ in f.pieces)
     fy = curry(f, CTX3.vector([3]))
-    assert evaluate(fy, CTX3.vector([5])) == CTX3.vector([15])
+    assert fy.eval(CTX3.vector([5])) == CTX3.vector([15])
 
 
 def test_model_add_refines_partitions():
@@ -555,17 +537,21 @@ def test_model_add_refines_partitions():
     g = mk(CTX3, [((0,), 1, {(0,): (1,)}), ((1,), 1, {(0,): (2,)}), ((2,), 1, {(0,): (3,)})])
     h = model_add(f, g)
     assert len(h.pieces) == 3
-    assert evaluate(h, CTX3.vector([4])) == CTX3.vector([6])
+    assert h.eval(CTX3.vector([4])) == CTX3.vector([6])
     s = model_scale(f, CTX3.from_int(5))
-    assert evaluate(s, CTX3.vector([2])) == CTX3.vector([10])
+    assert s.eval(CTX3.vector([2])) == CTX3.vector([10])
+
+
+def zero_model(region, e):
+    return FunctionModel([(b, {}) for b in region.balls], e=e)
 
 
 def test_identity_and_zero_models():
     region = ClopenRegion([B(CTX3, (0,), 1), B(CTX3, (1,), 1)])
     ident = identity_model(region)
-    assert evaluate(ident, CTX3.vector([4])) == CTX3.vector([4])
+    assert ident.eval(CTX3.vector([4])) == CTX3.vector([4])
     z = zero_model(region, 2)
-    assert evaluate(z, CTX3.vector([3])) == CTX3.vector([0, 0])
+    assert z.eval(CTX3.vector([3])) == CTX3.vector([0, 0])
 
 
 def test_model_json_roundtrip():
@@ -575,12 +561,12 @@ def test_model_json_roundtrip():
     assert f2.domain == f.domain
     for n in range(9):
         x = CTX3.vector([n])
-        assert evaluate(f2, x) == evaluate(f, x)
+        assert f2.eval(x) == f.eval(x)
     bu = B(CTX3, (0,), 0)
     g = product_model([(bu, bu, {(1, 1): CTX3.vector([1])})], e=1)
     g2 = model_from_json(model_to_json(g))
     assert g2.factors is not None
-    assert evaluate(curry(g2, CTX3.vector([2])), CTX3.vector([5])) == CTX3.vector([10])
+    assert curry(g2, CTX3.vector([2])).eval(CTX3.vector([5])) == CTX3.vector([10])
 
 
 def test_dq_domain_membership_helper():

@@ -598,6 +598,71 @@ def test_induced_past_the_cell_budget_exits_2_before_certifying(tmp_path, capsys
     assert "usage error" in err
 
 
+def _gp2_json():
+    """x - (2/3)x^2 + 2x^4 on Z_2: only the exhaustive scan certifies it."""
+    ctx = PadicContext(2, 12)
+    return model_to_json(FunctionModel([(Ball.from_ints(ctx, (0,), 0), {
+        (1,): ctx.vector([1]),
+        (2,): ctx.vector([ctx.from_fraction(Fraction(-2, 3))]),
+        (4,): ctx.vector([2]),
+    })], e=1))
+
+
+def _fine_json():
+    """x + 3x^2 on pieces down to level 2: the coefficient bound fails."""
+    balls = [Ball.from_ints(CTX3, (c,), 1) for c in (0, 1)]
+    balls += [Ball.from_ints(CTX3, (c,), 2) for c in (2, 5, 8)]
+    return model_to_json(FunctionModel([(b, {(1,): CTX3.vector([1]), (2,): CTX3.vector([3])}) for b in balls], e=1))
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["diffeo", "certify", "--endo", "gp2.json", "--level", "1"],
+     "exhaustive level 1 cannot separate quotient classes for p=2; need at least 3 (--level)"),
+    (["--verify-level", "1", "diffeo", "certify", "--endo", "gp2.json"],
+     "exhaustive level 1 cannot separate quotient classes for p=2; need at least 3 (--verify-level)"),
+    (["--verify-level", "1", "diffeo", "induced", "--endo", "fine.json", "--m", "1"],
+     "pieces at level 2 are finer than the exhaustive level 1 (--verify-level)"),
+    (["diffeo", "certify", "--endo", "fine.json", "--level", "1"],
+     "pieces at level 2 are finer than the exhaustive level 1 (--level)"),
+    (["diffeo", "certify", "--endo", "gp2.json", "--level", "7"],
+     "level 7 gives 2^14 (2^7 + 1) quotient classes to scan, more than the 1048576 allowed (--level)"),
+    (["--verify-level", "1", "wp", "inv", "--a", "bundle.json"],
+     "exhaustive level 1 cannot separate quotient classes for p=2; need at least 3 (--verify-level)"),
+    (["diffeo", "induced", "--endo", "gp2.json", "--m", "0"], "--m must be a positive int, got 0"),
+    (["diffeo", "invert", "--endo", "gp2.json", "--y", "1", "--prec", "0"],
+     "--prec must be between 1 and the precision N=12, got 0"),
+])
+def test_level_faults_exit_2_naming_the_flag(argv, error, tmp_path, capsys):
+    write(tmp_path, "gp2.json", _gp2_json())
+    write(tmp_path, "fine.json", _fine_json())
+    write(tmp_path, "bundle.json", {"index": [0], "support": [{"id": 0, "endo": "gp2.json"}]})
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, payload, err = run(capsys, argv)
+    assert code == 2
+    assert payload == {"error": error}
+    assert "usage error" in err
+
+
+def test_certify_past_the_scan_budget_exits_2_without_scanning(tmp_path, capsys, monkeypatch):
+    import time
+
+    from ucalc import diffeo
+
+    def no_scan(*args):
+        raise AssertionError("scan started")
+
+    # gamma = 2x defeats the bound and the symbolic route, so only the scan
+    # could decide it; level 5 gives 3^10 (3^5 + 1) classes
+    monkeypatch.setattr(diffeo, "_omega_witness_search", no_scan)
+    path = write(tmp_path, "double.json", model_to_json(model({(1,): (2,)})))
+    start = time.perf_counter()
+    code, payload, err = run(capsys, ["diffeo", "certify", "--endo", path, "--level", "5"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert payload["error"].startswith("level 5 gives 3^10 (3^5 + 1) quotient classes")
+    assert "Traceback" not in err
+
+
 def _sparse_endo(n):
     """x + 9x^n: one monomial of degree n beyond the identity, so the
     composites below stay a handful of terms."""

@@ -4,18 +4,20 @@ from fractions import Fraction
 import pytest
 
 from ucalc.balls import Ball, ClopenRegion
-from ucalc.calculus import CertificateInvalid, FunctionModel, zero_model
+from ucalc.calculus import CertificateInvalid, FunctionModel, _image_in_ball
 from ucalc.diffeo import (
     BallEndo,
     CertifiedDiffeo,
     CompactlySupportedEndo,
     DiffcDecision,
+    MAX_SCAN_CLASSES,
     IterationBudgetExceeded,
+    LevelRefused,
     NotCertified,
     OmegaCertificate,
-    _image_in_region,
     _omega_symbolic,
     _omega_witness_search,
+    _scan_too_large,
     certify_omega,
     compose_diffeos,
     diffc_membership,
@@ -33,6 +35,10 @@ CTX2 = PadicContext(2, 12)
 
 def B(ctx, ints, k):
     return Ball.from_ints(ctx, ints, k)
+
+
+def zero_model(region, e):
+    return FunctionModel([(b, {}) for b in region.balls], e=e)
 
 
 def displacement(ctx, pieces_spec, e=None):
@@ -183,6 +189,38 @@ def test_certify_level_validation():
         CTX2, [((c,), 4, {(1,): (1,)}) for c in range(16)], e=1))
     with pytest.raises(ValueError):
         certify_omega(fine, m=3)
+
+
+@pytest.mark.parametrize("p, d, m", [(2, 1, 6), (2, 2, 3), (2, 3, 2), (3, 1, 4), (3, 2, 2), (5, 1, 2)])
+def test_scan_budget_boundary(p, d, m):
+    """The last level inside MAX_SCAN_CLASSES and the first past it; the
+    class count is computed, no class is visited."""
+    def classes(k):
+        return p ** (2 * d * k) * (p ** k + 1)
+
+    assert classes(m) <= MAX_SCAN_CLASSES < classes(m + 1)
+    assert not _scan_too_large(p, d, m)
+    assert _scan_too_large(p, d, m + 1)
+    assert _scan_too_large(p, d, 10 ** 9)
+
+
+def test_scan_budget_admits_its_own_count_and_refuses_before_scanning(monkeypatch):
+    from ucalc import diffeo
+
+    minus_two_thirds = CTX2.from_fraction(Fraction(-2, 3))
+    endo = BallEndo.from_displacement(root_disp(CTX2, {(2,): (minus_two_thirds,), (4,): (2,)}))
+    classes = 2 ** 8 * (2 ** 4 + 1)
+    monkeypatch.setattr(diffeo, "MAX_SCAN_CLASSES", classes)
+    assert certify_omega(endo, m=4).method == "exhaustive"
+    monkeypatch.setattr(diffeo, "MAX_SCAN_CLASSES", classes - 1)
+
+    def no_scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(diffeo, "_omega_witness_search", no_scan)
+    with pytest.raises(LevelRefused) as err:
+        certify_omega(endo, m=4)
+    assert str(err.value) == "level 4 gives 2^8 (2^4 + 1) quotient classes to scan, more than the 4351 allowed"
 
 
 def test_isometry_identity():
@@ -424,11 +462,13 @@ def test_image_in_region_exhaustive_leg():
     third = CTX3.from_fraction(Fraction(1, 3))
     f = displacement(CTX3, [((0,), 1, {(2,): (third,)})], e=1)
     good = region_of(CTX3, [((0,), 2), ((3,), 2), ((1,), 1), ((2,), 1)])
-    assert _image_in_region(f, B(CTX3, (0,), 1), good)
+    assert _image_in_ball(f, B(CTX3, (0,), 1), good.balls) == (True, "exhaustive", None)
     shifted = displacement(CTX3, [((0,), 1, {(0,): (3,), (2,): (third,)})], e=1)
-    assert not _image_in_region(shifted, B(CTX3, (0,), 1), good)
+    ok, method, _ = _image_in_ball(shifted, B(CTX3, (0,), 1), good.balls)
+    assert (ok, method) == (False, "exhaustive")
     leaky = displacement(CTX3, [((0,), 1, {(1,): (third,)})], e=1)
-    assert not _image_in_region(leaky, B(CTX3, (0,), 1), region_of(CTX3, [((0,), 1)]))
+    ok, method, _ = _image_in_ball(leaky, B(CTX3, (0,), 1), region_of(CTX3, [((0,), 1)]).balls)
+    assert (ok, method) == (False, "exhaustive")
 
 
 def test_endo_compose_identity_laws():
