@@ -262,9 +262,6 @@ class ClopenRegion:
             remaining = next_remaining
         return ClopenRegion(remaining)
 
-    def union(self, other):
-        return ClopenRegion(list(self.balls) + list(other.balls))
-
     def level_points(self, m):
         """All points of the region mod p**m, canonical order."""
         if m < self.max_level():

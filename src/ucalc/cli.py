@@ -7,6 +7,7 @@ stdout; a failed computation exits 1.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -338,6 +339,9 @@ def _cmd_convert(ns):
     return 0, out, "converted %s -> %s" % (ns.src, ns.dst)
 
 
+# built on the first call and reused: in-process callers of main (test
+# suites, batch drivers, benchmarks) pay for the argparse tree once
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ucalc",

@@ -197,11 +197,6 @@ class PadicScalar:
     def is_zero(self):
         return self.u == 0
 
-    @property
-    def valuation(self):
-        """v(x); INF for exact zero.  |x| = p**(-v)."""
-        return self.v
-
     def to_fraction(self):
         """Exact rational value of the representative."""
         if self.is_zero:
@@ -313,7 +308,7 @@ class PadicScalar:
 
 
 class PadicVector:
-    """Tuple of scalars sharing one context, with the max norm."""
+    """Tuple of scalars sharing one context."""
 
     __slots__ = ("coords", "ctx")
 
@@ -361,10 +356,6 @@ class PadicVector:
 
     def scale(self, s):
         return PadicVector(tuple(s * a for a in self.coords), ctx=self.ctx)
-
-    def norm_valuation(self):
-        """min of coordinate valuations; INF for the zero vector."""
-        return min((c.v for c in self.coords), default=INF)
 
     def to_fractions(self):
         return tuple(c.to_fraction() for c in self.coords)

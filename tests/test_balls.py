@@ -222,7 +222,7 @@ def test_region_set_algebra_exhaustive():
         set_b = {pt for pt in universe if any(x.contains_ints(pt) for x in b.balls)}
         inter = a.intersect(b)
         diff = a.minus(b)
-        uni = a.union(b)
+        uni = R(*a.balls, *b.balls)
         set_i = {pt for pt in universe if any(x.contains_ints(pt) for x in inter.balls)}
         set_d = {pt for pt in universe if any(x.contains_ints(pt) for x in diff.balls)}
         set_u = {pt for pt in universe if any(x.contains_ints(pt) for x in uni.balls)}

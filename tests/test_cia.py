@@ -317,7 +317,7 @@ def test_inversion_derivative_formal_limit():
                 A, CTX3.vector(x), CTX3.vector(v), CTX3.from_int(3 ** k)
             )
             gap = min(
-                (a - b).valuation if a != b else INF
+                (a - b).v if a != b else INF
                 for a, b in zip(repk.lhs, rep0.lhs)
             )
             if gap is not INF:

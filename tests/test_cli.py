@@ -8,6 +8,7 @@ from ucalc.balls import Ball, ClopenRegion, ball_from_json, ball_to_json, region
 from ucalc.calculus import (
     MAX_COMPOSITE_DEGREE,
     MAX_DEGREE,
+    MAX_PIECES,
     FunctionModel,
     identity_model,
     model_from_json,
@@ -575,6 +576,28 @@ def test_dq_on_a_huge_exponent_exits_2_at_once(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_loader_accepts_the_piece_limit_and_refuses_one_more(tmp_path, capsys):
+    """MAX_PIECES level-10 pieces of Z_2 load; one more entry is refused
+    at $.pieces before any piece is read (the extra entries are not even
+    pieces)."""
+    assert MAX_PIECES == 2 ** 10
+    ctx = PadicContext(2, 12)
+    mono = [{"exps": [1], "coef": vector_to_json(ctx.vector([1]))}]
+    obj = {"codim": 1, "pieces": [
+        {"ball": ball_to_json(Ball.from_ints(ctx, (c,), 10)), "poly": mono} for c in range(MAX_PIECES)
+    ]}
+    assert len(model_from_json(obj).piece_balls()) == MAX_PIECES
+    obj["pieces"].append(None)
+    with pytest.raises(ParseError) as info:
+        model_from_json(obj)
+    assert info.value.path == "$.pieces"
+    path = write(tmp_path, "many.json", {"codim": 1, "pieces": [None] * (MAX_PIECES + 1)})
+    code, payload, err = run(capsys, ["convert", "--file", path, "--from", "model", "--to", "model"])
+    assert code == 2
+    assert payload == {"error": "1025 pieces exceed the limit 1024 at $.pieces", "path": "$.pieces"}
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("p, d, m", [(2, 1, 16), (2, 2, 8), (2, 4, 4), (3, 1, 10), (5, 1, 6)])
 def test_induced_cell_budget_boundary(p, d, m):
     """The last level inside the budget and the first past it; the count
@@ -734,3 +757,61 @@ def test_compose_refuses_before_any_substitution(monkeypatch):
     f = model({(1,): (1,), (13,): (9,)})
     with pytest.raises(calculus.CompositeTooLarge):
         calculus.compose(g, f, {ROOT: ROOT})
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    """main builds its argparse tree once per process.  A sequence of
+    calls through that one parser (an argparse error, a refused global
+    flag, a ParseError, --help and a success) exits and prints exactly as
+    the same calls through freshly built parsers."""
+    import argparse
+    import types
+
+    from ucalc import cli
+
+    good = write(tmp_path, "good.json", scalar_to_json(CTX3.from_fraction(Fraction(5, 2))))
+    bad = write(tmp_path, "bad.json", {"p": 3, "N": 12, "digits": "x"})
+    argvs = [
+        ["verify"],
+        ["--seed", "1", "diffeo", "certify", "--endo", good],
+        ["convert", "--file", bad, "--from", "scalar", "--to", "scalar"],
+        ["--help"],
+        ["convert", "--file", good, "--from", "scalar", "--to", "scalar"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = ("return", main(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    built = []
+
+    class CountingParser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            if kwargs.get("prog") == "ucalc":
+                built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=CountingParser))
+    try:
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert len(built) == len(argvs)
+        cli.build_parser.cache_clear()
+        built.clear()
+        reused = [outcome(argv) for argv in argvs * 3]
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+    assert reused == fresh * 3
+    assert [code for code, _, _ in fresh] == [
+        ("exit", 2), ("exit", 2), ("return", 2), ("exit", 0), ("return", 0),
+    ]
+    assert "does not use --seed" in fresh[1][2]
+    assert json.loads(fresh[2][1])["path"].startswith("$")
+    assert fresh[3][1].startswith("usage: ucalc")

@@ -6,7 +6,9 @@ Fraction routes it replaced.
 integer store.  Each is compared with a reference copy of its former
 implementation, kept here: exact Fraction polynomials read from the
 public PadicVector coefficients, substitution by powers, and one
-`from_fraction` per coefficient.  Models are compared through
+`from_fraction` per coefficient.  The binomial Taylor shift of the
+charts is also compared, on integer stores, with Horner substitution of
+x = c + p^k z.  Models are compared through
 `model_to_json`, which fixes the piece order, the balls, the monomial
 keys and every digit.  Maps are drawn over p in {2, 3, 5}, d in {1, 2},
 with one piece or several, at precision N = 4, so sums of two units
@@ -23,6 +25,7 @@ from ucalc import _poly
 from ucalc.balls import Ball, ball_relation
 from ucalc.calculus import (
     FunctionModel,
+    _local_coeffs,
     compose,
     find_certificate,
     model_add,
@@ -196,6 +199,15 @@ def ref_rescaled_chart(f, ball):
     return FunctionModel(pieces, e=f.e)
 
 
+def ref_shift(entry, ball):
+    """The chart as Horner substitution of x_i = c_i + p^k z_i."""
+    s, polys = entry
+    d = ball.d
+    step = ball.ctx.p ** ball.k
+    subs = [_poly.add(_poly.const(d, c), _poly.scale(_poly.var(d, i), step)) for i, c in enumerate(ball.ints)]
+    return s, tuple(_poly.subst(P, subs, d) for P in polys)
+
+
 def same(f, g):
     return model_to_json(f) == model_to_json(g)
 
@@ -236,6 +248,44 @@ def test_chart_matches_the_fraction_route(data):
         s, polys = f.chart(ball)
         got = tuple({x: Fraction(a, ctx.p ** s) for x, a in P.items()} for P in polys)
         assert got == ref_local(F[ball], ball)
+
+
+@st.composite
+def shift_cases(draw):
+    """(entry, ball): a store entry p^-s polys over p in {2, 3, 5}, d in
+    {1, 2, 3}, on a ball of level 0 to 3 whose centre is often 0.  Each
+    polynomial is random terms with signed coefficients plus, sometimes,
+    a multiple of (x_i - c_i)^n, whose chart at centre c is one monomial:
+    every other term of its shift cancels."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 3))
+    centre = tuple(draw(st.sampled_from((0, p ** k - 1)) | st.integers(0, p ** k - 1)) for _ in range(d))
+    ball = Ball.from_ints(CTX[p], centre, k)
+    exps = [x for x in itertools.product(range(4), repeat=d) if sum(x) <= 3]
+    polys = []
+    for _ in range(draw(st.integers(1, 2))):
+        P = {}
+        for x in draw(st.lists(st.sampled_from(exps), unique=True, max_size=6)):
+            P[x] = draw(st.integers(-40, 40).filter(bool))
+        if draw(st.booleans()):
+            i, n = draw(st.integers(0, d - 1)), draw(st.integers(1, 3))
+            unit = _poly.var(d, i)
+            power = _poly.const(d, draw(st.integers(-9, 9).filter(bool)))
+            for _ in range(n):
+                power = _poly.mul(power, _poly.add(unit, _poly.const(d, -ball.ints[i])))
+            P = _poly.add(P, power)
+        polys.append(P)
+    return (draw(st.integers(0, 3)), tuple(polys)), ball
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=shift_cases())
+def test_taylor_shift_matches_horner_substitution(case):
+    entry, ball = case
+    assert _local_coeffs(entry, ball) == ref_shift(entry, ball)
+    if ball.k == 0:
+        assert _local_coeffs(entry, ball) is entry
 
 
 @settings(max_examples=40, deadline=None)
