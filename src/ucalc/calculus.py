@@ -91,7 +91,7 @@ class FunctionModel:
 
     __slots__ = (
         "d", "e", "ctx", "factors", "_store", "_pieces", "_domain", "_fracs",
-        "_sym", "_charts", "_index", "_tables",
+        "_sym", "_charts", "_bounds", "_index", "_tables",
     )
 
     def __init__(self, pieces, e=None, factors=None):
@@ -136,8 +136,9 @@ class FunctionModel:
     def _setup(self, ctx, d, e, store, domain=None):
         self.d, self.e, self.ctx, self.factors = d, e, ctx, None
         self._store, self._domain, self._pieces, self._fracs = store, domain, None, None
-        # filled on first use: quotient and chart polynomials, piece index, residue tables
-        self._sym, self._charts, self._index, self._tables = {}, {}, None, {}
+        # filled on first use: quotient and chart polynomials, image bounds,
+        # piece index, residue tables
+        self._sym, self._charts, self._bounds, self._index, self._tables = {}, {}, {}, None, {}
 
     @property
     def pieces(self):
@@ -226,13 +227,17 @@ class FunctionModel:
         """(val, s): the exact value at the centre of a piece ball and a
         radius bound, f(ball) inside val + p^s O^e, with s the least
         valuation of a non-constant chart coefficient (INF for a constant
-        piece)."""
-        k, local = self.chart(ball)
-        p = self.ctx.p
-        zero = (0,) * self.d
-        val = tuple(Fraction(P.get(zero, 0), p ** k) for P in local)
-        s = min((fraction_valuation(a, p) for P in local for x, a in P.items() if x != zero), default=INF)
-        return val, s - k
+        piece).  Computed once per piece, like `chart`, and the same tuple
+        is returned again."""
+        bound = self._bounds.get(ball)
+        if bound is None:
+            k, local = self.chart(ball)
+            p = self.ctx.p
+            zero = (0,) * self.d
+            val = tuple(Fraction(P.get(zero, 0), p ** k) for P in local)
+            s = min((fraction_valuation(a, p) for P in local for x, a in P.items() if x != zero), default=INF)
+            bound = self._bounds[ball] = (val, s - k)
+        return bound
 
     def _table(self, ball, M, slopes):
         key = (ball, M, slopes)

@@ -25,6 +25,7 @@ come out of integer arithmetic exactly; and each loop picks M so that
 its valuation test mod p^M is the exact test.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -339,12 +340,19 @@ def _fractions(ints):
     return tuple(Fraction(i) for i in ints)
 
 
-def _integral(frs):
-    """Integer coordinates of a point of O^d given as integral Fractions,
-    as PadicVector.to_fractions returns them."""
-    if any(q.denominator != 1 for q in frs):
-        raise OutOfDomain("point %s outside the model domain" % (list(frs),))
-    return tuple(q.numerator for q in frs)
+def _integral(x):
+    """Integer coordinates u*p^v of a point of O^d, read straight from its
+    scalars; OutOfDomain when a coordinate has negative valuation."""
+    p = x.ctx.p
+    out = []
+    for c in x.coords:
+        if c.is_zero:
+            out.append(0)
+        elif c.v < 0:
+            raise OutOfDomain("point %s outside the model domain" % (list(x.to_fractions()),))
+        else:
+            out.append(c.u * p ** c.v)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -359,19 +367,21 @@ def isometry_check(g, pairs):
     Any violation indicates a certification bug, so the report should
     always come back empty.
 
-    Runs on residues mod p^M, M one above the largest finite valuation of
-    an input difference.  For x != y with v(x - y) = v < M, the output
-    difference has valuation v exactly when it is 0 mod p^v and nonzero
-    mod p^(v+1), which residues mod p^M decide exactly; x = y gives equal
-    outputs.
+    Points are read as integers u*p^v straight from their scalars, so
+    v(x - y) is the valuation of an int difference; a point outside O^d
+    raises OutOfDomain.  Pairs with x = y are counted and skipped.  The
+    outputs run on residues mod p^M, M one above the largest finite
+    valuation of an input difference.  For x != y with v(x - y) = v < M,
+    the output difference has valuation v exactly when it is 0 mod p^v
+    and nonzero mod p^(v+1), which residues mod p^M decide exactly.
     """
     gamma = g.endo.gamma
     p = gamma.ctx.p
     pts = []
     for x, y in pairs:
-        xf, yf = x.to_fractions(), y.to_fractions()
-        vin = min(fraction_valuation(a - b, p) for a, b in zip(xf, yf))
-        pts.append((x, y, _integral(xf), _integral(yf), vin))
+        xi, yi = _integral(x), _integral(y)
+        vin = min(fraction_valuation(a - b, p) for a, b in zip(xi, yi))
+        pts.append((x, y, xi, yi, vin))
     M = 1 + max((v for *_, v in pts if v != INF), default=0)
     mod = p ** M
     violations = []
@@ -425,7 +435,12 @@ def _invert(endo, y, target_v, v_min):
 
 
 def invert_at(g, y, target_v):
-    """Preimage of y under the certified map, correct to p^-target_v."""
+    """Preimage of y under the certified map, correct to p^-target_v.
+
+    y is read as integers u*p^v straight from its scalars; a coordinate
+    of negative valuation, or a point of another dimension, raises
+    ValueError("y lies outside the unit ball").  `_invert` trusts g.cert.
+    """
     endo = g.endo
     ctx = endo.ctx
     if not isinstance(target_v, int) or target_v < 1:
@@ -435,10 +450,9 @@ def invert_at(g, y, target_v):
             "target precision %d exceeds the context precision N=%d"
             % (target_v, ctx.N)
         )
-    yf = y.to_fractions()
-    if not endo.ball.contains_fractions(yf):
+    if y.dim != endo.d or any(not c.is_zero and c.v < 0 for c in y.coords):
         raise ValueError("y lies outside the unit ball")
-    return ctx.vector(_invert(endo, _integral(yf), target_v, g.cert.v_min))
+    return ctx.vector(_invert(endo, _integral(y), target_v, g.cert.v_min))
 
 
 def _preimage_ball(g, ball):
@@ -476,9 +490,21 @@ def induced_level_map(g, m):
     """Permutation induced on the p^(d*m) level-m cells of the ball.
 
     Cells are indexed by their representatives in the order produced by
-    level_reps(m); entry i holds the index of the image cell.  The cell
-    of gamma(x) is its residues mod p^m, exact by the integer core.
+    level_reps(m), the base-p^m digits of the coordinates with the first
+    one most significant; entry i holds the index of the image cell.
     Results are kept on g per level and returned again unchanged.
+
+    The route trusts g.cert, as `_invert` does.  Its bound
+    v(sigma(x) - sigma(x')) >= v(x - x') + v_min makes sigma mod p^m
+    factor through x mod p^c, c = max(m - v_min, 0): for x = x' mod p^c
+    the difference has valuation >= c + v_min >= m (for c = 0 because
+    v_min >= m).  So gamma(x) = x + (gamma(x') - x') mod p^m, and
+    `FunctionModel.residues` runs once per level-c coarse cell x'; the
+    p^(d(m-c)) cells inside it are filled by index arithmetic, a cyclic
+    shift of the fine offsets per coordinate.  Two checks catch forged
+    certificates where they show, with RuntimeError: each gamma(x') - x'
+    must be 0 mod p^min(v_min, m), the certificate's value bound, and the
+    result must be a bijection.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("level must be a positive int")
@@ -486,14 +512,33 @@ def induced_level_map(g, m):
     if perm is not None:
         return perm
     endo = g.endo
-    mod = endo.ctx.p ** m
-    out = []
-    # the root ball's level_reps(m) runs over cells in base-p^m digit order
-    for ints in endo.ball.level_reps(m):
-        idx = 0
-        for r in endo.gamma.residues(ints, m):
-            idx = idx * mod + r
-        out.append(idx)
+    p, d, v_min = endo.ctx.p, endo.d, g.cert.v_min
+    mod = p ** m
+    c = max(m - v_min, 0)
+    step, low = p ** c, p ** min(v_min, m)
+    # fine offsets of the cells inside one coarse cell, along one coordinate
+    offs = [step * w for w in range(mod // step)]
+    weights = [mod ** (d - 1 - j) for j in range(d - 1)]
+    out = [0] * mod ** d
+    for coarse in endo.ball.level_reps(c):
+        images = []
+        for x, r in zip(coarse, endo.gamma.residues(coarse, m)):
+            if (r - x) % low:
+                raise RuntimeError(
+                    "displacement at %s is nonzero mod %d^%d; the certificate is broken"
+                    % (list(coarse), p, min(v_min, m))
+                )
+            # x + step*w maps to r + step*w mod p^m, a cyclic shift of offs
+            hi = r // step
+            images.append([r % step + o for o in offs[hi:] + offs[:hi]])
+        *heads, last = images
+        # every choice of the leading coordinates fills a strided slice
+        outer = [[((x + a) * wt, b * wt) for a, b in zip(offs, image)]
+                 for x, image, wt in zip(coarse, heads, weights)]
+        for combo in itertools.product(*outer):
+            src = sum(a for a, _ in combo)
+            base = sum(b for _, b in combo)
+            out[src + coarse[-1]:src + mod:step] = [base + b for b in last]
     if len(set(out)) != len(out):
         raise RuntimeError("induced map is not a bijection; certificate is broken")
     perm = g.induced_cache[m] = tuple(out)

@@ -165,12 +165,24 @@ class PadicContext:
         return PadicScalar(self, v, u)
 
     def vector(self, values):
-        """Vector from an iterable of ints, Fractions or PadicScalars."""
-        coords = tuple(
-            x if isinstance(x, PadicScalar) else self.from_fraction(x)
-            for x in values
-        )
-        return PadicVector(coords, ctx=self)
+        """Vector from an iterable of ints, Fractions or PadicScalars.
+
+        A positive int n = u*p^v becomes PadicScalar(v, u mod p^N) with no
+        inverse taken, the scalar `from_fraction` gives."""
+        p, mod = self.p, self.modulus
+        coords = []
+        for x in values:
+            if isinstance(x, PadicScalar):
+                coords.append(x)
+            elif type(x) is int and x > 0:
+                v = 0
+                while x % p == 0:
+                    x //= p
+                    v += 1
+                coords.append(PadicScalar(self, v, x % mod))
+            else:
+                coords.append(self.from_fraction(x))
+        return PadicVector(tuple(coords), ctx=self)
 
 
 class PadicScalar:

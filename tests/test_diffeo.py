@@ -1,10 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ucalc.balls import Ball, ClopenRegion
-from ucalc.calculus import CertificateInvalid, FunctionModel, _image_in_ball
+from ucalc.calculus import CertificateInvalid, FunctionModel, OutOfDomain, _image_in_ball
 from ucalc.diffeo import (
     BallEndo,
     CertifiedDiffeo,
@@ -254,6 +256,36 @@ def test_isometry_translation_and_multi_piece():
     assert isometry_check(g, pairs).violations == ()
 
 
+def test_isometry_non_integral_point_is_out_of_domain():
+    g = certified(CTX3, {(2,): (3,)})
+    third = CTX3.vector([Fraction(1, 3)])
+    for pair in [(third, CTX3.vector([1])), (CTX3.vector([1]), third)]:
+        with pytest.raises(OutOfDomain, match=r"point \[Fraction\(1, 3\)\] outside the model domain"):
+            isometry_check(g, [pair])
+
+
+def test_isometry_counts_and_skips_equal_pairs_and_zero_coordinates():
+    sigma = FunctionModel(
+        [(B(CTX3, (0, 0), 0), {(0, 2): CTX3.vector([3, 0]), (1, 0): CTX3.vector([0, 9])})],
+        e=2,
+    )
+    endo = BallEndo.from_displacement(sigma)
+    g = CertifiedDiffeo(endo=endo, cert=certify_omega(endo))
+    zero, x = CTX3.vector([0, 0]), CTX3.vector([0, 5])
+    pairs = [(zero, zero), (x, x), (zero, x), (x, CTX3.vector([9, 5])), (CTX3.vector([27, 0]), zero)]
+    rep = isometry_check(g, pairs)
+    assert rep.checked == 5
+    assert rep.violations == ()
+    # gamma = 3x under a forged certificate: the pair through zero is a
+    # violation, the equal pair is counted and skipped
+    crush = BallEndo.from_displacement(root_disp(CTX3, {(1,): (2,)}))
+    forged = CertifiedDiffeo(endo=crush, cert=OmegaCertificate(v_min=1, method="coefficient-bound"))
+    z, one = CTX3.vector([0]), CTX3.vector([1])
+    rep = isometry_check(forged, [(z, one), (one, one), (z, z)])
+    assert rep.checked == 3
+    assert rep.violations == ((z, one),)
+
+
 def test_invert_identity():
     g = certified(CTX3, {})
     y = CTX3.vector([7])
@@ -284,6 +316,19 @@ def test_invert_argument_validation():
         invert_at(g, CTX3.vector([1]), 13)
     with pytest.raises(ValueError):
         invert_at(g, CTX3.vector([1]), 0)
+
+
+def test_invert_outside_the_unit_ball_raises_the_same_error():
+    g = certified(CTX3, {(0,): (3,)})
+    for y in [
+        CTX3.vector([CTX3.from_unit(-1, 2)]),
+        CTX3.vector([Fraction(5, 9)]),
+        CTX3.vector([1, 0]),
+    ]:
+        with pytest.raises(ValueError, match=r"^y lies outside the unit ball$"):
+            invert_at(g, y, 6)
+    (x,) = invert_at(g, CTX3.vector([0]), 6).to_fractions()
+    assert (x + 3) % 3 ** 6 == 0
 
 
 def test_invert_budget_guard_on_forged_certificate():
@@ -410,6 +455,120 @@ def test_induced_homomorphism_random_pairs():
             assert induced_level_map(gc, m) == compose_perm(
                 induced_level_map(g1, m), induced_level_map(g2, m)
             )
+
+
+def per_cell_induced(g, m):
+    """The induced level-m map with one residue evaluation per cell."""
+    reps = list(g.endo.ball.level_reps(m))
+    index = {ints: i for i, ints in enumerate(reps)}
+    return tuple(index[g.gamma.residues(ints, m)] for ints in reps)
+
+
+# largest p^(d*m) the per-cell reference visits in one comparison
+INDUCED_CELL_BUDGET = 3 ** 6
+
+INDUCED_CTX = {p: PadicContext(p, 8) for p in (2, 3, 5)}
+
+
+@st.composite
+def small_diffeos(draw, p, d):
+    """A certified map of degree <= 2 on one piece or on the p^d level-1
+    pieces: each piece's constant term is a multiple of p^v_min and its
+    other coefficients multiples of p^(v_min + k), so the coefficient
+    bound or the symbolic route certifies it."""
+    ctx = INDUCED_CTX[p]
+    v = halfball_valuation(p)
+    exps = [e for e in itertools.product(range(3), repeat=d) if sum(e) <= 2]
+    if draw(st.booleans()):
+        layout = [((0,) * d, 0)]
+    else:
+        layout = [(off, 1) for off in itertools.product(range(p), repeat=d)]
+    spec = []
+    for ints, k in layout:
+        coeffs = {}
+        for e in exps:
+            shift = v if not any(e) else v + k
+            coeffs[e] = tuple(draw(st.integers(0, p ** 2)) * p ** shift for _ in range(d))
+        spec.append((ints, k, coeffs))
+    endo = BallEndo.from_displacement(displacement(ctx, spec, e=d))
+    return CertifiedDiffeo(endo=endo, cert=certify_omega(endo))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_induced_map_matches_per_cell_route(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    d = data.draw(st.sampled_from([1, 2]))
+    g = data.draw(small_diffeos(p, d))
+    if data.draw(st.booleans()):
+        g = compose_diffeos(g, data.draw(small_diffeos(p, d)))
+    for m in range(1, g.cert.v_min + 3):
+        if p ** (d * m) <= INDUCED_CELL_BUDGET:
+            assert induced_level_map(g, m) == per_cell_induced(g, m)
+
+
+def test_induced_map_matches_per_cell_route_on_scanned_and_split_maps():
+    # the golden diffeo-certify-exhaustive map x - (2/3)x^2 + 2x^4 on Z_2,
+    # which only the scan certifies, and a p = 3 map whose level-1 pieces
+    # move by different multiples of 3
+    ctx = INDUCED_CTX[2]
+    scanned = BallEndo(FunctionModel(
+        [(B(ctx, (0,), 0), {
+            (1,): ctx.vector([1]),
+            (2,): ctx.vector([ctx.from_fraction(Fraction(-2, 3))]),
+            (4,): ctx.vector([2]),
+        })],
+        e=1,
+    ))
+    split = BallEndo.from_displacement(displacement(
+        INDUCED_CTX[3], [((c,), 1, {(0,): (3 * c,), (2,): (9,)}) for c in range(3)], e=1))
+    for endo, level in [(scanned, 4), (split, 3)]:
+        g = CertifiedDiffeo(endo=endo, cert=certify_omega(endo, m=level))
+        assert g.cert.method in ("exhaustive", "symbolic")
+        for m in range(1, g.cert.v_min + 3):
+            assert induced_level_map(g, m) == per_cell_induced(g, m)
+
+
+def test_induced_map_evaluates_once_per_coarse_cell(monkeypatch):
+    calls = []
+    original = FunctionModel.residues
+
+    def counting(self, ints, M):
+        calls.append(ints)
+        return original(self, ints, M)
+
+    monkeypatch.setattr(FunctionModel, "residues", counting)
+    plane = BallEndo.from_displacement(FunctionModel(
+        [(B(CTX3, (0, 0), 0), {(0, 2): CTX3.vector([3, 0]), (1, 0): CTX3.vector([0, 9])})],
+        e=2,
+    ))
+    for endo, levels in [
+        (BallEndo.from_displacement(root_disp(CTX2, {(2,): (4,), (0,): (8,)})), range(1, 6)),
+        (BallEndo.from_displacement(root_disp(CTX3, {(1,): (3,)})), range(1, 5)),
+        (plane, range(1, 4)),
+    ]:
+        cert = certify_omega(endo)
+        for m in levels:
+            g = CertifiedDiffeo(endo=endo, cert=cert)
+            calls.clear()
+            induced_level_map(g, m)
+            p, d = endo.ctx.p, endo.d
+            assert len(calls) <= p ** (d * max(m - cert.v_min, 0))
+            calls.clear()
+            induced_level_map(g, m)
+            assert calls == []
+
+
+def test_induced_map_refuses_a_forged_certificate():
+    # gamma = 2x on Z_3 with a forged v_min = 1: the displacement x is a
+    # unit at the coarse cell of 1, so level 2 refuses; the per-cell route
+    # shows the bijection that trusting the forgery would give wrongly
+    endo = BallEndo.from_displacement(root_disp(CTX3, {(1,): (1,)}))
+    forged = CertifiedDiffeo(endo=endo, cert=OmegaCertificate(v_min=1, method="coefficient-bound"))
+    assert per_cell_induced(forged, 2)[3] == 6
+    with pytest.raises(RuntimeError, match="certificate is broken"):
+        induced_level_map(forged, 2)
+    assert 2 not in forged.induced_cache
 
 
 def test_inverse_roundtrip_induced_identity():
