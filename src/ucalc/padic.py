@@ -145,7 +145,9 @@ class PadicContext:
         return self.from_fraction(n)
 
     def from_fraction(self, q):
-        """Truncate an exact rational (or int) to N significant digits."""
+        """Truncate an exact rational (or int) to N significant digits.
+
+        An int n = u*p^v takes no inverse: its scalar is (v, u mod p^N)."""
         if isinstance(q, int):
             num, den = q, 1
         else:
@@ -161,28 +163,16 @@ class PadicContext:
         while den % p == 0:
             den //= p
             v -= 1
-        u = num * pow(den, -1, self.modulus) % self.modulus
+        u = num % self.modulus if den == 1 else num * pow(den, -1, self.modulus) % self.modulus
         return PadicScalar(self, v, u)
 
     def vector(self, values):
-        """Vector from an iterable of ints, Fractions or PadicScalars.
-
-        A positive int n = u*p^v becomes PadicScalar(v, u mod p^N) with no
-        inverse taken, the scalar `from_fraction` gives."""
-        p, mod = self.p, self.modulus
-        coords = []
-        for x in values:
-            if isinstance(x, PadicScalar):
-                coords.append(x)
-            elif type(x) is int and x > 0:
-                v = 0
-                while x % p == 0:
-                    x //= p
-                    v += 1
-                coords.append(PadicScalar(self, v, x % mod))
-            else:
-                coords.append(self.from_fraction(x))
-        return PadicVector(tuple(coords), ctx=self)
+        """Vector from an iterable of ints, Fractions or PadicScalars."""
+        coords = tuple(
+            x if isinstance(x, PadicScalar) else self.from_fraction(x)
+            for x in values
+        )
+        return PadicVector(coords, ctx=self)
 
 
 class PadicScalar:

@@ -200,19 +200,31 @@ def norm_valuation(x):
     return min((c.v for c in x.coords), default=INF)
 
 
+def _ref_scalar(ctx, q):
+    """(v, u) of q by the Fraction route, a modular inverse included."""
+    q = Fraction(q)
+    if q == 0:
+        return INF, 0
+    v = fraction_valuation(q, ctx.p)
+    num, den = (q / Fraction(ctx.p) ** v).as_integer_ratio()
+    return v, num * pow(den, -1, ctx.modulus) % ctx.modulus
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_vector_of_ints_matches_from_fraction(p, data):
-    """The positive-int path of ctx.vector gives, coordinate by
-    coordinate, the scalars from_fraction gives: for 0, negative ints,
-    multiples of p and ints at or past p^N too."""
+    """ctx.vector gives, coordinate by coordinate, the scalars from_fraction
+    gives, and both equal the Fraction route with its modular inverse: for
+    0, negative ints, multiples of p and ints at or past p^N too."""
     n = 4
     ctx = PadicContext(p, n)
     fixed = [0, 1, -1, p, -p, 7 * p ** 2, p ** n, p ** n + 1, -(p ** n), 3 * p ** (n + 2) + p, 10 ** 30]
     drawn = data.draw(st.lists(st.integers(-(p ** (2 * n)), p ** (2 * n)), min_size=1, max_size=4))
     for vals in [fixed, drawn, [Fraction(1, p), Fraction(-4, 7), 5]]:
-        assert ctx.vector(vals).coords == tuple(ctx.from_fraction(q) for q in vals)
+        coords = ctx.vector(vals).coords
+        assert coords == tuple(ctx.from_fraction(q) for q in vals)
+        assert [(c.v, c.u) for c in coords] == [_ref_scalar(ctx, q) for q in vals]
 
 
 def test_vector_norm():
