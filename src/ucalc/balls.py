@@ -7,8 +7,6 @@ nested, which keeps all the region algebra exact and finite.
 
 from __future__ import annotations
 
-import itertools
-
 from .padic import PadicVector, ParseError, at_path
 from .padic import vector_from_json, vector_to_json
 
@@ -101,23 +99,25 @@ class Ball:
         return Ball.from_ints(self.ctx, self.ints, self.k - 1)
 
     def children(self):
-        p, k = self.ctx.p, self.k
-        step = p ** k
-        out = []
-        for off in itertools.product(range(p), repeat=self.d):
-            ints = tuple(c + step * o for c, o in zip(self.ints, off))
-            out.append(Ball.from_ints(self.ctx, ints, k + 1))
-        return out
+        return [Ball.from_ints(self.ctx, ints, self.k + 1) for ints in self.level_reps(self.k + 1)]
 
     def level_reps(self, m):
-        """All points of the ball mod p**m, as int tuples, m >= k."""
+        """All points of the ball mod p**m, as int tuples, m >= k, first
+        coordinate most significant; lazy at any span."""
         if m < self.k:
             raise ValueError("representative level %d below ball level %d" % (m, self.k))
-        p = self.ctx.p
-        step = p ** self.k
-        span = p ** (m - self.k)
-        for off in itertools.product(range(span), repeat=self.d):
-            yield tuple(c + step * o for c, o in zip(self.ints, off))
+        step, start, cur = self.ctx.p ** self.k, self.ints, list(self.ints)
+        end = [c + step * self.ctx.p ** (m - self.k) for c in start]
+        while True:
+            yield tuple(cur)
+            i = len(cur) - 1
+            cur[i] += step
+            while cur[i] == end[i]:
+                if i == 0:
+                    return
+                cur[i] = start[i]
+                i -= 1
+                cur[i] += step
 
     def __eq__(self, other):
         if not isinstance(other, Ball):
@@ -152,43 +152,88 @@ def ball_relation(b1, b2):
     return "disjoint"
 
 
+class BallIndex:
+    """The maximal balls of a family, one dict per level keyed on the
+    centre mod p^k.
+
+    Two balls are nested or disjoint, so a point or a ball lies in at most
+    one indexed ball, found in one probe per level.  Balls are taken
+    coarsest level first, in input order within a level; one equal to or
+    inside a ball taken before it is left out and listed in `nested` as
+    (that ball, it).  So `nested` is empty exactly when the family is
+    pairwise disjoint.
+    """
+
+    __slots__ = ("p", "levels", "nested")
+
+    def __init__(self, balls):
+        by_level = {}
+        for b in balls:
+            by_level.setdefault(b.k, []).append(b)
+            self.p = b.ctx.p
+        self.levels, self.nested = [], []
+        for k in sorted(by_level):
+            level = {}
+            for b in by_level[k]:
+                outer = self.container(b) or level.get(b.ints)
+                if outer is None:
+                    level[b.ints] = b
+                else:
+                    self.nested.append((outer, b))
+            self.levels.append((k, self.p ** k, level))
+
+    def at(self, ints):
+        """The ball holding a point given by its residues mod p**j, j at
+        least every indexed level, or None."""
+        for _, mod, level in self.levels:
+            b = level.get(tuple(x % mod for x in ints))
+            if b is not None:
+                return b
+        return None
+
+    def at_fractions(self, frs):
+        """The ball holding a point of Q^d (Fractions or ints), or None."""
+        ints = _point_ints(frs, self.p, self.levels[-1][0]) if self.levels else None
+        return None if ints is None else self.at(ints)
+
+    def container(self, b):
+        """The indexed ball equal to or holding the ball b, or None: the
+        one holding b's centre, unless that one is finer than b."""
+        outer = self.at(b.ints)
+        return outer if outer is not None and outer.k <= b.k else None
+
+
 class ClopenRegion:
     """Finite disjoint union of balls, canonicalized at construction.
 
-    Canonical form: nested balls absorbed, complete sibling families
-    merged into their parent, pieces sorted by (level, center digits).
+    Canonical form: the maximal balls inside the union, sorted by (level,
+    center digits); it is unique.  The BallIndex of the input absorbs
+    nested balls, then one sweep, finest level first, merges each complete
+    sibling family into its parent within that index, so `index` holds
+    the canonical balls.
     """
 
-    __slots__ = ("balls",)
+    __slots__ = ("balls", "index")
 
     def __init__(self, balls):
         balls = list(balls)
-        if balls:
-            p, d = balls[0].ctx.p, balls[0].d
-            for b in balls:
-                if b.ctx.p != p or b.d != d:
-                    raise ValueError("region mixes balls from different spaces")
-        kept = []
-        for b in sorted(balls, key=lambda b: (b.k, b.ints)):
-            if not any(ball_relation(big, b) in ("equal", "B1_contains_B2") for big in kept):
-                kept.append(b)
-        # merge complete sibling families, finest level first
-        while True:
-            by_parent = {}
-            for b in kept:
-                if b.k > 0:
-                    by_parent.setdefault((b.k, b.parent().ints), []).append(b)
-            full = None
-            for (k, pints), sibs in sorted(by_parent.items(), reverse=True):
-                if len(sibs) == sibs[0].ctx.p ** sibs[0].d:
-                    full = (k, pints, sibs)
-                    break
-            if full is None:
-                break
-            k, pints, sibs = full
-            kept = [b for b in kept if b not in sibs]
-            kept.append(Ball.from_ints(sibs[0].ctx, pints, k - 1))
-        self.balls = tuple(sorted(kept, key=lambda b: (b.k, b.ints)))
+        for b in balls:
+            if b.ctx.p != balls[0].ctx.p or b.d != balls[0].d:
+                raise ValueError("region mixes balls from different spaces")
+        index = self.index = BallIndex(balls)
+        levels = {k: level for k, _, level in index.levels}
+        for k in range(max(levels, default=0), 0, -1):
+            mod, families = index.p ** (k - 1), {}
+            for ints in levels.get(k, ()):
+                families.setdefault(tuple(x % mod for x in ints), []).append(ints)
+            for parent, sibs in families.items():
+                if len(sibs) == index.p ** balls[0].d:
+                    for ints in sibs:
+                        del levels[k][ints]
+                    levels.setdefault(k - 1, {})[parent] = Ball.from_ints(balls[0].ctx, parent, k - 1)
+        index.levels = [(k, index.p ** k, levels[k]) for k in sorted(levels)]
+        self.balls = tuple(sorted((b for level in levels.values() for b in level.values()),
+                                  key=lambda b: (b.k, b.ints)))
 
     @property
     def empty(self):
@@ -211,56 +256,38 @@ class ClopenRegion:
         return self.balls[-1].k if self.balls else 0
 
     def contains_fractions(self, frs):
-        if not self.balls:
-            return False
-        ints = _point_ints(frs, self.balls[0].ctx.p, self.balls[-1].k)
-        return ints is not None and any(b.contains_ints(ints) for b in self.balls)
+        return self.index.at_fractions(frs) is not None
 
     def contains_point(self, x):
         return self.contains_fractions(x.to_fractions())
 
     def contains_ball(self, b):
-        return any(
-            ball_relation(piece, b) in ("equal", "B1_contains_B2")
-            for piece in self.balls
-        )
+        return self.index.container(b) is not None
 
     def contains_region(self, other):
         return all(self.contains_ball(b) for b in other.balls)
 
     def intersect(self, other):
-        out = []
-        for a in self.balls:
-            for b in other.balls:
-                rel = ball_relation(a, b)
-                if rel in ("equal", "B2_contains_B1"):
-                    out.append(a)
-                elif rel == "B1_contains_B2":
-                    out.append(b)
-        return ClopenRegion(out)
+        # of two balls that meet, the smaller is the one the other side holds
+        return ClopenRegion([a for a in self.balls if other.index.container(a)]
+                            + [b for b in other.balls if self.index.container(b)])
 
     def minus(self, other):
-        remaining = list(self.balls)
+        # split each ball that strictly holds a ball of other down toward
+        # it; a ball left whole is inside other or disjoint from it
+        split = set()
         for cut in other.balls:
-            next_remaining = []
-            for b in remaining:
-                rel = ball_relation(b, cut)
-                if rel == "disjoint":
-                    next_remaining.append(b)
-                elif rel in ("equal", "B2_contains_B1"):
-                    continue
-                else:
-                    # cut is strictly inside b: split b down to cut's level
-                    stack = [b]
-                    while stack:
-                        x = stack.pop()
-                        rel2 = ball_relation(x, cut)
-                        if rel2 == "disjoint":
-                            next_remaining.append(x)
-                        elif rel2 == "B1_contains_B2":
-                            stack.extend(x.children())
-            remaining = next_remaining
-        return ClopenRegion(remaining)
+            outer = self.index.container(cut)
+            if outer is not None:
+                split.update((j, tuple(x % cut.ctx.p ** j for x in cut.ints)) for j in range(outer.k, cut.k))
+        out, stack = [], list(self.balls)
+        while stack:
+            b = stack.pop()
+            if (b.k, b.ints) in split:
+                stack.extend(b.children())
+            elif other.index.container(b) is None:
+                out.append(b)
+        return ClopenRegion(out)
 
     def level_points(self, m):
         """All points of the region mod p**m, canonical order."""
@@ -385,9 +412,9 @@ def verify_partition(region, parts, cover, level):
             raise ValueError("part ball %r sticks out of the region" % (b,))
         if not cover[i].contains_ball(b):
             raise ValueError("part ball %r not inside cover member %d" % (b, i))
-    for (a, _), (b, _) in itertools.combinations(parts, 2):
-        if ball_relation(a, b) != "disjoint":
-            raise ValueError("part balls %r and %r overlap" % (a, b))
+    nested = BallIndex(b for b, _ in parts).nested
+    if nested:
+        raise ValueError("part balls %r and %r overlap" % nested[0])
     covered, cells = _cells((b for b, _ in parts), m), _cells(region.balls, m)
     if covered != cells:
         raise ValueError(

@@ -42,7 +42,7 @@ from fractions import Fraction
 from . import _poly
 from .padic import INF, PadicScalar, PadicVector, ParseError, at_path, fraction_valuation
 from .padic import vector_from_json, vector_to_json
-from .balls import Ball, ClopenRegion, ball_from_json, ball_relation, ball_to_json
+from .balls import Ball, BallIndex, ClopenRegion, ball_from_json, ball_relation, ball_to_json
 from .balls import region_from_json, region_to_json
 
 
@@ -103,9 +103,9 @@ class FunctionModel:
         for b, _ in pieces:
             if b.ctx.p != ctx.p or b.d != d:
                 raise ValueError("pieces live in different spaces")
-        for (b1, _), (b2, _) in itertools.combinations(pieces, 2):
-            if ball_relation(b1, b2) != "disjoint":
-                raise ValueError("piece balls %r and %r overlap" % (b1, b2))
+        index = BallIndex(b for b, _ in pieces)
+        if index.nested:
+            raise ValueError("piece balls %r and %r overlap" % index.nested[0])
         if e is None:
             e = next((vec.dim for _, coeffs in pieces for vec in coeffs.values()), None)
         if e is None:
@@ -123,7 +123,7 @@ class FunctionModel:
             store[b] = (s, tuple({tuple(x): vec[j].u * ctx.p ** (vec[j].v + s) for x, vec in coeffs.items()
                                   if not vec[j].is_zero} for j in range(e)))
         self._setup(ctx, d, e, store)
-        self._pieces = tuple(pieces)
+        self._pieces, self._index = tuple(pieces), index
         self.factors = dict(factors) if factors else None
 
     @classmethod
@@ -175,36 +175,15 @@ class FunctionModel:
         return min((fraction_valuation(a, p) - s for s, polys in self._store.values()
                     for P in polys for a in P.values()), default=INF)
 
-    def _piece_at(self, ints):
-        """The piece containing an integral point given as ints, or None.
-
-        Disjoint balls of one level differ in their centres mod p^k, so one
-        dict per piece level, keyed on the point mod p^k, finds the piece
-        in at most one probe per level.
-        """
-        index = self._index
-        if index is None:
-            by_level = {}
-            for b in self._store:
-                by_level.setdefault(b.k, {})[b.ints] = b
-            p = self.ctx.p
-            index = self._index = tuple((p ** k, by_level[k]) for k in sorted(by_level))
-        for mod, balls in index:
-            b = balls.get(tuple(x % mod for x in ints))
-            if b is not None:
-                return b
-        return None
+    @property
+    def _pieces_index(self):
+        """BallIndex of the piece balls, built on first use."""
+        if self._index is None:
+            self._index = BallIndex(self._store)
+        return self._index
 
     def _find_piece(self, frs):
-        p = self.ctx.p
-        ints = []
-        for fr in frs:
-            den = fr.denominator
-            if den % p == 0:
-                raise OutOfDomain("point %s outside the model domain" % (list(frs),))
-            # pieces read x mod p^k with k <= N, so an inverse mod p^N will do
-            ints.append(fr.numerator if den == 1 else fr.numerator * pow(den, -1, self.ctx.modulus))
-        b = self._piece_at(ints)
+        b = self._pieces_index.at_fractions(frs)
         if b is None:
             raise OutOfDomain("point %s outside the model domain" % (list(frs),))
         return b
@@ -250,7 +229,7 @@ class FunctionModel:
         return table
 
     def _chart_residues(self, ints, M, slopes):
-        ball = self._piece_at(ints)
+        ball = self._pieces_index.at(ints)
         if ball is None:
             raise OutOfDomain("point %s outside the model domain" % (list(ints),))
         mod, step, center, top, comps = self._table(ball, M, slopes)
@@ -466,8 +445,6 @@ def dq_domain_contains(f, pt):
 def _common_piece(f, leaves):
     ball = None
     for leaf in leaves:
-        if not f.domain.contains_fractions(leaf):
-            raise OutOfDomain("point %s outside the model domain" % (list(leaf),))
         b = f._find_piece(leaf)
         if ball is None:
             ball = b
@@ -740,7 +717,7 @@ def find_certificate(g, f):
         ball, entry = queue.pop()
         sub = FunctionModel._build(f.ctx, f.d, f.e, {ball: entry})
         val, _ = sub.image_bound(ball)
-        target = next((gb for gb in g._store if gb.contains_fractions(val)), None)
+        target = g._pieces_index.at_fractions(val)
         if target is None:
             raise CompositionUncertified(
                 "image point %s of piece %r lies outside the domain of g"
@@ -1050,12 +1027,13 @@ def model_to_json(f):
 # is the product of the factors') cost more with it, without bound.
 MAX_DEGREE = 16
 
-# Largest number of pieces that model_from_json accepts.  FunctionModel
-# checks every pair of piece balls for overlap, so loading cost grows
-# with the square of the count: on a 2-vCPU Xeon with Python 3.11, 1024
-# level-10 pieces on Z_2 load in about 0.2 s, 2048 in 0.65 s and 4096 in
-# 3.2 s.  The tests, golden cases and benchmark workloads load at most 25.
-MAX_PIECES = 1024
+# Largest number of pieces that model_from_json accepts.  The overlap
+# check and the domain go through BallIndex, so a command's cost grows
+# about linearly with the count: on a 2-vCPU Xeon with Python 3.11,
+# `convert` of 4096 level-12 pieces on Z_2 takes about 0.46 s and `diffeo
+# certify` 0.30 s in-process, 8192 pieces 0.98 s and 0.77 s.  The tests,
+# golden cases and benchmark workloads load at most 25.
+MAX_PIECES = 4096
 
 
 def _piece_from_json(entry, path, e):

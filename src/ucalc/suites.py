@@ -137,8 +137,8 @@ def rand_vector(ctx, rng, d):
 def _monomials(d, deg):
     exps = [()]
     for _ in range(d):
-        exps = [e + (j,) for e in exps for j in range(deg + 1)]
-    return [e for e in exps if 0 < sum(e) <= deg or e == (0,) * d]
+        exps = [e + (j,) for e in exps for j in range(deg + 1 - sum(e))]
+    return exps
 
 
 def rand_model(ctx, rng, d, e, deg, vmin=0):

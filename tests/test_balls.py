@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ucalc.balls import (
     Ball,
+    BallIndex,
     ClopenRegion,
     CoverIncomplete,
     EmptyRegion,
@@ -447,3 +449,130 @@ def test_region_contains_fractions_matches_per_ball_reference(kind, data):
     assert any(b.contains_fractions(frs) for b in region.balls) is want
     if kind == "p-denominator" or region.empty:
         assert want is False
+
+
+# Differential tests of BallIndex, the one decision of point location,
+# containment and overlap, against ball_relation scans and point sets at
+# the finest level, over p in {2, 3, 5}, d in {1, 2} and levels <= 4, with
+# equal and nested balls in the families.
+
+def _index_top(p, d):
+    """Finest level drawn: at most 4, and at most 10^4 cells at it."""
+    k = 1
+    while k < 4 and p ** (d * (k + 1)) <= 10 ** 4:
+        k += 1
+    return k
+
+
+@st.composite
+def _families(draw, ctx, d, top):
+    """A list of balls of which some are copies, children or ancestors of
+    others, in a drawn order."""
+    balls = draw(st.lists(_ball(ctx, d, top), max_size=5))
+    for _ in range(draw(st.integers(0, 3)) if balls else 0):
+        b = draw(st.sampled_from(balls))
+        kind = draw(st.sampled_from(("equal", "child", "ancestor")))
+        if kind == "equal":
+            balls.append(B(ctx, b.ints, b.k))
+        elif kind == "child" and b.k < top:
+            balls.append(draw(st.sampled_from(b.children())))
+        elif kind == "ancestor" and b.k > 0:
+            balls.append(B(ctx, b.ints, draw(st.integers(0, b.k - 1))))
+    return draw(st.permutations(balls))
+
+
+def _scan_index(family):
+    """Reference: (kept, nested) by scanning, coarsest level first, for an
+    earlier kept ball equal to or holding each ball."""
+    kept, nested = [], []
+    for b in sorted(family, key=lambda b: b.k):
+        outer = next((a for a in kept if ball_relation(a, b) in ("equal", "B1_contains_B2")), None)
+        if outer is None:
+            kept.append(b)
+        else:
+            nested.append((outer, b))
+    return kept, nested
+
+
+def _cells(balls, m):
+    return {pt for b in balls for pt in b.level_reps(m)}
+
+
+def _maximal_balls(ctx, d, cells, m):
+    """Reference canonical form: every ball of level <= m whose cells all
+    lie in the set, and whose parent's do not."""
+    out = []
+    for k in range(m + 1):
+        for ints in itertools.product(range(ctx.p ** k), repeat=d):
+            b = B(ctx, ints, k)
+            if all(pt in cells for pt in b.level_reps(m)) and not (
+                k > 0 and all(pt in cells for pt in b.parent().level_reps(m))
+            ):
+                out.append(b)
+    return tuple(sorted(out, key=lambda b: (b.k, b.ints)))
+
+
+@st.composite
+def _index_cases(draw):
+    p = draw(st.sampled_from(sorted(CTXS)))
+    d = draw(st.sampled_from((1, 2)))
+    ctx, top = CTXS[p], _index_top(p, d)
+    return ctx, d, top, draw(_families(ctx, d, top)), draw(_families(ctx, d, top))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_index_cases())
+def test_ball_index_matches_relation_scans(case):
+    ctx, d, top, family, probes = case
+    index = BallIndex(family)
+    kept, nested = _scan_index(family)
+    assert index.nested == nested
+    assert (not index.nested) == all(
+        ball_relation(a, b) == "disjoint" for a, b in itertools.combinations(family, 2)
+    )
+    for q in family + probes:
+        want = next((a for a in kept if ball_relation(a, q) in ("equal", "B1_contains_B2")), None)
+        assert index.container(q) is want
+    for pt in B(ctx, (0,) * d, 0).level_reps(top):
+        assert index.at(pt) is next((a for a in kept if a.contains_ints(pt)), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_index_cases())
+def test_region_canonical_form_and_algebra_match_point_sets(case):
+    ctx, d, top, family, other = case
+    a, b = ClopenRegion(family), ClopenRegion(other)
+    cells_a, cells_b = _cells(family, top), _cells(other, top)
+    assert a.balls == _maximal_balls(ctx, d, cells_a, top)
+    assert _cells(a.intersect(b).balls, top) == cells_a & cells_b
+    assert _cells(a.minus(b).balls, top) == cells_a - cells_b
+    for q in other:
+        assert a.contains_ball(q) is all(pt in cells_a for pt in q.level_reps(top))
+
+
+def _product_reps(b, m):
+    """Reference order of level_reps: itertools.product over the offsets."""
+    step, span = b.ctx.p ** b.k, b.ctx.p ** (m - b.k)
+    for off in itertools.product(range(span), repeat=b.d):
+        yield tuple(c + step * o for c, o in zip(b.ints, off))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_level_reps_order_matches_the_product_of_offsets(p, d):
+    ctx = CTXS[p]
+    rng = random.Random(p * 10 + d)
+    for k in range(3):
+        b = B(ctx, tuple(rng.randrange(p ** k) for _ in range(d)), k)
+        assert [c.ints for c in b.children()] == list(_product_reps(b, k + 1))
+        for m in range(k, k + 3):
+            if p ** (d * (m - k)) <= 20000:
+                assert list(b.level_reps(m)) == list(_product_reps(b, m))
+
+
+def test_level_reps_is_lazy_at_any_span():
+    root = B(PadicContext(3, 40), (0, 0), 0)
+    start = time.perf_counter()
+    assert list(itertools.islice(root.level_reps(40), 4)) == [(0, 0), (0, 1), (0, 2), (0, 3)]
+    assert next(B(PadicContext(3, 40), (0,), 0).level_reps(40)) == (0,)
+    assert time.perf_counter() - start < 1.0

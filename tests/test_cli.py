@@ -1,5 +1,7 @@
 import copy
+import itertools
 import json
+import math
 import warnings
 
 import pytest
@@ -18,7 +20,7 @@ from ucalc.cia import algebra_from_json, algebra_to_json, qp_algebra
 from ucalc.cli import MAX_INDUCED_CELLS, ParseError, canonical_json, convert, main, too_many_cells
 from ucalc.diffeo import BallEndo, CertifiedDiffeo, certify_omega, induced_level_map
 from ucalc.padic import PadicContext, scalar_from_json, scalar_to_json, vector_from_json, vector_to_json
-from ucalc.suites import SUITES, ConfigInvalid, SuiteConfig, UnknownSuite, run_suite
+from ucalc.suites import SUITES, ConfigInvalid, SuiteConfig, UnknownSuite, _monomials, run_suite
 from fractions import Fraction
 
 CTX3 = PadicContext(3, 12)
@@ -126,6 +128,32 @@ def test_verify_refuses_a_precision_below_the_draws(capsys, argv):
     assert code == 2
     assert payload["error"].startswith("N must be at least 3")
     assert "usage error" in err and "Traceback" not in err
+
+
+def _monomials_by_filter(d, deg):
+    """Reference: every tuple of exponents up to deg, filtered by degree."""
+    return [e for e in itertools.product(range(deg + 1), repeat=d) if sum(e) <= deg]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_monomials_match_the_filtered_product(d):
+    for deg in range(6):
+        assert _monomials(d, deg) == _monomials_by_filter(d, deg)
+
+
+def test_monomials_build_only_what_they_return():
+    assert len(_monomials(40, 3)) == math.comb(43, 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--N", "45", "verify", "chain-rule", "--d", "40", "--samples", "1"],
+    ["--N", "45", "--verify-level", "30", "verify", "unity", "--d", "1", "--samples", "1"],
+])
+def test_suites_run_at_many_variables_and_a_fine_verify_level(capsys, argv):
+    code, payload, err = run(capsys, argv)
+    assert code == 0
+    assert payload["passed"] == payload["checks"] == 1
+    assert "Traceback" not in err
 
 
 # --- convert --------------------------------------------------------------
@@ -577,14 +605,14 @@ def test_dq_on_a_huge_exponent_exits_2_at_once(tmp_path, capsys):
 
 
 def test_loader_accepts_the_piece_limit_and_refuses_one_more(tmp_path, capsys):
-    """MAX_PIECES level-10 pieces of Z_2 load; one more entry is refused
+    """MAX_PIECES level-12 pieces of Z_2 load; one more entry is refused
     at $.pieces before any piece is read (the extra entries are not even
     pieces)."""
-    assert MAX_PIECES == 2 ** 10
+    assert MAX_PIECES == 2 ** 12
     ctx = PadicContext(2, 12)
     mono = [{"exps": [1], "coef": vector_to_json(ctx.vector([1]))}]
     obj = {"codim": 1, "pieces": [
-        {"ball": ball_to_json(Ball.from_ints(ctx, (c,), 10)), "poly": mono} for c in range(MAX_PIECES)
+        {"ball": ball_to_json(Ball.from_ints(ctx, (c,), 12)), "poly": mono} for c in range(MAX_PIECES)
     ]}
     assert len(model_from_json(obj).piece_balls()) == MAX_PIECES
     obj["pieces"].append(None)
@@ -594,7 +622,7 @@ def test_loader_accepts_the_piece_limit_and_refuses_one_more(tmp_path, capsys):
     path = write(tmp_path, "many.json", {"codim": 1, "pieces": [None] * (MAX_PIECES + 1)})
     code, payload, err = run(capsys, ["convert", "--file", path, "--from", "model", "--to", "model"])
     assert code == 2
-    assert payload == {"error": "1025 pieces exceed the limit 1024 at $.pieces", "path": "$.pieces"}
+    assert payload == {"error": "4097 pieces exceed the limit 4096 at $.pieces", "path": "$.pieces"}
     assert "Traceback" not in err
 
 
