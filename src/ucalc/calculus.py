@@ -1027,13 +1027,13 @@ def model_to_json(f):
 # is the product of the factors') cost more with it, without bound.
 MAX_DEGREE = 16
 
-# Largest number of pieces that model_from_json accepts.  The overlap
-# check and the domain go through BallIndex, so a command's cost grows
-# about linearly with the count: on a 2-vCPU Xeon with Python 3.11,
-# `convert` of 4096 level-12 pieces on Z_2 takes about 0.46 s and `diffeo
-# certify` 0.30 s in-process, 8192 pieces 0.98 s and 0.77 s.  The tests,
-# golden cases and benchmark workloads load at most 25.
-MAX_PIECES = 4096
+# Largest number of pieces that model_from_json accepts.  Loading grows
+# about linearly with the count (BallIndex), but `refine` pairs pieces, so
+# `wp mul` grows with its square: on a 2-vCPU Xeon with Python 3.11, two
+# 2048-piece maps of Z_2 multiply in about 3 s, two 4096-piece maps in
+# 13 s; `convert` of 2048 pieces takes 0.2 s.  The tests, golden cases and
+# benchmark workloads load at most 25.
+MAX_PIECES = 2048
 
 
 def _piece_from_json(entry, path, e):

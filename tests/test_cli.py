@@ -605,14 +605,14 @@ def test_dq_on_a_huge_exponent_exits_2_at_once(tmp_path, capsys):
 
 
 def test_loader_accepts_the_piece_limit_and_refuses_one_more(tmp_path, capsys):
-    """MAX_PIECES level-12 pieces of Z_2 load; one more entry is refused
+    """MAX_PIECES level-11 pieces of Z_2 load; one more entry is refused
     at $.pieces before any piece is read (the extra entries are not even
     pieces)."""
-    assert MAX_PIECES == 2 ** 12
+    assert MAX_PIECES == 2 ** 11
     ctx = PadicContext(2, 12)
     mono = [{"exps": [1], "coef": vector_to_json(ctx.vector([1]))}]
     obj = {"codim": 1, "pieces": [
-        {"ball": ball_to_json(Ball.from_ints(ctx, (c,), 12)), "poly": mono} for c in range(MAX_PIECES)
+        {"ball": ball_to_json(Ball.from_ints(ctx, (c,), 11)), "poly": mono} for c in range(MAX_PIECES)
     ]}
     assert len(model_from_json(obj).piece_balls()) == MAX_PIECES
     obj["pieces"].append(None)
@@ -622,7 +622,7 @@ def test_loader_accepts_the_piece_limit_and_refuses_one_more(tmp_path, capsys):
     path = write(tmp_path, "many.json", {"codim": 1, "pieces": [None] * (MAX_PIECES + 1)})
     code, payload, err = run(capsys, ["convert", "--file", path, "--from", "model", "--to", "model"])
     assert code == 2
-    assert payload == {"error": "4097 pieces exceed the limit 4096 at $.pieces", "path": "$.pieces"}
+    assert payload == {"error": "2049 pieces exceed the limit 2048 at $.pieces", "path": "$.pieces"}
     assert "Traceback" not in err
 
 
