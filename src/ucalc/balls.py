@@ -161,26 +161,25 @@ class BallIndex:
     coarsest level first, in input order within a level; one equal to or
     inside a ball taken before it is left out and listed in `nested` as
     (that ball, it).  So `nested` is empty exactly when the family is
-    pairwise disjoint.
+    pairwise disjoint.  Every ball must live in the space of the first.
     """
 
-    __slots__ = ("p", "levels", "nested")
+    __slots__ = ("ctx", "d", "levels", "nested")
 
     def __init__(self, balls):
-        by_level = {}
+        by_level, self.levels, self.nested = {}, [], []
         for b in balls:
             by_level.setdefault(b.k, []).append(b)
-            self.p = b.ctx.p
-        self.levels, self.nested = [], []
+        self.ctx, self.d = next(((bs[0].ctx, bs[0].d) for bs in by_level.values()), (None, None))
         for k in sorted(by_level):
             level = {}
+            self.levels.append((k, self.ctx.p ** k, level))
             for b in by_level[k]:
-                outer = self.container(b) or level.get(b.ints)
+                outer = self.container(b)
                 if outer is None:
                     level[b.ints] = b
                 else:
                     self.nested.append((outer, b))
-            self.levels.append((k, self.p ** k, level))
 
     def at(self, ints):
         """The ball holding a point given by its residues mod p**j, j at
@@ -193,47 +192,50 @@ class BallIndex:
 
     def at_fractions(self, frs):
         """The ball holding a point of Q^d (Fractions or ints), or None."""
-        ints = _point_ints(frs, self.p, self.levels[-1][0]) if self.levels else None
+        ints = _point_ints(frs, self.ctx.p, self.levels[-1][0]) if self.levels else None
         return None if ints is None else self.at(ints)
 
     def container(self, b):
         """The indexed ball equal to or holding the ball b, or None: the
         one holding b's centre, unless that one is finer than b."""
+        if self.levels and (b.ctx.p != self.ctx.p or b.d != self.d):
+            raise ValueError("balls live in different spaces")
         outer = self.at(b.ints)
         return outer if outer is not None and outer.k <= b.k else None
+
+    def merge_families(self):
+        """Replace each complete sibling family by its parent, finest level
+        first, and drop emptied levels; the index then holds the maximal
+        balls in its union.  Returns those balls."""
+        levels = {k: level for k, _, level in self.levels}
+        for k in range(max(levels, default=0), 0, -1):
+            mod, families = self.ctx.p ** (k - 1), {}
+            for ints in levels.get(k, ()):
+                families.setdefault(tuple(x % mod for x in ints), []).append(ints)
+            for parent, sibs in families.items():
+                if len(sibs) == self.ctx.p ** self.d:
+                    for ints in sibs:
+                        del levels[k][ints]
+                    levels.setdefault(k - 1, {})[parent] = Ball.from_ints(self.ctx, parent, k - 1)
+        self.levels = [(k, self.ctx.p ** k, levels[k]) for k in sorted(levels) if levels[k]]
+        self.nested = []
+        return [b for _, _, level in self.levels for b in level.values()]
 
 
 class ClopenRegion:
     """Finite disjoint union of balls, canonicalized at construction.
 
     Canonical form: the maximal balls inside the union, sorted by (level,
-    center digits); it is unique.  The BallIndex of the input absorbs
-    nested balls, then one sweep, finest level first, merges each complete
-    sibling family into its parent within that index, so `index` holds
-    the canonical balls.
+    center digits); it is unique.  `index` is the BallIndex of the input
+    with its complete sibling families merged, so it holds the canonical
+    balls.
     """
 
     __slots__ = ("balls", "index")
 
     def __init__(self, balls):
-        balls = list(balls)
-        for b in balls:
-            if b.ctx.p != balls[0].ctx.p or b.d != balls[0].d:
-                raise ValueError("region mixes balls from different spaces")
-        index = self.index = BallIndex(balls)
-        levels = {k: level for k, _, level in index.levels}
-        for k in range(max(levels, default=0), 0, -1):
-            mod, families = index.p ** (k - 1), {}
-            for ints in levels.get(k, ()):
-                families.setdefault(tuple(x % mod for x in ints), []).append(ints)
-            for parent, sibs in families.items():
-                if len(sibs) == index.p ** balls[0].d:
-                    for ints in sibs:
-                        del levels[k][ints]
-                    levels.setdefault(k - 1, {})[parent] = Ball.from_ints(balls[0].ctx, parent, k - 1)
-        index.levels = [(k, index.p ** k, levels[k]) for k in sorted(levels)]
-        self.balls = tuple(sorted((b for level in levels.values() for b in level.values()),
-                                  key=lambda b: (b.k, b.ints)))
+        self.index = BallIndex(balls)
+        self.balls = tuple(sorted(self.index.merge_families(), key=lambda b: (b.k, b.ints)))
 
     @property
     def empty(self):

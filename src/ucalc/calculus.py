@@ -98,14 +98,10 @@ class FunctionModel:
         pieces = [(b, dict(c)) for b, c in pieces]
         if not pieces:
             raise ValueError("a model needs at least one piece")
-        ctx = pieces[0][0].ctx
-        d = pieces[0][0].d
-        for b, _ in pieces:
-            if b.ctx.p != ctx.p or b.d != d:
-                raise ValueError("pieces live in different spaces")
         index = BallIndex(b for b, _ in pieces)
         if index.nested:
             raise ValueError("piece balls %r and %r overlap" % index.nested[0])
+        ctx, d = index.ctx, index.d
         if e is None:
             e = next((vec.dim for _, coeffs in pieces for vec in coeffs.values()), None)
         if e is None:

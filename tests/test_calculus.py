@@ -79,6 +79,14 @@ def test_model_rejects_overlapping_pieces():
         mk(CTX3, [((0,), 0, {(1,): (1,)}), ((0,), 1, {(1,): (2,)})])
 
 
+def test_model_rejects_pieces_from_different_spaces():
+    z3 = (B(CTX3, (0,), 1), {(1,): CTX3.vector([1])})
+    with pytest.raises(ValueError, match="balls live in different spaces"):
+        FunctionModel([z3, (B(CTX2, (1,), 1), {(1,): CTX2.vector([1])})])
+    with pytest.raises(ValueError, match="balls live in different spaces"):
+        FunctionModel([z3, (B(CTX3, (1, 0), 1), {(1, 0): CTX3.vector([1])})])
+
+
 def test_dq1_linear_closed_form():
     # lambda(x) = 5x: quotient is lambda(y) for every t, including 0
     f = root_model(CTX3, 1, {(1,): (5,)})

@@ -294,6 +294,15 @@ def test_main_partition(tmp_path, capsys):
         assert part["member"] in (0, 1)
 
 
+def test_main_partition_refuses_a_cover_from_another_space(tmp_path, capsys):
+    region = write(tmp_path, "region.json", region_to_json(ClopenRegion([Ball.from_ints(CTX3, (0,), 1)])))
+    cover = write(tmp_path, "cover.json", region_to_json(ClopenRegion([Ball.from_ints(PadicContext(2, 12), (0,), 0)])))
+    code, payload, err = run(capsys, ["partition", "--region", region, "--cover", cover])
+    assert code == 1
+    assert payload["error"] == "balls live in different spaces"
+    assert "partition failed: balls live in different spaces" in err
+
+
 def test_main_alg_invert(tmp_path, capsys):
     alg = write(tmp_path, "alg.json", algebra_to_json(qp_algebra(CTX3)))
     elt = write(tmp_path, "elt.json", vector_to_json(CTX3.vector([2])))
