@@ -7,8 +7,7 @@ nested, which keeps all the region algebra exact and finite.
 
 from __future__ import annotations
 
-from .padic import PadicVector, ParseError, at_path
-from .padic import vector_from_json, vector_to_json
+from .padic import PadicVector, ParseError, at_path, vector_parts, vector_to_json
 
 
 class EmptyRegion(ValueError):
@@ -40,6 +39,20 @@ def _point_ints(frs, p, k):
     return tuple(out)
 
 
+def _center_ints(ctx, parts, k):
+    """Residues mod p^k of a checked ball centre given as (v, u) per coordinate."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("ball level must be a nonnegative int, got %r" % (k,))
+    if k > ctx.N:
+        raise ValueError("ball level %d exceeds the context precision N=%d" % (k, ctx.N))
+    if not parts:
+        raise ValueError("ball needs dimension >= 1")
+    if any(v < 0 for v, _ in parts):
+        raise ValueError("ball center must lie in O^d")
+    m = ctx.p ** k
+    return tuple(u * ctx.p ** v % m if v < k else 0 for v, u in parts)
+
+
 class Ball:
     """center + p^k O^d with canonical center digits."""
 
@@ -48,21 +61,7 @@ class Ball:
     def __init__(self, center, k):
         if not isinstance(center, PadicVector):
             raise TypeError("center must be a PadicVector")
-        ctx = center.ctx
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("ball level must be a nonnegative int, got %r" % (k,))
-        if k > ctx.N:
-            raise ValueError(
-                "ball level %d exceeds the context precision N=%d" % (k, ctx.N)
-            )
-        if center.dim < 1:
-            raise ValueError("ball needs dimension >= 1")
-        ints = _point_ints(center.to_fractions(), ctx.p, k)
-        if ints is None:
-            raise ValueError("ball center must lie in O^d")
-        self.ctx = ctx
-        self.k = k
-        self.ints = ints
+        self.ctx, self.k, self.ints = center.ctx, k, _center_ints(center.ctx, [(c.v, c.u) for c in center], k)
 
     @classmethod
     def from_ints(cls, ctx, ints, k):
@@ -432,11 +431,12 @@ def ball_to_json(b):
 def ball_from_json(obj, path="$"):
     if not isinstance(obj, dict) or "center" not in obj or "k" not in obj:
         raise ParseError("ball must be an object with center and k", path)
-    if type(obj["k"]) is not int:
+    k = obj["k"]
+    if type(k) is not int:
         raise ParseError("ball level k must be an int", path + ".k")
-    center = vector_from_json(obj["center"], path + ".center")
+    ctx, parts = vector_parts(obj["center"], path + ".center")
     with at_path(path):
-        return Ball(center, obj["k"])
+        return Ball.from_ints(ctx, _center_ints(ctx, parts, k), k)
 
 
 def region_to_json(r):

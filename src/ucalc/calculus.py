@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from . import _poly
 from .padic import INF, PadicScalar, PadicVector, ParseError, at_path, fraction_valuation
-from .padic import vector_from_json, vector_to_json
+from .padic import vector_parts, vector_to_json
 from .balls import Ball, BallIndex, ClopenRegion, ball_from_json, ball_relation, ball_to_json
 from .balls import region_from_json, region_to_json
 
@@ -96,31 +96,39 @@ class FunctionModel:
 
     def __init__(self, pieces, e=None, factors=None):
         pieces = [(b, dict(c)) for b, c in pieces]
+        if e is None:
+            e = next((vec.dim for _, coeffs in pieces for vec in coeffs.values()), None)
+            if e is None and pieces:
+                raise ValueError("codomain dimension e is required for zero models")
+        stores = []
+        for b, coeffs in pieces:
+            for exps, vec in coeffs.items():
+                if len(exps) != b.d or any(n < 0 or not isinstance(n, int) for n in exps):
+                    raise ValueError("bad exponent tuple %r" % (exps,))
+                if vec.dim != e:
+                    raise ValueError("coefficient dimension %d, expected %d" % (vec.dim, e))
+            s = max([0] + [-c.v for vec in coeffs.values() for c in vec.coords if not c.is_zero])
+            stores.append((b, (s, tuple({tuple(x): vec[j].u * b.ctx.p ** (vec[j].v + s) for x, vec in coeffs.items()
+                                         if not vec[j].is_zero} for j in range(e)))))
+        model = FunctionModel.from_store(stores, e, factors)
+        if any(vec.ctx != model.ctx for _, coeffs in pieces for vec in coeffs.values()):
+            raise ValueError("coefficient context differs from ball context")
+        for name in FunctionModel.__slots__:
+            setattr(self, name, getattr(model, name))
+
+    @classmethod
+    def from_store(cls, pieces, e, factors=None):
+        """Model from a list of (ball, (s, polys)) pieces, each cut to N digits
+        at its least scale; refuses no pieces or overlapping balls."""
         if not pieces:
             raise ValueError("a model needs at least one piece")
         index = BallIndex(b for b, _ in pieces)
         if index.nested:
             raise ValueError("piece balls %r and %r overlap" % index.nested[0])
-        ctx, d = index.ctx, index.d
-        if e is None:
-            e = next((vec.dim for _, coeffs in pieces for vec in coeffs.values()), None)
-        if e is None:
-            raise ValueError("codomain dimension e is required for zero models")
-        store = {}
-        for b, coeffs in pieces:
-            for exps, vec in coeffs.items():
-                if len(exps) != d or any(n < 0 or not isinstance(n, int) for n in exps):
-                    raise ValueError("bad exponent tuple %r" % (exps,))
-                if vec.dim != e:
-                    raise ValueError("coefficient dimension %d, expected %d" % (vec.dim, e))
-                if vec.ctx != ctx:
-                    raise ValueError("coefficient context differs from ball context")
-            s = max([0] + [-c.v for vec in coeffs.values() for c in vec.coords if not c.is_zero])
-            store[b] = (s, tuple({tuple(x): vec[j].u * ctx.p ** (vec[j].v + s) for x, vec in coeffs.items()
-                                  if not vec[j].is_zero} for j in range(e)))
-        self._setup(ctx, d, e, store)
-        self._pieces, self._index = tuple(pieces), index
+        self = cls._build(index.ctx, index.d, e, dict(pieces))
+        self._index = index
         self.factors = dict(factors) if factors else None
+        return self
 
     @classmethod
     def _build(cls, ctx, d, e, store, domain=None):
@@ -857,18 +865,26 @@ def model_scale(f, s):
 
 def add_identity(f, sign=1):
     """f + id (sign 1), or f plus p^N - 1 times id (sign -1: the N-digit
-    truncation of -id), cut to N digits as model_add cuts the sum.  Only
-    the coefficient of x_i in coordinate i changes.  Pieces keep the order
-    of f, which is model_add's order when the domain is one ball."""
+    truncation of -id), cut to N digits as model_add cuts the sum.  Every
+    store is already cut to N digits at its least scale, so only the
+    coefficient of x_i in coordinate i changes.  Pieces keep the order of
+    f, which is model_add's order when the domain is one ball.  Where the
+    scale stays, a chart f has computed carries over, as the Taylor shift
+    is linear: coordinate i gains delta (c_i + p^k z_i), delta the change
+    of its x_i coefficient."""
     if f.d != f.e:
         raise ValueError("codomain mismatch")
     c = 1 if sign > 0 else f.ctx.modulus - 1
-    units = _units(f.d)
-    store = {}
+    units, zero = _units(f.d), (0,) * f.d
+    g = FunctionModel._build(f.ctx, f.d, f.e, {}, f._domain)
     for b, (s, polys) in f._store.items():
         summed = tuple(_poly.add(P, {x: c * f.ctx.p ** s}) for P, x in zip(polys, units))
-        store[b] = _truncate((s, summed), f.ctx)
-    return FunctionModel._build(f.ctx, f.d, f.e, store, f._domain)
+        t, new = g._store[b] = _truncate((s, summed), f.ctx)
+        if b in f._charts and t == s:
+            deltas = (Q.get(x, 0) - P.get(x, 0) for P, Q, x in zip(polys, new, units))
+            g._charts[b] = (s, tuple(_poly.add(C, {zero: delta * ci, x: delta * f.ctx.p ** b.k})
+                                     for C, delta, ci, x in zip(f._charts[b][1], deltas, b.ints, units)))
+    return g
 
 
 def identity_model(region):
@@ -1027,14 +1043,15 @@ MAX_DEGREE = 16
 # about linearly with the count (BallIndex), but `refine` pairs pieces, so
 # `wp mul` grows with its square: on a 2-vCPU Xeon with Python 3.11, two
 # 2048-piece maps of Z_2 multiply in about 3 s, two 4096-piece maps in
-# 13 s; `convert` of 2048 pieces takes 0.2 s.  The tests, golden cases and
-# benchmark workloads load at most 25.
+# 10 s; 2048 pieces load in 0.06 s.  The golden cases and benchmark
+# workloads load at most 25.
 MAX_PIECES = 2048
 
 
 def _piece_from_json(entry, path, e):
-    """(ball, coeffs) of one model piece; the checks across pieces are
-    left to FunctionModel."""
+    """(ball, store entry, coefficients) of one model piece, built from the
+    decoded (v, u) of each coefficient; the checks across pieces are left
+    to the caller."""
     if not isinstance(entry, dict) or "ball" not in entry:
         raise ParseError("piece must be an object with a ball", path)
     ball = ball_from_json(entry["ball"], path + ".ball")
@@ -1053,11 +1070,14 @@ def _piece_from_json(entry, path, e):
         if sum(exps) > MAX_DEGREE:
             raise ParseError("monomial degree %d exceeds the limit %d" % (sum(exps), MAX_DEGREE),
                              mpath + ".exps")
-        vec = vector_from_json(mono.get("coef"), mpath + ".coef")
-        if vec.dim != e or vec.ctx != ball.ctx:
+        ctx, parts = vector_parts(mono.get("coef"), mpath + ".coef")
+        if len(parts) != e or ctx != ball.ctx:
             raise ParseError("coefficient must be %d scalars in %r" % (e, ball.ctx), mpath + ".coef")
-        coeffs[tuple(exps)] = vec
-    return ball, coeffs
+        coeffs[tuple(exps)] = parts
+    s = max([0] + [-v for parts in coeffs.values() for v, u in parts if u])
+    polys = tuple({x: parts[j][1] * ball.ctx.p ** (parts[j][0] + s) for x, parts in coeffs.items()
+                   if parts[j][1]} for j in range(e))
+    return ball, (s, polys), coeffs
 
 
 def model_from_json(obj, path="$"):
@@ -1089,7 +1109,9 @@ def model_from_json(obj, path="$"):
             )
             factors[ball] = (bu, bv)
     with at_path(path):
-        model = FunctionModel(pieces, e=e, factors=factors)
+        model = FunctionModel.from_store([(b, entry) for b, entry, _ in pieces], e, factors)
+        if any(b.ctx != model.ctx for b, _, coeffs in pieces if coeffs):
+            raise ValueError("coefficient context differs from ball context")
     if "domain" in obj:
         declared = region_from_json(obj["domain"], path + ".domain")
         if declared != model.domain:

@@ -379,7 +379,13 @@ def scalar_to_json(a):
     return {"p": a.ctx.p, "v": v, "digits": a.digits()}
 
 
-def scalar_from_json(obj, path="$"):
+# loaded contexts by (p, N): the primality test runs once per (p, N)
+_CONTEXTS = {}
+
+
+def scalar_parts(obj, path="$"):
+    """(ctx, v, u) of a JSON scalar, (ctx, INF, 0) for exact zero; digits
+    are checked lowest first while the unit part is built."""
     if not isinstance(obj, dict):
         raise ParseError("scalar must be an object, got %s" % type(obj).__name__, path)
     for key in ("p", "v", "digits"):
@@ -391,36 +397,48 @@ def scalar_from_json(obj, path="$"):
     digits = obj["digits"]
     if not isinstance(digits, list) or not digits:
         raise ParseError("digits must be a nonempty array", path + ".digits")
-    with at_path(path + ".p"):
-        ctx = PadicContext(p, len(digits))
+    ctx = _CONTEXTS.get((p, len(digits)))
+    if ctx is None:
+        with at_path(path + ".p"):
+            ctx = _CONTEXTS[p, len(digits)] = PadicContext(p, len(digits))
+    u, w = 0, 1
     for i, d in enumerate(digits):
         if type(d) is not int or not 0 <= d < p:
             raise ParseError("digit out of range for p=%d: %r" % (p, d), "%s.digits[%d]" % (path, i))
+        u += d * w
+        w *= p
     v = obj["v"]
     if v == "inf":
-        if any(digits):
+        if u:
             raise ParseError("zero scalar must have all-zero digits", path + ".digits")
-        return ctx.zero()
+        return ctx, INF, 0
     if type(v) is not int:
         raise ParseError("valuation must be int or \"inf\", got %r" % (v,), path + ".v")
     if digits[0] == 0:
         raise ParseError("leading digit must be nonzero for a nonzero scalar", path + ".digits[0]")
-    u = 0
-    for d in reversed(digits):
-        u = u * p + d
-    return ctx.from_unit(v, u)
+    return ctx, v, u
+
+
+def scalar_from_json(obj, path="$"):
+    return PadicScalar(*scalar_parts(obj, path))
 
 
 def vector_to_json(x):
     return [scalar_to_json(c) for c in x.coords]
 
 
-def vector_from_json(arr, path="$"):
+def vector_parts(arr, path="$"):
+    """(ctx, [(v, u), ...]) of a JSON vector of scalars in one context."""
     if not isinstance(arr, list) or not arr:
         raise ParseError("vector must be a nonempty array of scalars", path)
-    coords = [scalar_from_json(o, "%s[%d]" % (path, i)) for i, o in enumerate(arr)]
-    ctx = coords[0].ctx
-    for i, c in enumerate(coords):
-        if c.ctx != ctx:
+    parts = [scalar_parts(o, "%s[%d]" % (path, i)) for i, o in enumerate(arr)]
+    ctx = parts[0][0]
+    for i, (c, _, _) in enumerate(parts):
+        if c != ctx:
             raise ParseError("vector coordinates disagree on (p, N)", "%s[%d]" % (path, i))
-    return PadicVector(coords, ctx=ctx)
+    return ctx, [(v, u) for _, v, u in parts]
+
+
+def vector_from_json(arr, path="$"):
+    ctx, parts = vector_parts(arr, path)
+    return PadicVector([PadicScalar(ctx, v, u) for v, u in parts], ctx=ctx)

@@ -142,16 +142,17 @@ def _monomials(d, deg):
 
 
 def rand_model(ctx, rng, d, e, deg, vmin=0):
-    """Random polynomial map of the unit ball with p-integral values."""
+    """Random polynomial map of the unit ball with p-integral values; the
+    coefficients lie below p^N, so they are already cut to N digits."""
     lead = ctx.p ** vmin
-    coeffs = {}
+    polys = tuple({} for _ in range(e))
     for exps in _monomials(d, deg):
         if rng.random() < 0.4:
             continue
-        vec = ctx.vector([lead * rng.randrange(ctx.p ** (ctx.N - vmin)) for _ in range(e)])
-        coeffs[exps] = vec
-    root = Ball.from_ints(ctx, (0,) * d, 0)
-    return FunctionModel([(root, coeffs)], e=e)
+        for P in polys:
+            if a := lead * rng.randrange(ctx.p ** (ctx.N - vmin)):
+                P[exps] = a
+    return FunctionModel.from_store([(Ball.from_ints(ctx, (0,) * d, 0), (0, polys))], e)
 
 
 def rand_t(ctx, rng):
@@ -161,13 +162,14 @@ def rand_t(ctx, rng):
 
 def rand_small_model(ctx, rng, d, e, deg, nmono=3, cmax=2):
     """Random map with few small coefficients, so that composites and
-    t-scaled sums of two such maps stay exactly representable at N digits."""
-    coeffs = {}
+    t-scaled sums of two such maps stay exactly representable at N digits.
+    Coefficients up to cmax < p^N are already cut to N digits."""
+    polys = tuple({} for _ in range(e))
     for exps in rng.sample(_monomials(d, deg), min(nmono, len(_monomials(d, deg)))):
-        vec = ctx.vector([rng.randrange(cmax + 1) for _ in range(e)])
-        coeffs[exps] = vec
-    root = Ball.from_ints(ctx, (0,) * d, 0)
-    return FunctionModel([(root, coeffs)], e=e)
+        for P in polys:
+            if a := rng.randrange(cmax + 1):
+                P[exps] = a
+    return FunctionModel.from_store([(Ball.from_ints(ctx, (0,) * d, 0), (0, polys))], e)
 
 
 def rand_small_t(ctx, rng, zero_ok=True):
@@ -185,18 +187,16 @@ def rand_diffeo(ctx, rng, d=1, multi_piece=False):
         sigma = rand_model(ctx, rng, d, d, 2, vmin=vmin)
     else:
         pieces = []
-        root = Ball.from_ints(ctx, (0,) * d, 0)
-        for ball in root.children():
-            lead = ctx.p ** (vmin + 1)
-            coeffs = {
-                exps: ctx.vector(
-                    [lead * rng.randrange(ctx.p ** (ctx.N - vmin - 1)) for _ in range(d)]
-                )
-                for exps in _monomials(d, 2)
-                if rng.random() < 0.6
-            }
-            pieces.append((ball, coeffs))
-        sigma = FunctionModel(pieces, e=d)
+        lead = ctx.p ** (vmin + 1)
+        for ball in Ball.from_ints(ctx, (0,) * d, 0).children():
+            polys = tuple({} for _ in range(d))
+            for exps in _monomials(d, 2):
+                if rng.random() < 0.6:
+                    for P in polys:
+                        if a := lead * rng.randrange(ctx.p ** (ctx.N - vmin - 1)):
+                            P[exps] = a
+            pieces.append((ball, (0, polys)))
+        sigma = FunctionModel.from_store(pieces, d)
     endo = BallEndo.from_displacement(sigma)
     return CertifiedDiffeo(endo=endo, cert=certify_omega(endo))
 

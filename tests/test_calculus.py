@@ -37,7 +37,7 @@ from ucalc.calculus import (
     product_model,
     scaling_exponents,
 )
-from ucalc.padic import PadicContext
+from ucalc.padic import PadicContext, PadicScalar, PadicVector, vector_from_json, vector_to_json
 
 CTX3 = PadicContext(3, 8)
 CTX2 = PadicContext(2, 8)
@@ -575,6 +575,90 @@ def test_model_json_roundtrip():
     g2 = model_from_json(model_to_json(g))
     assert g2.factors is not None
     assert curry(g2, CTX3.vector([2])).eval(CTX3.vector([5])) == CTX3.vector([10])
+
+
+def _split_unit_ball(ctx, rng, d, top):
+    """Disjoint balls covering O^d: each ball splits into its children with
+    chance 1/2, down to level top."""
+    out, todo = [], [B(ctx, (0,) * d, 0)]
+    while todo:
+        b = todo.pop()
+        if b.k < top and rng.random() < 0.5:
+            todo.extend(b.children())
+        else:
+            out.append(b)
+    return out
+
+
+def _json_scalar(rng, p, N, zero=False):
+    if zero or rng.random() < 0.2:
+        return {"p": p, "v": "inf", "digits": [0] * N}
+    return {"p": p, "v": rng.randint(-3, 3), "digits": [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(N - 1)]}
+
+
+def _json_ball(rng, b):
+    """A ball with a centre that is not reduced mod p^k."""
+    step = b.ctx.p ** b.k
+    return {"center": vector_to_json(b.ctx.vector([c + step * rng.randrange(9) for c in b.ints])), "k": b.k}
+
+
+def _random_model_json(rng, p, d, e):
+    """A model file over a random split of O^d, with negative valuations,
+    exact zeros, all-zero monomials and, in d = 2, product entries."""
+    N = rng.choice([4, 8, 12])
+    ctx = PadicContext(p, N)
+    balls = _split_unit_ball(ctx, rng, d, 3 if p ** d <= 4 else 2 if p ** d <= 9 else 1)
+    pieces = []
+    for b in balls:
+        poly = []
+        for _ in range(rng.randrange(5)):
+            zero = rng.random() < 0.15
+            poly.append({"exps": [rng.randrange(3) for _ in range(d)],
+                         "coef": [_json_scalar(rng, p, N, zero) for _ in range(e)]})
+        pieces.append({"ball": _json_ball(rng, b), "poly": poly})
+    obj = {"codim": e, "pieces": pieces}
+    if rng.random() < 0.5:
+        obj["domain"] = {"balls": [_json_ball(rng, B(ctx, (0,) * d, 0))]}
+    if d == 2 and rng.random() < 0.5:
+        obj["product"] = [{"ball": _json_ball(rng, b), "u": _json_ball(rng, B(ctx, b.ints[:1], b.k)),
+                           "v": _json_ball(rng, B(ctx, b.ints[1:], b.k))} for b in balls]
+    return obj
+
+
+def _reference_model(obj):
+    """The model a file describes, built the way the loader built it before
+    it decoded straight into the integer store: PadicVector coefficients
+    from vector_from_json, balls from PadicVector centres, then
+    FunctionModel(pieces, e)."""
+    def ball(o):
+        return Ball(vector_from_json(o["center"]), o["k"])
+    pieces = [(ball(piece["ball"]), {tuple(m["exps"]): vector_from_json(m["coef"]) for m in piece["poly"]})
+              for piece in obj["pieces"]]
+    factors = {ball(f["ball"]): (ball(f["u"]), ball(f["v"])) for f in obj.get("product", [])}
+    return FunctionModel(pieces, obj["codim"], factors)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("model_from_json built a PadicScalar, a PadicVector or called FunctionModel.__init__")
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_loader_matches_padicvector_reference(p, d, monkeypatch):
+    rng = random.Random(100 * p + d)
+    scaled = 0
+    for i in range(12):
+        obj = _random_model_json(rng, p, d, 1 + i % 2)
+        ref = _reference_model(obj)
+        with monkeypatch.context() as m:
+            for cls in (PadicScalar, PadicVector, FunctionModel):
+                m.setattr(cls, "__init__", _refuse)
+            f = model_from_json(obj)
+        assert f._store == ref._store
+        assert f.domain == ref.domain
+        assert f.pieces == ref.pieces
+        assert f.factors == ref.factors
+        scaled += any(s for s, _ in f._store.values())
+    assert scaled, "no model with a negative valuation"
 
 
 def test_dq_domain_membership_helper():

@@ -19,7 +19,7 @@ from ucalc.calculus import (
 from ucalc.cia import algebra_from_json, algebra_to_json, qp_algebra
 from ucalc.cli import MAX_INDUCED_CELLS, ParseError, canonical_json, convert, main, too_many_cells
 from ucalc.diffeo import BallEndo, CertifiedDiffeo, certify_omega, induced_level_map
-from ucalc.padic import PadicContext, scalar_from_json, scalar_to_json, vector_from_json, vector_to_json
+from ucalc.padic import PRIME_BOUND, PadicContext, scalar_from_json, scalar_to_json, vector_from_json, vector_to_json
 from ucalc.suites import SUITES, ConfigInvalid, SuiteConfig, UnknownSuite, _monomials, run_suite
 from fractions import Fraction
 
@@ -177,6 +177,27 @@ def test_convert_ball_canonicalizes_center():
 def test_convert_model_fixed_point():
     obj = model_to_json(model({(1,): (1,), (2,): (3,)}))
     assert convert(obj, "model", "model") == obj
+
+
+def test_convert_model_drops_zero_monomials_and_is_idempotent():
+    """A monomial whose coefficients are all exact zeros is left out of the
+    canonical form; a coefficient vector with some nonzero scalar stays."""
+    zero, one = scalar_to_json(CTX3.zero()), scalar_to_json(CTX3.one())
+    f = {"codim": 2, "pieces": [{"ball": ball_to_json(ROOT), "poly": [
+        {"exps": [0], "coef": [zero, zero]},
+        {"exps": [1], "coef": [zero, one]},
+        {"exps": [2], "coef": [one, one]},
+    ]}]}
+    out = convert(f, "model", "model")
+    assert out == {
+        "codim": 2,
+        "domain": region_to_json(ClopenRegion([ROOT])),
+        "pieces": [{"ball": ball_to_json(ROOT), "poly": [
+            {"exps": [1], "coef": [zero, one]},
+            {"exps": [2], "coef": [one, one]},
+        ]}],
+    }
+    assert convert(out, "model", "model") == out
 
 
 def test_convert_ball_lifts_to_region():
@@ -395,19 +416,57 @@ def _plant(obj, keys, value):
     return obj
 
 
-# (where the bad value goes, the bad value, the path it is reported at)
+def _scalar(p=3, v=0, N=12, digits=None):
+    """A JSON scalar with N digits, by default the unit 1."""
+    return {"p": p, "v": v, "digits": digits if digits is not None else [1] + [0] * (N - 1)}
+
+
+_COEF = ("pieces", 0, "poly", 0, "coef", 0)
+_PIECE = GOOD_MODEL["pieces"][0]
+_NESTED = _plant(_PIECE, ("ball", "k"), 1)
+
+# (where the bad value goes, the bad value, the path it is reported at, the
+# message): each message as the loader gave it before it decoded scalars
+# straight into the integer store
 MALFORMED_MODELS = [
-    (("pieces", 0, "poly", 0, "coef", 0, "digits"), [1, "x"], "$.pieces[0].poly[0].coef[0].digits[1]"),
-    (("pieces", 0, "poly", 0, "coef", 0, "p"), "3", "$.pieces[0].poly[0].coef[0].p"),
-    (("pieces", 0, "poly", 0, "coef", 0, "v"), True, "$.pieces[0].poly[0].coef[0].v"),
-    (("pieces", 0, "poly", 0, "exps"), ["a"], "$.pieces[0].poly[0].exps"),
-    (("pieces", 0, "poly", 0, "exps"), [1, 2], "$.pieces[0].poly[0].exps"),
-    (("pieces", 0, "poly"), 7, "$.pieces[0].poly"),
-    (("pieces", 0, "ball", "k"), 13, "$.pieces[0].ball"),
-    (("product",), 5, "$.product"),
-    (("pieces",), [5], "$.pieces[0]"),
-    (("pieces",), [{}], "$.pieces[0]"),
-    (("codim",), 2, "$.pieces[0].poly[0].coef"),
+    (_COEF + ("digits",), [1, "x"], "$.pieces[0].poly[0].coef[0].digits[1]", "digit out of range for p=3: 'x'"),
+    (_COEF + ("digits",), [3] + [0] * 11, "$.pieces[0].poly[0].coef[0].digits[0]",
+     "digit out of range for p=3: 3"),
+    (_COEF + ("digits",), [1] + [0] * 5 + [3] + [0] * 5, "$.pieces[0].poly[0].coef[0].digits[6]",
+     "digit out of range for p=3: 3"),
+    (_COEF + ("digits",), [1] + [0] * 10 + [-1], "$.pieces[0].poly[0].coef[0].digits[11]",
+     "digit out of range for p=3: -1"),
+    (_COEF + ("digits",), [0, 1] + [0] * 10, "$.pieces[0].poly[0].coef[0].digits[0]",
+     "leading digit must be nonzero for a nonzero scalar"),
+    (_COEF, _scalar(v="inf"), "$.pieces[0].poly[0].coef[0].digits", "zero scalar must have all-zero digits"),
+    (_COEF + ("p",), "3", "$.pieces[0].poly[0].coef[0].p", "p must be an int, got '3'"),
+    (_COEF + ("p",), True, "$.pieces[0].poly[0].coef[0].p", "p must be an int, got True"),
+    (_COEF + ("p",), 4, "$.pieces[0].poly[0].coef[0].p", "p must be prime, got 4"),
+    (_COEF + ("p",), PRIME_BOUND, "$.pieces[0].poly[0].coef[0].p",
+     "primality is decided only below %d, got %d" % (PRIME_BOUND, PRIME_BOUND)),
+    (_COEF + ("v",), True, "$.pieces[0].poly[0].coef[0].v", 'valuation must be int or "inf", got True'),
+    (("pieces", 0, "poly", 0, "coef"), [_scalar(), _scalar(N=10)], "$.pieces[0].poly[0].coef[1]",
+     "vector coordinates disagree on (p, N)"),
+    (("pieces", 0, "poly", 0, "coef"), [_scalar(N=10)], "$.pieces[0].poly[0].coef",
+     "coefficient must be 1 scalars in PadicContext(p=3, N=12)"),
+    (("pieces", 0, "poly", 0, "exps"), ["a"], "$.pieces[0].poly[0].exps", "exps must be 1 nonnegative ints, got ['a']"),
+    (("pieces", 0, "poly", 0, "exps"), [True], "$.pieces[0].poly[0].exps",
+     "exps must be 1 nonnegative ints, got [True]"),
+    (("pieces", 0, "poly", 0, "exps"), [1, 2], "$.pieces[0].poly[0].exps",
+     "exps must be 1 nonnegative ints, got [1, 2]"),
+    (("pieces", 0, "poly"), 7, "$.pieces[0].poly", "poly must be an array of monomials"),
+    (("pieces", 0, "ball", "k"), 13, "$.pieces[0].ball", "ball level 13 exceeds the context precision N=12"),
+    (("pieces", 0, "ball", "k"), True, "$.pieces[0].ball.k", "ball level k must be an int"),
+    (("pieces", 0, "ball", "center", 0), _scalar(v=-1), "$.pieces[0].ball", "ball center must lie in O^d"),
+    (("product",), 5, "$.product", "product must be an array"),
+    (("pieces",), [5], "$.pieces[0]", "piece must be an object with a ball"),
+    (("pieces",), [{}], "$.pieces[0]", "piece must be an object with a ball"),
+    (("pieces",), [_PIECE, _PIECE], "$",
+     "piece balls Ball(p=3, k=0, center=[0]) and Ball(p=3, k=0, center=[0]) overlap"),
+    (("pieces",), [_PIECE, _NESTED], "$",
+     "piece balls Ball(p=3, k=0, center=[0]) and Ball(p=3, k=1, center=[0]) overlap"),
+    (("codim",), True, "$.codim", "codim must be a positive int"),
+    (("codim",), 2, "$.pieces[0].poly[0].coef", "coefficient must be 2 scalars in PadicContext(p=3, N=12)"),
 ]
 
 
@@ -433,16 +492,16 @@ def _model_readers(tmp_path, model_obj):
     ]
 
 
-@pytest.mark.parametrize("keys,value,path", MALFORMED_MODELS)
-def test_malformed_model_exits_2_with_path(keys, value, path, tmp_path, capsys):
+@pytest.mark.parametrize("keys,value,path,message", MALFORMED_MODELS)
+def test_malformed_model_exits_2_with_path(keys, value, path, message, tmp_path, capsys):
     bad = _plant(GOOD_MODEL, keys, value)
     with pytest.raises(ParseError) as info:
         model_from_json(bad)
-    assert info.value.path == path
+    assert (info.value.path, str(info.value)) == (path, "%s at %s" % (message, path))
     for argv, prefix in _model_readers(tmp_path, bad):
         code, payload, err = run(capsys, argv)
-        assert code == 2, argv
-        assert payload["path"] == prefix + path[1:], argv
+        where = prefix + path[1:]
+        assert (code, payload) == (2, {"error": "%s at %s" % (message, where), "path": where}), argv
         assert "Traceback" not in err
 
 

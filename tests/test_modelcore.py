@@ -26,6 +26,7 @@ from ucalc.balls import Ball, ball_relation
 from ucalc.calculus import (
     FunctionModel,
     _local_coeffs,
+    add_identity,
     compose,
     find_certificate,
     model_add,
@@ -48,6 +49,13 @@ LAYOUTS = {
     ] + [
         (tuple(p * o for o in off), 2) for off in itertools.product(range(p), repeat=d)
     ],
+    # levels 1 to 3; `models` draws it only when asked
+    "deep": lambda p, d: [
+        (tuple(p ** (k - 1) * o for o in off), k)
+        for k in (1, 2) for off in itertools.product(range(p), repeat=d) if any(off)
+    ] + [
+        (tuple(p * p * o for o in off), 3) for off in itertools.product(range(p), repeat=d)
+    ],
 }
 
 
@@ -60,7 +68,7 @@ def scalars(draw, ctx, vmin):
 
 
 @st.composite
-def models(draw, ctx, d, e, layouts=tuple(LAYOUTS), vmin=-2, deg=2):
+def models(draw, ctx, d, e, layouts=("one", "children", "mixed"), vmin=-2, deg=2):
     """Model with coefficients u*p^v, v in [vmin, 3], some exactly zero."""
     layout = LAYOUTS[draw(st.sampled_from(layouts))](ctx.p, d)
     exps = [x for x in itertools.product(range(deg + 1), repeat=d) if sum(x) <= deg]
@@ -337,6 +345,37 @@ def test_from_displacement_matches_the_fraction_route(data):
     gamma = ref_add(ident, sigma)
     assert same(endo.gamma, gamma)
     assert same(endo.sigma, ref_add(gamma, ref_scale(ident, Fraction(-1))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_add_identity_carries_the_charts_f_has(data):
+    """add_identity(f, +-1) carries every chart f has already computed, and
+    each carried chart is the Taylor shift of the new store; the stores
+    are at their least scale, so no scale moves."""
+    ctx, d = data.draw(settings_pd())
+    f = data.draw(models(ctx, d, d, layouts=tuple(LAYOUTS)))
+    for ball in data.draw(st.lists(st.sampled_from(f.piece_balls()), unique=True)):
+        f.chart(ball)
+    for sign in (1, -1):
+        g = add_identity(f, sign)
+        assert set(g._charts) == set(f._charts)
+        for ball, chart in g._charts.items():
+            assert chart == _local_coeffs(g._store[ball], ball)
+
+
+def test_add_identity_recomputes_a_chart_whose_scale_moved():
+    """A store above its least scale (3x + 3 over 3, built unchecked) is
+    cut to scale 0 by add_identity, so its chart is not carried but
+    computed on first use."""
+    ctx = CTX[3]
+    ball = Ball.from_ints(ctx, (1,), 1)
+    f = FunctionModel._build(ctx, 1, 1, {ball: (1, ({(1,): 3, (0,): 3},))})
+    f.chart(ball)
+    g = add_identity(f)
+    assert g._store[ball] == (0, ({(1,): 2, (0,): 1},))
+    assert ball not in g._charts
+    assert g.chart(ball) == _local_coeffs(g._store[ball], ball)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
