@@ -427,9 +427,21 @@ _NESTED = _plant(_PIECE, ("ball", "k"), 1)
 
 # (where the bad value goes, the bad value, the path it is reported at, the
 # message): each message as the loader gave it before it decoded scalars
-# straight into the integer store
+# straight into the integer store.  New cases go at the end, so the test
+# ids of the earlier ones stay.
 MALFORMED_MODELS = [
     (_COEF + ("digits",), [1, "x"], "$.pieces[0].poly[0].coef[0].digits[1]", "digit out of range for p=3: 'x'"),
+    (_COEF + ("p",), "3", "$.pieces[0].poly[0].coef[0].p", "p must be an int, got '3'"),
+    (_COEF + ("v",), True, "$.pieces[0].poly[0].coef[0].v", 'valuation must be int or "inf", got True'),
+    (("pieces", 0, "poly", 0, "exps"), ["a"], "$.pieces[0].poly[0].exps", "exps must be 1 nonnegative ints, got ['a']"),
+    (("pieces", 0, "poly", 0, "exps"), [1, 2], "$.pieces[0].poly[0].exps",
+     "exps must be 1 nonnegative ints, got [1, 2]"),
+    (("pieces", 0, "poly"), 7, "$.pieces[0].poly", "poly must be an array of monomials"),
+    (("pieces", 0, "ball", "k"), 13, "$.pieces[0].ball", "ball level 13 exceeds the context precision N=12"),
+    (("product",), 5, "$.product", "product must be an array"),
+    (("pieces",), [5], "$.pieces[0]", "piece must be an object with a ball"),
+    (("pieces",), [{}], "$.pieces[0]", "piece must be an object with a ball"),
+    (("codim",), 2, "$.pieces[0].poly[0].coef", "coefficient must be 2 scalars in PadicContext(p=3, N=12)"),
     (_COEF + ("digits",), [3] + [0] * 11, "$.pieces[0].poly[0].coef[0].digits[0]",
      "digit out of range for p=3: 3"),
     (_COEF + ("digits",), [1] + [0] * 5 + [3] + [0] * 5, "$.pieces[0].poly[0].coef[0].digits[6]",
@@ -439,34 +451,23 @@ MALFORMED_MODELS = [
     (_COEF + ("digits",), [0, 1] + [0] * 10, "$.pieces[0].poly[0].coef[0].digits[0]",
      "leading digit must be nonzero for a nonzero scalar"),
     (_COEF, _scalar(v="inf"), "$.pieces[0].poly[0].coef[0].digits", "zero scalar must have all-zero digits"),
-    (_COEF + ("p",), "3", "$.pieces[0].poly[0].coef[0].p", "p must be an int, got '3'"),
     (_COEF + ("p",), True, "$.pieces[0].poly[0].coef[0].p", "p must be an int, got True"),
     (_COEF + ("p",), 4, "$.pieces[0].poly[0].coef[0].p", "p must be prime, got 4"),
     (_COEF + ("p",), PRIME_BOUND, "$.pieces[0].poly[0].coef[0].p",
      "primality is decided only below %d, got %d" % (PRIME_BOUND, PRIME_BOUND)),
-    (_COEF + ("v",), True, "$.pieces[0].poly[0].coef[0].v", 'valuation must be int or "inf", got True'),
     (("pieces", 0, "poly", 0, "coef"), [_scalar(), _scalar(N=10)], "$.pieces[0].poly[0].coef[1]",
      "vector coordinates disagree on (p, N)"),
     (("pieces", 0, "poly", 0, "coef"), [_scalar(N=10)], "$.pieces[0].poly[0].coef",
      "coefficient must be 1 scalars in PadicContext(p=3, N=12)"),
-    (("pieces", 0, "poly", 0, "exps"), ["a"], "$.pieces[0].poly[0].exps", "exps must be 1 nonnegative ints, got ['a']"),
     (("pieces", 0, "poly", 0, "exps"), [True], "$.pieces[0].poly[0].exps",
      "exps must be 1 nonnegative ints, got [True]"),
-    (("pieces", 0, "poly", 0, "exps"), [1, 2], "$.pieces[0].poly[0].exps",
-     "exps must be 1 nonnegative ints, got [1, 2]"),
-    (("pieces", 0, "poly"), 7, "$.pieces[0].poly", "poly must be an array of monomials"),
-    (("pieces", 0, "ball", "k"), 13, "$.pieces[0].ball", "ball level 13 exceeds the context precision N=12"),
     (("pieces", 0, "ball", "k"), True, "$.pieces[0].ball.k", "ball level k must be an int"),
     (("pieces", 0, "ball", "center", 0), _scalar(v=-1), "$.pieces[0].ball", "ball center must lie in O^d"),
-    (("product",), 5, "$.product", "product must be an array"),
-    (("pieces",), [5], "$.pieces[0]", "piece must be an object with a ball"),
-    (("pieces",), [{}], "$.pieces[0]", "piece must be an object with a ball"),
     (("pieces",), [_PIECE, _PIECE], "$",
      "piece balls Ball(p=3, k=0, center=[0]) and Ball(p=3, k=0, center=[0]) overlap"),
     (("pieces",), [_PIECE, _NESTED], "$",
      "piece balls Ball(p=3, k=0, center=[0]) and Ball(p=3, k=1, center=[0]) overlap"),
     (("codim",), True, "$.codim", "codim must be a positive int"),
-    (("codim",), 2, "$.pieces[0].poly[0].coef", "coefficient must be 2 scalars in PadicContext(p=3, N=12)"),
 ]
 
 
@@ -492,8 +493,9 @@ def _model_readers(tmp_path, model_obj):
     ]
 
 
-@pytest.mark.parametrize("keys,value,path,message", MALFORMED_MODELS)
-def test_malformed_model_exits_2_with_path(keys, value, path, message, tmp_path, capsys):
+@pytest.mark.parametrize("keys,value,path", [case[:3] for case in MALFORMED_MODELS])
+def test_malformed_model_exits_2_with_path(keys, value, path, tmp_path, capsys):
+    message = next(m for k, v, p, m in MALFORMED_MODELS if (k, v, p) == (keys, value, path))
     bad = _plant(GOOD_MODEL, keys, value)
     with pytest.raises(ParseError) as info:
         model_from_json(bad)

@@ -7,8 +7,9 @@ pieces.  `convert --from model` and `diffeo certify` then run in-process
 on each file.  Every run must exit with 0, 1 or 2, print one JSON object
 on stdout and no traceback.
 
-Swapped ints stay small: the loader has no bound on codim or on a
-valuation, so a huge one makes it allocate without limit (CHANGES.md).
+Swapped ints stay small: nothing bounds codim or a valuation yet, and a
+huge codim allocates without limit while a huge valuation makes
+`convert` run for minutes (CHANGES.md, FOUND lines).
 """
 
 import contextlib
