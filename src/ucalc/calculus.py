@@ -119,7 +119,7 @@ class FunctionModel:
     @classmethod
     def from_store(cls, pieces, e, factors=None):
         """Model from a list of (ball, (s, polys)) pieces, each cut to N digits
-        at its least scale; refuses no pieces or overlapping balls."""
+        at its least scale; refuses an empty list and overlapping balls."""
         if not pieces:
             raise ValueError("a model needs at least one piece")
         index = BallIndex(b for b, _ in pieces)
