@@ -256,6 +256,11 @@ class ClopenRegion:
         # pieces are sorted by level, so the last one is the finest
         return self.balls[-1].k if self.balls else 0
 
+    def contains_ints(self, ints):
+        """Membership of a point given by its residues mod p**j, j at least
+        the region's finest level."""
+        return self.index.at(ints) is not None
+
     def contains_fractions(self, frs):
         return self.index.at_fractions(frs) is not None
 

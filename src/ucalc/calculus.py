@@ -1047,11 +1047,16 @@ MAX_DEGREE = 16
 # workloads load at most 25.
 MAX_PIECES = 2048
 
+# Largest codim that model_from_json accepts: every piece holds one
+# polynomial per output coordinate, so memory grows with codim times the
+# piece count whatever the file holds (62 MB for one empty piece at
+# codim 400000).  The golden cases and benchmark workloads use at most 2.
+MAX_CODIM = 64
+
 
 def _piece_from_json(entry, path, e):
-    """(ball, store entry, coefficients) of one model piece, built from the
-    decoded (v, u) of each coefficient; the checks across pieces are left
-    to the caller."""
+    """(ball, store entry) of one model piece, built from the decoded (v, u)
+    of each coefficient; the checks across pieces are left to the caller."""
     if not isinstance(entry, dict) or "ball" not in entry:
         raise ParseError("piece must be an object with a ball", path)
     ball = ball_from_json(entry["ball"], path + ".ball")
@@ -1077,7 +1082,7 @@ def _piece_from_json(entry, path, e):
     s = max([0] + [-v for parts in coeffs.values() for v, u in parts if u])
     polys = tuple({x: parts[j][1] * ball.ctx.p ** (parts[j][0] + s) for x, parts in coeffs.items()
                    if parts[j][1]} for j in range(e))
-    return ball, (s, polys), coeffs
+    return ball, (s, polys)
 
 
 def model_from_json(obj, path="$"):
@@ -1086,6 +1091,8 @@ def model_from_json(obj, path="$"):
     e = obj["codim"]
     if type(e) is not int or e < 1:
         raise ParseError("codim must be a positive int", path + ".codim")
+    if e > MAX_CODIM:
+        raise ParseError("codim %d exceeds the limit %d" % (e, MAX_CODIM), path + ".codim")
     if not isinstance(obj["pieces"], list):
         raise ParseError("pieces must be an array", path + ".pieces")
     count = len(obj["pieces"])
@@ -1109,9 +1116,12 @@ def model_from_json(obj, path="$"):
             )
             factors[ball] = (bu, bv)
     with at_path(path):
-        model = FunctionModel.from_store([(b, entry) for b, entry, _ in pieces], e, factors)
-        if any(b.ctx != model.ctx for b, _, coeffs in pieces if coeffs):
-            raise ValueError("coefficient context differs from ball context")
+        model = FunctionModel.from_store(pieces, e, factors)
+    # each coefficient shares its ball's context; every ball, with
+    # coefficients or without, shares the model's
+    for i, (b, _) in enumerate(pieces):
+        if b.ctx != model.ctx:
+            raise ParseError("piece balls disagree on (p, N)", "%s.pieces[%d].ball" % (path, i))
     if "domain" in obj:
         declared = region_from_json(obj["domain"], path + ".domain")
         if declared != model.domain:

@@ -177,6 +177,18 @@ def too_many_cells(p, d, m):
     return p ** min(d * m, MAX_INDUCED_CELLS.bit_length()) > MAX_INDUCED_CELLS
 
 
+def _ball_ints(ctx, frs):
+    """A point of O^d given by rationals, as the ints u*p^v of its scalars
+    cut to N digits; ValueError when a coordinate has negative valuation."""
+    out = []
+    for q in frs:
+        c = ctx.from_fraction(q)
+        if c.v < 0:
+            raise ValueError("y lies outside the unit ball")
+        out.append(0 if c.is_zero else c.u * ctx.p ** c.v)
+    return tuple(out)
+
+
 def _certify(endo, level, flag):
     """certify_omega at the level a flag gave; a level it refuses is a
     usage error naming that flag."""
@@ -195,7 +207,7 @@ def _cmd_diffeo(ns):
     level = ns.verify_level if ns.verify_level is not None else 3
     model = model_from_json(_read_json(ns.endo))
     if ns.action == "invert":
-        y = model.ctx.vector(_flag_values(ns.y, model.d, "y"))
+        y = _flag_values(ns.y, model.d, "y")
         if not 1 <= ns.prec <= model.ctx.N:
             raise UsageError("--prec must be between 1 and the precision N=%d, got %d" % (model.ctx.N, ns.prec))
     if ns.action == "induced" and ns.m < 1:
@@ -227,9 +239,10 @@ def _cmd_diffeo(ns):
     g = _certified(model, level)
     if ns.action == "invert":
         try:
-            x = invert_at(g, y, ns.prec)
+            pre = invert_at(g, _ball_ints(model.ctx, y), ns.prec)
         except (ValueError, IterationBudgetExceeded) as err:
             return 1, {"error": str(err)}, "inversion failed: %s" % err
+        x = model.ctx.vector(pre)
         return 0, {"preimage": vector_to_json(x)}, "preimage = %s" % (x,)
     perm = induced_level_map(g, ns.m)
     return 0, {"perm": list(perm), "m": ns.m}, "induced map on %d cells" % len(perm)

@@ -33,7 +33,6 @@ from .balls import Ball, ClopenRegion
 from .calculus import (
     CertificateInvalid,
     CompositionUncertified,
-    OutOfDomain,
     _image_in_ball,
     add_identity,
     compose,
@@ -340,21 +339,6 @@ def _fractions(ints):
     return tuple(Fraction(i) for i in ints)
 
 
-def _integral(x):
-    """Integer coordinates u*p^v of a point of O^d, read straight from its
-    scalars; OutOfDomain when a coordinate has negative valuation."""
-    p = x.ctx.p
-    out = []
-    for c in x.coords:
-        if c.is_zero:
-            out.append(0)
-        elif c.v < 0:
-            raise OutOfDomain("point %s outside the model domain" % (list(x.to_fractions()),))
-        else:
-            out.append(c.u * p ** c.v)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class IsometryReport:
     checked: int
@@ -367,9 +351,9 @@ def isometry_check(g, pairs):
     Any violation indicates a certification bug, so the report should
     always come back empty.
 
-    Points are read as integers u*p^v straight from their scalars, so
-    v(x - y) is the valuation of an int difference; a point outside O^d
-    raises OutOfDomain.  Pairs with x = y are counted and skipped.  The
+    Each pair holds two points of O^d as tuples of ints, so v(x - y) is
+    the valuation of an int difference; the violations are the failing
+    pairs as given.  Pairs with x = y are counted and skipped.  The
     outputs run on residues mod p^M, M one above the largest finite
     valuation of an input difference.  For x != y with v(x - y) = v < M,
     the output difference has valuation v exactly when it is 0 mod p^v
@@ -377,18 +361,14 @@ def isometry_check(g, pairs):
     """
     gamma = g.endo.gamma
     p = gamma.ctx.p
-    pts = []
-    for x, y in pairs:
-        xi, yi = _integral(x), _integral(y)
-        vin = min(fraction_valuation(a - b, p) for a, b in zip(xi, yi))
-        pts.append((x, y, xi, yi, vin))
+    pts = [(x, y, min(fraction_valuation(a - b, p) for a, b in zip(x, y))) for x, y in pairs]
     M = 1 + max((v for *_, v in pts if v != INF), default=0)
     mod = p ** M
     violations = []
-    for x, y, xi, yi, vin in pts:
+    for x, y, vin in pts:
         if vin == INF:
             continue
-        diffs = [a - b for a, b in zip(gamma.residues(xi, M), gamma.residues(yi, M))]
+        diffs = [a - b for a, b in zip(gamma.residues(x, M), gamma.residues(y, M))]
         if min(fraction_valuation(q % mod, p) for q in diffs) != vin:
             violations.append((x, y))
     return IsometryReport(checked=len(pts), violations=tuple(violations))
@@ -437,8 +417,9 @@ def _invert(endo, y, target_v, v_min):
 def invert_at(g, y, target_v):
     """Preimage of y under the certified map, correct to p^-target_v.
 
-    y is read as integers u*p^v straight from its scalars; a coordinate
-    of negative valuation, or a point of another dimension, raises
+    y is a point of O^d as a tuple of ints (any representatives), and
+    the preimage comes back as a tuple of ints in [0, p^M), M = target_v
+    + v_min + 2.  A tuple of another length than d raises
     ValueError("y lies outside the unit ball").  `_invert` trusts g.cert.
     """
     endo = g.endo
@@ -450,9 +431,9 @@ def invert_at(g, y, target_v):
             "target precision %d exceeds the context precision N=%d"
             % (target_v, ctx.N)
         )
-    if y.dim != endo.d or any(not c.is_zero and c.v < 0 for c in y.coords):
+    if len(y) != endo.d:
         raise ValueError("y lies outside the unit ball")
-    return ctx.vector(_invert(endo, _integral(y), target_v, g.cert.v_min))
+    return _invert(endo, y, target_v, g.cert.v_min)
 
 
 def _preimage_ball(g, ball):

@@ -36,6 +36,7 @@ from ucalc.suites import (
     rand_model,
     rand_region,
     rand_small_model,
+    rand_ints,
     rand_vector,
     run_suite,
 )
@@ -277,7 +278,7 @@ def test_07_certified_maps_are_isometries():
         for i in range(10):
             g = rand_diffeo(ctx, rng, d, multi_piece=i % 2 == 1)
             pairs = [
-                (rand_vector(ctx, rng, d), rand_vector(ctx, rng, d))
+                (rand_ints(ctx, rng, d), rand_ints(ctx, rng, d))
                 for _ in range(10 ** 3)
             ]
             rep = isometry_check(g, pairs)
@@ -297,21 +298,21 @@ def test_08_inversion_roundtrip():
     for i in range(5):
         g = rand_diffeo(ctx, rng, 1, multi_piece=i % 2 == 1)
         for _ in range(100):
-            y = rand_vector(ctx, rng, 1)
+            y = rand_ints(ctx, rng, 1)
             try:
                 x = invert_at(g, y, 12)
             except RuntimeError as err:
                 bad.append((i, "budget", str(err)))
                 continue
             res = tuple(
-                a - b for a, b in zip(g.gamma._eval_fr(x.to_fractions()), y.to_fractions())
+                a - b for a, b in zip(g.gamma._eval_fr(tuple(map(Fraction, x))), y)
             )
             if any(q and fraction_valuation(q, 3) < 12 for q in res):
                 bad.append((i, "residual", y))
         perm = []
         for repnt in root.level_reps(3):
-            x = invert_at(g, ctx.vector(repnt), 3)
-            img = g.gamma._eval_fr(x.to_fractions())
+            x = invert_at(g, repnt, 3)
+            img = g.gamma._eval_fr(tuple(map(Fraction, x)))
             perm.append(tuple(int(q) % 27 for q in img))
         if perm != [tuple(r) for r in root.level_reps(3)]:
             bad.append((i, "roundtrip cells"))
@@ -511,8 +512,8 @@ def test_12_compactly_supported_maps():
         for ball, cert in dec.certificates.items():
             chart_root = Ball.from_ints(ctx, (0,), 0)
             for repnt in chart_root.level_reps(3):
-                x = invert_at(cert, ctx.vector(repnt), 3)
-                img = cert.gamma._eval_fr(x.to_fractions())
+                x = invert_at(cert, repnt, 3)
+                img = cert.gamma._eval_fr(tuple(map(Fraction, x)))
                 if any(fraction_valuation(q - c2, 3) < 3 for q, c2 in zip(img, repnt) if q != c2):
                     bad.append(("certificate inversion", i, ball))
                     break

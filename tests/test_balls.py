@@ -450,6 +450,27 @@ def test_region_contains_fractions_matches_per_ball_reference(kind, data):
         assert want is False
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_region_contains_ints_matches_contains_fractions(data):
+    """Int points near a ball of the region, carrying digits past the
+    region's finest level, some negative, some moved by one p^j."""
+    p = data.draw(st.sampled_from(sorted(CTXS)))
+    d = data.draw(st.sampled_from((1, 2)))
+    ctx = CTXS[p]
+    region = data.draw(_regions(ctx, d, 3, min_size=0))
+    near = data.draw(_ball(ctx, d, 3)) if region.empty else data.draw(st.sampled_from(region.balls))
+    top = region.max_level()
+    pt = tuple(
+        c + p ** near.k * data.draw(st.integers(-p ** (top + 4), p ** (top + 4)))
+        + data.draw(st.sampled_from((0, 0, p ** data.draw(st.integers(0, top + 2)))))
+        for c in near.ints
+    )
+    want = region.contains_fractions(tuple(map(Fraction, pt)))
+    assert region.contains_ints(pt) is want
+    assert any(b.contains_ints(pt) for b in region.balls) is want
+
+
 # Differential tests of BallIndex, the one decision of point location,
 # containment and overlap, against ball_relation scans and point sets at
 # the finest level, over p in {2, 3, 5}, d in {1, 2} and levels <= 4, with

@@ -8,6 +8,7 @@ import pytest
 
 from ucalc.balls import Ball, ClopenRegion, ball_from_json, ball_to_json, region_from_json, region_to_json
 from ucalc.calculus import (
+    MAX_CODIM,
     MAX_COMPOSITE_DEGREE,
     MAX_DEGREE,
     MAX_PIECES,
@@ -19,8 +20,17 @@ from ucalc.calculus import (
 from ucalc.cia import algebra_from_json, algebra_to_json, qp_algebra
 from ucalc.cli import MAX_INDUCED_CELLS, ParseError, canonical_json, convert, main, too_many_cells
 from ucalc.diffeo import BallEndo, CertifiedDiffeo, certify_omega, induced_level_map
-from ucalc.padic import PRIME_BOUND, PadicContext, scalar_from_json, scalar_to_json, vector_from_json, vector_to_json
-from ucalc.suites import SUITES, ConfigInvalid, SuiteConfig, UnknownSuite, _monomials, run_suite
+from ucalc.padic import MAX_VALUATION, PRIME_BOUND, PadicContext, scalar_from_json, scalar_to_json, vector_from_json, vector_to_json
+from ucalc.suites import (
+    MAX_MONOMIALS,
+    SUITES,
+    ConfigInvalid,
+    SuiteConfig,
+    UnknownSuite,
+    _monomials,
+    run_suite,
+    too_many_monomials,
+)
 from fractions import Fraction
 
 CTX3 = PadicContext(3, 12)
@@ -468,6 +478,11 @@ MALFORMED_MODELS = [
     (("pieces",), [_PIECE, _NESTED], "$",
      "piece balls Ball(p=3, k=0, center=[0]) and Ball(p=3, k=1, center=[0]) overlap"),
     (("codim",), True, "$.codim", "codim must be a positive int"),
+    (_COEF + ("v",), MAX_VALUATION + 1, "$.pieces[0].poly[0].coef[0].v",
+     "valuation %d exceeds the limit %d" % (MAX_VALUATION + 1, MAX_VALUATION)),
+    (_COEF + ("v",), -MAX_VALUATION - 1, "$.pieces[0].poly[0].coef[0].v",
+     "valuation %d exceeds the limit %d" % (-MAX_VALUATION - 1, MAX_VALUATION)),
+    (("codim",), MAX_CODIM + 1, "$.codim", "codim %d exceeds the limit %d" % (MAX_CODIM + 1, MAX_CODIM)),
 ]
 
 
@@ -704,6 +719,76 @@ def test_induced_cell_budget_boundary(p, d, m):
     assert not too_many_cells(p, d, m)
     assert too_many_cells(p, d, m + 1)
     assert too_many_cells(p, d, 10 ** 9)
+
+
+@pytest.mark.parametrize("v", [MAX_VALUATION, -MAX_VALUATION])
+def test_loader_accepts_valuations_at_the_limit(v, tmp_path, capsys):
+    import time
+
+    obj = _plant(GOOD_MODEL, _COEF + ("v",), v)
+    path = write(tmp_path, "v.json", obj)
+    start = time.perf_counter()
+    code, payload, _ = run(capsys, ["convert", "--file", path, "--from", "model", "--to", "model"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert payload["pieces"][0]["poly"][0]["coef"][0]["v"] == v
+
+
+@pytest.mark.parametrize("v", [MAX_VALUATION + 1, -MAX_VALUATION - 1, 10 ** 6])
+def test_scalar_loader_refuses_valuations_past_the_limit(v, tmp_path, capsys):
+    path = write(tmp_path, "s.json", _scalar(v=v))
+    code, payload, err = run(capsys, ["convert", "--file", path, "--from", "scalar", "--to", "scalar"])
+    assert (code, payload["path"]) == (2, "$.v")
+    assert "Traceback" not in err
+    assert scalar_from_json(_scalar(v=MAX_VALUATION)).v == MAX_VALUATION
+
+
+def test_loader_accepts_codim_at_the_limit():
+    obj = {"codim": MAX_CODIM, "pieces": [{"ball": ball_to_json(ROOT), "poly": []}]}
+    assert model_from_json(obj).e == MAX_CODIM
+    obj["codim"] += 1
+    with pytest.raises(ParseError) as info:
+        model_from_json(obj)
+    assert info.value.path == "$.codim"
+
+
+def test_loader_refuses_a_monomial_free_piece_of_another_precision(tmp_path, capsys):
+    """Three level-1 pieces of a p = 3 model at N = 12; the second has no
+    monomials and a ball centre of 5 digits."""
+    mono = [{"exps": [1], "coef": vector_to_json(CTX3.vector([1]))}]
+    pieces = [{"ball": ball_to_json(Ball.from_ints(CTX3, (c,), 1)), "poly": mono} for c in range(3)]
+    pieces[1] = {"ball": ball_to_json(Ball.from_ints(PadicContext(3, 5), (1,), 1)), "poly": []}
+    path = write(tmp_path, "mixed.json", {"codim": 1, "pieces": pieces})
+    code, payload, err = run(capsys, ["convert", "--file", path, "--from", "model", "--to", "model"])
+    assert (code, payload) == (2, {"error": "piece balls disagree on (p, N) at $.pieces[1].ball",
+                                   "path": "$.pieces[1].ball"})
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("d, deg", [(1, MAX_MONOMIALS - 1), (2, 360), (4, 32), (6, 15), (16, 5)])
+def test_monomial_limit_boundary(d, deg):
+    """The last degree inside the limit and the first past it; the count is
+    computed, no monomial is enumerated."""
+    assert math.comb(d + deg, d) <= MAX_MONOMIALS < math.comb(d + deg + 1, d)
+    assert not too_many_monomials(d, deg) and not too_many_monomials(deg, d)
+    assert too_many_monomials(d, deg + 1) and too_many_monomials(deg + 1, d)
+    assert too_many_monomials(d, 10 ** 18) and too_many_monomials(10 ** 18, 10 ** 18)
+
+
+@pytest.mark.parametrize("suite, d, deg", [("eval-deriv", 30, 10), ("chain-rule", 200, 8), ("scaling", 6, 17),
+                                           ("comp-deriv", 1, MAX_MONOMIALS)])
+def test_suites_past_the_monomial_limit_exit_2_before_drawing(suite, d, deg, capsys, monkeypatch):
+    from ucalc import suites
+
+    def no_enumeration(*args):
+        raise AssertionError("monomials enumerated")
+
+    monkeypatch.setattr(suites, "_monomials", no_enumeration)
+    code, payload, err = run(capsys, ["verify", suite, "--d", str(d), "--deg", str(deg), "--samples", "1"])
+    assert code == 2
+    assert payload["error"] == "--d %d and --deg %d give C(%d, %d) monomials, more than the %d allowed" % (
+        d, deg, d + deg, d, MAX_MONOMIALS)
+    assert "Traceback" not in err
 
 
 def test_induced_past_the_cell_budget_exits_2_before_certifying(tmp_path, capsys):

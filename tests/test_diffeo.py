@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ucalc.balls import Ball, ClopenRegion
-from ucalc.calculus import CertificateInvalid, FunctionModel, OutOfDomain, _image_in_ball
+from ucalc.calculus import CertificateInvalid, FunctionModel, _image_in_ball, model_to_json
+from ucalc.cli import main
 from ucalc.diffeo import (
     BallEndo,
     CertifiedDiffeo,
@@ -62,7 +64,12 @@ def certified(ctx, coeffs, d=1, m=3):
 
 
 def rand_points(ctx, rng, n, d=1):
-    return [ctx.vector([rng.randrange(ctx.p ** ctx.N) for _ in range(d)]) for _ in range(n)]
+    """n random points of O^d as int tuples below p^N."""
+    return [tuple(rng.randrange(ctx.p ** ctx.N) for _ in range(d)) for _ in range(n)]
+
+
+def fractions(ints):
+    return tuple(Fraction(a) for a in ints)
 
 
 def test_halfball_valuation():
@@ -256,14 +263,6 @@ def test_isometry_translation_and_multi_piece():
     assert isometry_check(g, pairs).violations == ()
 
 
-def test_isometry_non_integral_point_is_out_of_domain():
-    g = certified(CTX3, {(2,): (3,)})
-    third = CTX3.vector([Fraction(1, 3)])
-    for pair in [(third, CTX3.vector([1])), (CTX3.vector([1]), third)]:
-        with pytest.raises(OutOfDomain, match=r"point \[Fraction\(1, 3\)\] outside the model domain"):
-            isometry_check(g, [pair])
-
-
 def test_isometry_counts_and_skips_equal_pairs_and_zero_coordinates():
     sigma = FunctionModel(
         [(B(CTX3, (0, 0), 0), {(0, 2): CTX3.vector([3, 0]), (1, 0): CTX3.vector([0, 9])})],
@@ -271,8 +270,8 @@ def test_isometry_counts_and_skips_equal_pairs_and_zero_coordinates():
     )
     endo = BallEndo.from_displacement(sigma)
     g = CertifiedDiffeo(endo=endo, cert=certify_omega(endo))
-    zero, x = CTX3.vector([0, 0]), CTX3.vector([0, 5])
-    pairs = [(zero, zero), (x, x), (zero, x), (x, CTX3.vector([9, 5])), (CTX3.vector([27, 0]), zero)]
+    zero, x = (0, 0), (0, 5)
+    pairs = [(zero, zero), (x, x), (zero, x), (x, (9, 5)), ((27, 0), zero)]
     rep = isometry_check(g, pairs)
     assert rep.checked == 5
     assert rep.violations == ()
@@ -280,7 +279,7 @@ def test_isometry_counts_and_skips_equal_pairs_and_zero_coordinates():
     # violation, the equal pair is counted and skipped
     crush = BallEndo.from_displacement(root_disp(CTX3, {(1,): (2,)}))
     forged = CertifiedDiffeo(endo=crush, cert=OmegaCertificate(v_min=1, method="coefficient-bound"))
-    z, one = CTX3.vector([0]), CTX3.vector([1])
+    z, one = (0,), (1,)
     rep = isometry_check(forged, [(z, one), (one, one), (z, z)])
     assert rep.checked == 3
     assert rep.violations == ((z, one),)
@@ -288,14 +287,12 @@ def test_isometry_counts_and_skips_equal_pairs_and_zero_coordinates():
 
 def test_invert_identity():
     g = certified(CTX3, {})
-    y = CTX3.vector([7])
-    assert invert_at(g, y, 12) == y
+    assert CTX3.vector(invert_at(g, (7,), 12)) == CTX3.vector([7])
 
 
 def test_invert_translation_exact():
     g = certified(CTX3, {(0,): (3,)})
-    x = invert_at(g, CTX3.vector([1]), 12)
-    assert x.coords[0] == CTX3.from_int(1) - CTX3.from_int(3)
+    assert CTX3.vector(invert_at(g, (1,), 12)) == CTX3.vector([1 - 3])
 
 
 def test_invert_quadratic_residual():
@@ -303,32 +300,36 @@ def test_invert_quadratic_residual():
     rng = random.Random(14)
     for y in rand_points(CTX3, rng, 25):
         x = invert_at(g, y, 12)
-        gx = g.gamma._eval_fr(x.to_fractions())
-        resid = gx[0] - y.to_fractions()[0]
+        resid = g.gamma._eval_fr(fractions(x))[0] - y[0]
         assert resid == 0 or fraction_valuation(resid, 3) >= 12
 
 
 def test_invert_argument_validation():
     g = certified(CTX3, {(0,): (3,)})
     with pytest.raises(ValueError):
-        invert_at(g, CTX3.vector([CTX3.from_fraction(Fraction(1, 3))]), 6)
+        invert_at(g, (1, 0), 6)
     with pytest.raises(ValueError):
-        invert_at(g, CTX3.vector([1]), 13)
+        invert_at(g, (1,), 13)
     with pytest.raises(ValueError):
-        invert_at(g, CTX3.vector([1]), 0)
+        invert_at(g, (1,), 0)
 
 
-def test_invert_outside_the_unit_ball_raises_the_same_error():
+def test_invert_outside_the_unit_ball_raises_the_same_error(tmp_path, capsys):
+    # a point of another dimension is refused by invert_at; a coordinate
+    # of negative valuation by the command, which reads --y as ints
     g = certified(CTX3, {(0,): (3,)})
-    for y in [
-        CTX3.vector([CTX3.from_unit(-1, 2)]),
-        CTX3.vector([Fraction(5, 9)]),
-        CTX3.vector([1, 0]),
-    ]:
+    for y in [(1, 0), ()]:
         with pytest.raises(ValueError, match=r"^y lies outside the unit ball$"):
             invert_at(g, y, 6)
-    (x,) = invert_at(g, CTX3.vector([0]), 6).to_fractions()
+    (x,) = invert_at(g, (0,), 6)
     assert (x + 3) % 3 ** 6 == 0
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(model_to_json(g.gamma)))
+    for y in ["1/3", "5/9", "-7/81"]:
+        code = main(["diffeo", "invert", "--endo", str(path), "--y=" + y, "--prec", "6"])
+        out, err = capsys.readouterr()
+        assert (code, json.loads(out)) == (1, {"error": "y lies outside the unit ball"})
+        assert "Traceback" not in err
 
 
 def test_invert_budget_guard_on_forged_certificate():
@@ -338,7 +339,7 @@ def test_invert_budget_guard_on_forged_certificate():
     endo = BallEndo.from_displacement(root_disp(CTX3, {(1,): (1,)}))
     forged = CertifiedDiffeo(endo=endo, cert=OmegaCertificate(v_min=1, method="coefficient-bound"))
     with pytest.raises(IterationBudgetExceeded):
-        invert_at(forged, CTX3.vector([1]), 12)
+        invert_at(forged, (1,), 12)
 
 
 def test_preimage_law_exhaustive():
@@ -347,8 +348,7 @@ def test_preimage_law_exhaustive():
     g = certified(CTX3, {(2,): (3,)})
     for a, k in [(1, 1), (4, 2), (7, 2), (5, 3)]:
         target = B(CTX3, (a,), k)
-        pre_center = invert_at(g, CTX3.vector([a]), k)
-        pre = Ball(pre_center, k)
+        pre = B(CTX3, invert_at(g, (a,), k), k)
         for ints in B(CTX3, (0,), 0).level_reps(k + 1):
             x = tuple(Fraction(i) for i in ints)
             image = g.gamma._eval_fr(x)
@@ -363,8 +363,8 @@ def test_compose_with_identity():
     rng = random.Random(15)
     for left in (compose_diffeos(g, gid), compose_diffeos(gid, g)):
         for x in rand_points(CTX3, rng, 20):
-            lhs = left.gamma._eval_fr(x.to_fractions())[0]
-            rhs = g.gamma._eval_fr(x.to_fractions())[0]
+            lhs = left.gamma._eval_fr(fractions(x))[0]
+            rhs = g.gamma._eval_fr(fractions(x))[0]
             assert (lhs - rhs) % 3 ** 12 == 0
         assert induced_level_map(left, 3) == induced_level_map(g, 3)
 
@@ -374,7 +374,7 @@ def test_compose_translations():
     gg = compose_diffeos(g, g)
     rng = random.Random(16)
     for x in rand_points(CTX3, rng, 20):
-        assert gg.endo.sigma._eval_fr(x.to_fractions())[0] % 3 ** 12 == 6
+        assert gg.endo.sigma._eval_fr(fractions(x))[0] % 3 ** 12 == 6
 
 
 def test_compose_matches_pointwise_composition():
@@ -389,7 +389,7 @@ def test_compose_matches_pointwise_composition():
     gc = compose_diffeos(g1, g2)
     rng = random.Random(17)
     for x in rand_points(CTX3, rng, 30):
-        xf = x.to_fractions()
+        xf = fractions(x)
         mid = g2.gamma._eval_fr(xf)[0] % 3 ** 12
         rhs = g1.gamma._eval_fr((Fraction(mid),))[0]
         lhs = gc.gamma._eval_fr(xf)[0]
@@ -577,8 +577,8 @@ def test_inverse_roundtrip_induced_identity():
     for m in (1, 2, 3):
         reps = list(B(CTX3, (0,), 0).level_reps(m))
         for ints in reps:
-            x = invert_at(g, CTX3.vector(list(ints)), m)
-            img = g.gamma._eval_fr(x.to_fractions())[0]
+            x = invert_at(g, ints, m)
+            img = g.gamma._eval_fr(fractions(x))[0]
             assert img % 3 ** m == ints[0] % 3 ** m
 
 

@@ -7,9 +7,9 @@ pieces.  `convert --from model` and `diffeo certify` then run in-process
 on each file.  Every run must exit with 0, 1 or 2, print one JSON object
 on stdout and no traceback.
 
-Swapped ints stay small: nothing bounds codim or a valuation yet, and a
-huge codim allocates without limit while a huge valuation makes
-`convert` run for minutes (CHANGES.md, FOUND lines).
+Swapped ints include the limits on valuations and on codim and one past
+each, with both signs; a valuation or codim past its limit must be
+refused before it costs time or memory.
 """
 
 import contextlib
@@ -23,9 +23,9 @@ from datetime import timedelta
 from hypothesis import given, settings, strategies as st
 
 from ucalc.balls import Ball
-from ucalc.calculus import FunctionModel, model_to_json, product_model
+from ucalc.calculus import MAX_CODIM, FunctionModel, model_to_json, product_model
 from ucalc.cli import main
-from ucalc.padic import PRIME_BOUND, PadicContext
+from ucalc.padic import MAX_VALUATION, PRIME_BOUND, PadicContext
 
 
 def _bases():
@@ -48,8 +48,11 @@ BASES = _bases()
 # test prime, the primality bound itself, and numbers that are not prime
 HUGE_P = [2 ** 61 - 1, 2 ** 89 - 1, PRIME_BOUND, PRIME_BOUND + 2, 2 ** 64, 0, 1, 4]
 
+# ints at the loader's limits and one past them
+LIMITS = [n for b in (MAX_VALUATION, MAX_CODIM) for n in (b, b + 1, -b, -b - 1)]
+
 OTHER_VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 40), st.text(max_size=3), st.just("inf"),
+    st.none(), st.booleans(), st.integers(-3, 40), st.sampled_from(LIMITS), st.text(max_size=3), st.just("inf"),
     st.lists(st.integers(-1, 3), max_size=3), st.just({}), st.floats(allow_nan=False, width=16),
 )
 

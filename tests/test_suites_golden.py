@@ -6,8 +6,9 @@ report are stored in tests/golden/suites.json and compared with their
 shape (p = 3, d = 2, m = 3), and a few small precisions pin failing
 reports, so the first-failure witness (sample index, sample seed, inputs,
 lhs and rhs) is fixed too.  A deliberate change of output rewrites that
-file from `_run_case` for every case in `CASES`.  The cia-tensor and
-scaling cases also run under `python -O`, which strips `assert`.
+file from `_run_case` for every case in `CASES`.  The cia-tensor,
+scaling, inversion, oplus and unity cases also run under `python -O`,
+which strips `assert`.
 """
 
 import json
@@ -82,7 +83,10 @@ def test_suite_golden(name, golden, capsys):
     assert report == golden[name]["report"]
 
 
-@pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.startswith(("cia-tensor", "scaling"))])
+O_SUITES = ("cia-tensor", "scaling", "inversion", "oplus", "unity")
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.startswith(O_SUITES)])
 def test_suite_golden_under_python_O(name, golden):
     """The exact kernels signal broken invariants by exceptions, not by
     `assert`, so the reports are the same with asserts stripped."""
