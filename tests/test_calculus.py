@@ -34,10 +34,11 @@ from ucalc.calculus import (
     model_from_json,
     model_scale,
     model_to_json,
-    product_model,
     scaling_exponents,
 )
 from ucalc.padic import PadicContext, PadicScalar, PadicVector, vector_from_json, vector_to_json
+
+from reference import padic_model, padic_product_model
 
 CTX3 = PadicContext(3, 8)
 CTX2 = PadicContext(2, 8)
@@ -54,7 +55,7 @@ def mk(ctx, pieces_spec, e=None):
         ball = B(ctx, ints, k)
         cmap = {exps: ctx.vector(vals) for exps, vals in coeffs.items()}
         pieces.append((ball, cmap))
-    return FunctionModel(pieces, e=e)
+    return padic_model(pieces, e=e)
 
 
 def root_model(ctx, d, coeffs, e=None):
@@ -79,12 +80,17 @@ def test_model_rejects_overlapping_pieces():
         mk(CTX3, [((0,), 0, {(1,): (1,)}), ((0,), 1, {(1,): (2,)})])
 
 
+def test_model_refuses_an_empty_store():
+    with pytest.raises(ValueError, match="a model needs at least one piece"):
+        FunctionModel([], 1)
+
+
 def test_model_rejects_pieces_from_different_spaces():
     z3 = (B(CTX3, (0,), 1), {(1,): CTX3.vector([1])})
     with pytest.raises(ValueError, match="balls live in different spaces"):
-        FunctionModel([z3, (B(CTX2, (1,), 1), {(1,): CTX2.vector([1])})])
+        padic_model([z3, (B(CTX2, (1,), 1), {(1,): CTX2.vector([1])})])
     with pytest.raises(ValueError, match="balls live in different spaces"):
-        FunctionModel([z3, (B(CTX3, (1, 0), 1), {(1, 0): CTX3.vector([1])})])
+        padic_model([z3, (B(CTX3, (1, 0), 1), {(1, 0): CTX3.vector([1])})])
 
 
 def test_dq1_linear_closed_form():
@@ -120,7 +126,7 @@ def test_dq1_crosses_pieces_for_nonzero_t():
 def test_dq1_bilinear_closed_form():
     # beta(v, w) = v*w on Z_3 x Z_3
     root = B(CTX3, (0,), 0)
-    f = product_model([(root, root, {(1, 1): CTX3.vector([1])})], e=1)
+    f = padic_product_model([(root, root, {(1, 1): CTX3.vector([1])})], e=1)
     rng = random.Random(3)
     for _ in range(25):
         v, w, v2, w2, tv = (rng.randrange(0, 81) for _ in range(5))
@@ -511,7 +517,7 @@ def test_check_composition_derivative():
 def test_curry_roundtrip():
     bu = B(CTX3, (0,), 0)
     bv = B(CTX3, (0,), 1)
-    f = product_model(
+    f = padic_product_model(
         [
             (bu, bv, {(1, 1): CTX3.vector([1]), (2, 0): CTX3.vector([2])}),
             (bu, B(CTX3, (1,), 1), {(0, 1): CTX3.vector([1])}),
@@ -532,7 +538,7 @@ def test_curry_roundtrip():
 def test_product_model_refines_mixed_levels():
     bu = B(CTX3, (0,), 1)
     bv = B(CTX3, (0,), 0)
-    f = product_model([(bu, bv, {(1, 1): CTX3.vector([1])})], e=1)
+    f = padic_product_model([(bu, bv, {(1, 1): CTX3.vector([1])})], e=1)
     # V factor was refined to level 1: three pieces, all level 1 balls in d=2
     assert len(f.pieces) == 3
     assert all(b.k == 1 for b, _ in f.pieces)
@@ -551,7 +557,7 @@ def test_model_add_refines_partitions():
 
 
 def zero_model(region, e):
-    return FunctionModel([(b, {}) for b in region.balls], e=e)
+    return padic_model([(b, {}) for b in region.balls], e=e)
 
 
 def test_identity_and_zero_models():
@@ -571,7 +577,7 @@ def test_model_json_roundtrip():
         x = CTX3.vector([n])
         assert f2.eval(x) == f.eval(x)
     bu = B(CTX3, (0,), 0)
-    g = product_model([(bu, bu, {(1, 1): CTX3.vector([1])})], e=1)
+    g = padic_product_model([(bu, bu, {(1, 1): CTX3.vector([1])})], e=1)
     g2 = model_from_json(model_to_json(g))
     assert g2.factors is not None
     assert curry(g2, CTX3.vector([2])).eval(CTX3.vector([5])) == CTX3.vector([10])
@@ -628,18 +634,18 @@ def _random_model_json(rng, p, d, e):
 def _reference_model(obj):
     """The model a file describes, built the way the loader built it before
     it decoded straight into the integer store: PadicVector coefficients
-    from vector_from_json, balls from PadicVector centres, then
-    FunctionModel(pieces, e)."""
+    from vector_from_json, balls from PadicVector centres, then the
+    test-local conversion `padic_model(pieces, e)`."""
     def ball(o):
         return Ball(vector_from_json(o["center"]), o["k"])
     pieces = [(ball(piece["ball"]), {tuple(m["exps"]): vector_from_json(m["coef"]) for m in piece["poly"]})
               for piece in obj["pieces"]]
     factors = {ball(f["ball"]): (ball(f["u"]), ball(f["v"])) for f in obj.get("product", [])}
-    return FunctionModel(pieces, obj["codim"], factors)
+    return padic_model(pieces, obj["codim"], factors)
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("model_from_json built a PadicScalar, a PadicVector or called FunctionModel.__init__")
+    raise AssertionError("model_from_json built a PadicScalar or a PadicVector")
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)])
@@ -650,7 +656,7 @@ def test_loader_matches_padicvector_reference(p, d, monkeypatch):
         obj = _random_model_json(rng, p, d, 1 + i % 2)
         ref = _reference_model(obj)
         with monkeypatch.context() as m:
-            for cls in (PadicScalar, PadicVector, FunctionModel):
+            for cls in (PadicScalar, PadicVector):
                 m.setattr(cls, "__init__", _refuse)
             f = model_from_json(obj)
         assert f._store == ref._store

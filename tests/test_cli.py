@@ -12,7 +12,6 @@ from ucalc.calculus import (
     MAX_COMPOSITE_DEGREE,
     MAX_DEGREE,
     MAX_PIECES,
-    FunctionModel,
     identity_model,
     model_from_json,
     model_to_json,
@@ -22,16 +21,22 @@ from ucalc.cli import MAX_INDUCED_CELLS, ParseError, canonical_json, convert, ma
 from ucalc.diffeo import BallEndo, CertifiedDiffeo, certify_omega, induced_level_map
 from ucalc.padic import MAX_VALUATION, PRIME_BOUND, PadicContext, scalar_from_json, scalar_to_json, vector_from_json, vector_to_json
 from ucalc.suites import (
+    MAX_CHILDREN,
     MAX_MONOMIALS,
+    MAX_N,
+    MAX_SAMPLES,
     SUITES,
     ConfigInvalid,
     SuiteConfig,
     UnknownSuite,
     _monomials,
     run_suite,
+    too_many_children,
     too_many_monomials,
 )
 from fractions import Fraction
+
+from reference import padic_model
 
 CTX3 = PadicContext(3, 12)
 ROOT = Ball.from_ints(CTX3, (0,), 0)
@@ -56,7 +61,7 @@ SUITE_NAMES = {
 
 def model(coeffs, e=1):
     cmap = {exps: CTX3.vector(list(vals)) for exps, vals in coeffs.items()}
-    return FunctionModel([(ROOT, cmap)], e=e)
+    return padic_model([(ROOT, cmap)], e=e)
 
 
 def write(tmp_path, name, obj):
@@ -621,7 +626,7 @@ def test_dq_arity_mismatch_is_a_usage_error(tmp_path, capsys):
 def test_diffeo_invert_y_arity_mismatch_is_a_usage_error(tmp_path, capsys):
     line = model({(1,): (1,), (2,): (3,)})
     root2 = Ball.from_ints(CTX3, (0, 0), 0)
-    plane = FunctionModel([(root2, {(1, 0): CTX3.vector([1, 9]), (0, 1): CTX3.vector([0, 1])})], e=2)
+    plane = padic_model([(root2, {(1, 0): CTX3.vector([1, 9]), (0, 1): CTX3.vector([0, 1])})], e=2)
     # gamma = 2x fails certification; the arity is refused before that
     double = model({(1,): (2,)})
     cases = [(line, "1,2", 1), (plane, "1", 2), (plane, "1,2,3", 2), (double, "1,2", 1)]
@@ -659,7 +664,7 @@ def test_prime_beyond_the_primality_bound_is_refused(tmp_path, capsys):
 
 def _monomial_model(d, exps):
     ball = Ball.from_ints(CTX3, (0,) * d, 0)
-    return model_to_json(FunctionModel([(ball, {exps: CTX3.vector([1])})], e=1))
+    return model_to_json(padic_model([(ball, {exps: CTX3.vector([1])})], e=1))
 
 
 @pytest.mark.parametrize("exps", [(MAX_DEGREE,), (MAX_DEGREE - 7, 7)])
@@ -690,14 +695,14 @@ def test_dq_on_a_huge_exponent_exits_2_at_once(tmp_path, capsys):
 
 
 def test_loader_accepts_the_piece_limit_and_refuses_one_more(tmp_path, capsys):
-    """MAX_PIECES level-11 pieces of Z_2 load; one more entry is refused
+    """MAX_PIECES level-12 pieces of Z_2 load; one more entry is refused
     at $.pieces before any piece is read (the extra entries are not even
     pieces)."""
-    assert MAX_PIECES == 2 ** 11
+    assert MAX_PIECES == 2 ** 12
     ctx = PadicContext(2, 12)
     mono = [{"exps": [1], "coef": vector_to_json(ctx.vector([1]))}]
     obj = {"codim": 1, "pieces": [
-        {"ball": ball_to_json(Ball.from_ints(ctx, (c,), 11)), "poly": mono} for c in range(MAX_PIECES)
+        {"ball": ball_to_json(Ball.from_ints(ctx, (c,), 12)), "poly": mono} for c in range(MAX_PIECES)
     ]}
     assert len(model_from_json(obj).piece_balls()) == MAX_PIECES
     obj["pieces"].append(None)
@@ -707,7 +712,7 @@ def test_loader_accepts_the_piece_limit_and_refuses_one_more(tmp_path, capsys):
     path = write(tmp_path, "many.json", {"codim": 1, "pieces": [None] * (MAX_PIECES + 1)})
     code, payload, err = run(capsys, ["convert", "--file", path, "--from", "model", "--to", "model"])
     assert code == 2
-    assert payload == {"error": "2049 pieces exceed the limit 2048 at $.pieces", "path": "$.pieces"}
+    assert payload == {"error": "4097 pieces exceed the limit 4096 at $.pieces", "path": "$.pieces"}
     assert "Traceback" not in err
 
 
@@ -787,6 +792,63 @@ def test_suites_past_the_monomial_limit_exit_2_before_drawing(suite, d, deg, cap
     assert "Traceback" not in err
 
 
+def _no_suite(cfg):
+    """Stands in for a suite whose limits are checked: draws nothing."""
+    return 0, 0, None
+
+
+@pytest.mark.parametrize("flag, top", [("--samples", MAX_SAMPLES), ("--e", MAX_CODIM), ("--N", MAX_N)])
+def test_suite_size_flags_at_and_past_their_limits(flag, top, capsys, monkeypatch):
+    """The limit itself is accepted and the next value exits 2 naming the
+    flag; a stub stands in for the suite, so no sample runs."""
+    monkeypatch.setitem(SUITES, "chain-rule", _no_suite)
+
+    def argv(value):
+        if flag == "--N":
+            return ["--N", str(value), "verify", "chain-rule"]
+        return ["verify", "chain-rule", flag, str(value)]
+
+    code, payload, _ = run(capsys, argv(top))
+    assert code == 0 and payload["checks"] == 0
+    code, payload, err = run(capsys, argv(top + 1))
+    assert code == 2
+    assert payload["error"] == "%s %d exceeds the limit %d" % (flag, top + 1, top)
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize("p, d", [(2, 10), (3, 6), (31, 2), (1021, 1)])
+def test_child_limit_boundary(p, d):
+    """The finest dimension inside the limit and the first past it; no
+    power of p beyond the limit is formed."""
+    assert p ** d <= MAX_CHILDREN < p ** (d + 1)
+    assert not too_many_children(p, d)
+    assert too_many_children(p, d + 1) and too_many_children(p, 10 ** 18)
+
+
+@pytest.mark.parametrize("suite", ["partition", "unity", "omega-isometry", "inversion", "group-axioms",
+                                   "conjugate"])
+def test_cell_suites_at_and_past_the_child_limit(suite, capsys, monkeypatch):
+    """p^d = 2^10 cells at level 1 is accepted; 2^11, p = 1031 at d = 1 and
+    3^(10^9) exit 2 naming --d before the suite runs."""
+    monkeypatch.setitem(SUITES, suite, _no_suite)
+    assert run(capsys, ["--p", "2", "verify", suite, "--d", "10"])[0] == 0
+    for p, d in ((2, 11), (1031, 1), (3, 10 ** 9)):
+        code, payload, err = run(capsys, ["--p", str(p), "verify", suite, "--d", str(d)])
+        assert code == 2
+        assert payload["error"] == "--d %d at p=%d gives %d^%d cells at level 1, more than the %d allowed" % (
+            d, p, p, d, MAX_CHILDREN)
+        assert "Traceback" not in err
+
+
+def test_bilinear_at_and_past_the_monomial_limit(capsys, monkeypatch):
+    """Its product maps have d^2 monomials: d = 256 gives exactly 2^16."""
+    monkeypatch.setitem(SUITES, "bilinear", _no_suite)
+    assert run(capsys, ["verify", "bilinear", "--d", "256"])[0] == 0
+    code, payload, _ = run(capsys, ["verify", "bilinear", "--d", "257"])
+    assert code == 2
+    assert payload["error"] == "--d 257 gives bilinear maps of 66049 monomials, more than the 65536 allowed"
+
+
 def test_induced_past_the_cell_budget_exits_2_before_certifying(tmp_path, capsys):
     import time
 
@@ -803,7 +865,7 @@ def test_induced_past_the_cell_budget_exits_2_before_certifying(tmp_path, capsys
 def _gp2_json():
     """x - (2/3)x^2 + 2x^4 on Z_2: only the exhaustive scan certifies it."""
     ctx = PadicContext(2, 12)
-    return model_to_json(FunctionModel([(Ball.from_ints(ctx, (0,), 0), {
+    return model_to_json(padic_model([(Ball.from_ints(ctx, (0,), 0), {
         (1,): ctx.vector([1]),
         (2,): ctx.vector([ctx.from_fraction(Fraction(-2, 3))]),
         (4,): ctx.vector([2]),
@@ -814,7 +876,7 @@ def _fine_json():
     """x + 3x^2 on pieces down to level 2: the coefficient bound fails."""
     balls = [Ball.from_ints(CTX3, (c,), 1) for c in (0, 1)]
     balls += [Ball.from_ints(CTX3, (c,), 2) for c in (2, 5, 8)]
-    return model_to_json(FunctionModel([(b, {(1,): CTX3.vector([1]), (2,): CTX3.vector([3])}) for b in balls], e=1))
+    return model_to_json(padic_model([(b, {(1,): CTX3.vector([1]), (2,): CTX3.vector([3])}) for b in balls], e=1))
 
 
 @pytest.mark.parametrize("argv, error", [

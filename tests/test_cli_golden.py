@@ -15,10 +15,12 @@ from fractions import Fraction
 import pytest
 
 from ucalc.balls import Ball, ClopenRegion, ball_to_json, region_to_json
-from ucalc.calculus import FunctionModel, identity_model, model_to_json, product_model
+from ucalc.calculus import identity_model, model_to_json
 from ucalc.cia import algebra_to_json, matrix_algebra, qp_algebra, quadratic_extension
 from ucalc.cli import main
 from ucalc.padic import PadicContext, scalar_to_json, vector_to_json
+
+from reference import padic_model, padic_product_model
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
 
@@ -33,7 +35,7 @@ LEVEL1 = [Ball.from_ints(CTX3, (c,), 1) for c in range(3)]
 
 def _model(coeffs, ball=ROOT, e=1):
     cmap = {exps: CTX3.vector(list(vals)) for exps, vals in coeffs.items()}
-    return FunctionModel([(ball, cmap)], e=e)
+    return padic_model([(ball, cmap)], e=e)
 
 
 def _canonical(obj):
@@ -48,9 +50,9 @@ def _fixtures():
         (b, {(1,): CTX3.vector([1]), (2,): CTX3.vector([3 * (c + 1)])})
         for c, b in enumerate(LEVEL1)
     ]
-    g_pieces = FunctionModel(pieces, e=1)
+    g_pieces = padic_model(pieces, e=1)
     # x + 3y^2, y + 9x on Z_3^2
-    g_plane = FunctionModel(
+    g_plane = padic_model(
         [(ROOT2, {
             (1, 0): CTX3.vector([1, 9]),
             (0, 2): CTX3.vector([3, 0]),
@@ -58,7 +60,7 @@ def _fixtures():
         })],
         e=2,
     )
-    f_plane = FunctionModel(
+    f_plane = padic_model(
         [(Ball.from_ints(CTX3, (c, 0), 1), {
             (1, 1): CTX3.vector([c + 1, 2]),
             (2, 0): CTX3.vector([1, 0]),
@@ -67,7 +69,7 @@ def _fixtures():
         e=2,
     )
     # x - (2/3)x^2 + 2x^4 on Z_2: only the exhaustive scan certifies it
-    g_p2 = FunctionModel(
+    g_p2 = padic_model(
         [(Ball.from_ints(CTX2, (0,), 0), {
             (1,): CTX2.vector([1]),
             (2,): CTX2.vector([CTX2.from_fraction(Fraction(-2, 3))]),
@@ -76,7 +78,7 @@ def _fixtures():
         e=1,
     )
     halves = ClopenRegion([Ball.from_ints(CTX3, (c,), 1) for c in (0, 1)])
-    product = product_model(
+    product = padic_product_model(
         [(ROOT, Ball.from_ints(CTX3, (1,), 1), {(1, 1): CTX3.vector([2])})], e=1
     )
     odd_center = ball_to_json(Ball.from_ints(CTX3, (1,), 1))

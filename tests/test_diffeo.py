@@ -33,6 +33,8 @@ from ucalc.diffeo import (
 )
 from ucalc.padic import PadicContext, fraction_valuation
 
+from reference import padic_model
+
 CTX3 = PadicContext(3, 12)
 CTX2 = PadicContext(2, 12)
 
@@ -42,7 +44,7 @@ def B(ctx, ints, k):
 
 
 def zero_model(region, e):
-    return FunctionModel([(b, {}) for b in region.balls], e=e)
+    return padic_model([(b, {}) for b in region.balls], e=e)
 
 
 def displacement(ctx, pieces_spec, e=None):
@@ -51,7 +53,7 @@ def displacement(ctx, pieces_spec, e=None):
     for ints, k, coeffs in pieces_spec:
         cmap = {exps: ctx.vector(vals) for exps, vals in coeffs.items()}
         pieces.append((B(ctx, ints, k), cmap))
-    return FunctionModel(pieces, e=e)
+    return padic_model(pieces, e=e)
 
 
 def root_disp(ctx, coeffs, d=1):
@@ -100,7 +102,7 @@ def test_ball_endo_rejects_sub_ball_domain():
 
 
 def test_ball_endo_rejects_dimension_mismatch():
-    sigma = FunctionModel([(B(CTX3, (0,), 0), {(1,): CTX3.vector([0, 3])})], e=2)
+    sigma = padic_model([(B(CTX3, (0,), 0), {(1,): CTX3.vector([0, 3])})], e=2)
     with pytest.raises(ValueError):
         BallEndo.from_displacement(sigma)
 
@@ -264,7 +266,7 @@ def test_isometry_translation_and_multi_piece():
 
 
 def test_isometry_counts_and_skips_equal_pairs_and_zero_coordinates():
-    sigma = FunctionModel(
+    sigma = padic_model(
         [(B(CTX3, (0, 0), 0), {(0, 2): CTX3.vector([3, 0]), (1, 0): CTX3.vector([0, 9])})],
         e=2,
     )
@@ -433,7 +435,7 @@ def test_induced_level_validation_and_dim2():
     g = certified(CTX3, {})
     with pytest.raises(ValueError):
         induced_level_map(g, 0)
-    sigma = FunctionModel(
+    sigma = padic_model(
         [(B(CTX2, (0, 0), 0), {(0, 2): CTX2.vector([4, 0]), (1, 1): CTX2.vector([0, 4])})],
         e=2,
     )
@@ -512,7 +514,7 @@ def test_induced_map_matches_per_cell_route_on_scanned_and_split_maps():
     # which only the scan certifies, and a p = 3 map whose level-1 pieces
     # move by different multiples of 3
     ctx = INDUCED_CTX[2]
-    scanned = BallEndo(FunctionModel(
+    scanned = BallEndo(padic_model(
         [(B(ctx, (0,), 0), {
             (1,): ctx.vector([1]),
             (2,): ctx.vector([ctx.from_fraction(Fraction(-2, 3))]),
@@ -538,7 +540,7 @@ def test_induced_map_evaluates_once_per_coarse_cell(monkeypatch):
         return original(self, ints, M)
 
     monkeypatch.setattr(FunctionModel, "residues", counting)
-    plane = BallEndo.from_displacement(FunctionModel(
+    plane = BallEndo.from_displacement(padic_model(
         [(B(CTX3, (0, 0), 0), {(0, 2): CTX3.vector([3, 0]), (1, 0): CTX3.vector([0, 9])})],
         e=2,
     ))

@@ -14,9 +14,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucalc.balls import Ball, ClopenRegion, ball_relation
-from ucalc.calculus import FunctionModel, _image_in_ball
+from ucalc.balls import Ball, ClopenRegion
+from ucalc.calculus import _image_in_ball
 from ucalc.padic import INF, PadicContext, fraction_valuation
+
+from reference import ball_relation, padic_model
 
 CTXS = {p: PadicContext(p, 6) for p in (2, 3, 5)}
 
@@ -97,7 +99,7 @@ def cases(draw):
     )
     terms = draw(st.lists(st.sampled_from(_monomials(d, 2)), min_size=0, max_size=4, unique=True))
     coeffs = {e: ctx.vector([draw(coeff) for _ in range(d)]) for e in terms}
-    f = FunctionModel([(ball, coeffs)], e=d)
+    f = padic_model([(ball, coeffs)], e=d)
     # targets: disjoint balls, the first often around the centre value
     val = f.image_bound(ball)[0]
     targets = []

@@ -33,6 +33,8 @@ from ucalc.diffeo import (
 )
 from ucalc.padic import PadicContext, fraction_valuation
 
+from reference import padic_model
+
 N = 30
 CTX = {p: PadicContext(p, N) for p in (2, 3, 5)}
 
@@ -62,7 +64,7 @@ def chart_model(ctx, d, layout, charts):
         polys = tuple(_poly.subst({e: Fraction(c) for e, c in Q.items() if c}, subs, d) for Q in Qs)
         keys = {e for P in polys for e in P}
         pieces.append((ball, {e: ctx.vector([P.get(e, 0) for P in polys]) for e in keys}))
-    return FunctionModel(pieces, e=d)
+    return padic_model(pieces, e=d)
 
 
 @st.composite
@@ -219,7 +221,7 @@ def test_piece_lookup_returns_the_model_balls():
 def test_non_integral_chart_coefficient_is_refused():
     ctx = CTX[3]
     ball = Ball.from_ints(ctx, (0,), 0)
-    f = FunctionModel([(ball, {(1,): ctx.vector([Fraction(1, 3)])})], e=1)
+    f = padic_model([(ball, {(1,): ctx.vector([Fraction(1, 3)])})], e=1)
     assert f._eval_fr((Fraction(3),)) == (Fraction(1),)
     with pytest.raises(NonIntegralChart):
         f.residues((3,), 2)
@@ -328,8 +330,8 @@ def test_scan_reports_the_same_witness_on_rejecting_maps(p, d):
 @pytest.mark.parametrize("p", (2, 3, 5))
 @pytest.mark.parametrize("d", (1, 2))
 def test_isometry_verdict_on_a_contraction(p, d):
-    # gamma = p * id halves every distance: each pair is a violation, found
-    # only when the residues reach one digit beyond the input valuation
+    # gamma = p * id shrinks every distance: each pair is a violation,
+    # whatever precision the residues are read at
     ctx = CTX[p]
     sigma = chart_model(ctx, d, LAYOUTS["one"](p, d), [[
         {tuple(1 if i == j else 0 for i in range(d)): p - 1} for j in range(d)
@@ -340,6 +342,22 @@ def test_isometry_verdict_on_a_contraction(p, d):
     assert len(want) == len(pairs)
     assert isometry_check(g, pairs).violations == want
     assert isometry_check(g, [(x, x) for x, _ in pairs]).violations == ()
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("d", (1, 2))
+def test_isometry_verdict_on_an_isometry(p, d):
+    # gamma = (1 + p) * id keeps every distance.  The pair at the largest
+    # input valuation v has outputs equal mod p^v, so it passes only when
+    # the residues reach one digit beyond v
+    ctx = CTX[p]
+    sigma = chart_model(ctx, d, LAYOUTS["one"](p, d), [[
+        {tuple(1 if i == j else 0 for i in range(d)): p} for j in range(d)
+    ]])
+    g = CertifiedDiffeo(endo=BallEndo.from_displacement(sigma), cert=OmegaCertificate(2, "test"))
+    pairs = [((5,) * d, (5 + p ** v,) + (5,) * (d - 1)) for v in range(4)]
+    assert ref_isometry(g, pairs) == ()
+    assert isometry_check(g, pairs).violations == ()
 
 
 # -- the symbolic Omega route against the scan

@@ -23,22 +23,24 @@ from datetime import timedelta
 from hypothesis import given, settings, strategies as st
 
 from ucalc.balls import Ball
-from ucalc.calculus import MAX_CODIM, FunctionModel, model_to_json, product_model
+from ucalc.calculus import MAX_CODIM, model_to_json
 from ucalc.cli import main
 from ucalc.padic import MAX_VALUATION, PRIME_BOUND, PadicContext
+
+from reference import padic_model, padic_product_model
 
 
 def _bases():
     ctx3, ctx2 = PadicContext(3, 6), PadicContext(2, 8)
     root = Ball.from_ints(ctx3, (0,), 0)
-    one_piece = FunctionModel([(root, {(1,): ctx3.vector([1]), (2,): ctx3.vector([3])})], e=1)
+    one_piece = padic_model([(root, {(1,): ctx3.vector([1]), (2,): ctx3.vector([3])})], e=1)
     # x + 3x^2 on the level-1 balls, with a piece-dependent constant
-    split = FunctionModel([
+    split = padic_model([
         (b, {(0,): ctx3.vector([3 * b.ints[0]]), (1,): ctx3.vector([1]), (2,): ctx3.vector([3])})
         for b in root.children()
     ], e=1)
     square = Ball.from_ints(ctx2, (0,), 0)
-    product = product_model([(square, square, {(1, 0): ctx2.vector([1, 0]), (0, 1): ctx2.vector([0, 1])})], e=2)
+    product = padic_product_model([(square, square, {(1, 0): ctx2.vector([1, 0]), (0, 1): ctx2.vector([0, 1])})], e=2)
     return [model_to_json(f) for f in (one_piece, split, product)]
 
 

@@ -19,12 +19,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ucalc import _poly
-from ucalc.balls import Ball, ball_relation
+from ucalc.balls import Ball
 from ucalc.calculus import (
     FunctionModel,
+    OutOfDomain,
     _local_coeffs,
     add_identity,
     compose,
@@ -37,6 +38,8 @@ from ucalc.calculus import (
 )
 from ucalc.diffeo import BallEndo
 from ucalc.padic import PadicContext, PrecisionLoss
+
+from reference import ball_relation, padic_model
 
 N = 4
 CTX = {p: PadicContext(p, N) for p in (2, 3, 5)}
@@ -77,7 +80,7 @@ def models(draw, ctx, d, e, layouts=("one", "children", "mixed"), vmin=-2, deg=2
         chosen = draw(st.lists(st.sampled_from(exps), unique=True, max_size=len(exps)))
         coeffs = {x: ctx.vector([draw(scalars(ctx, vmin)) for _ in range(e)]) for x in chosen}
         pieces.append((Ball.from_ints(ctx, ints, k), coeffs))
-    return FunctionModel(pieces, e=e)
+    return padic_model(pieces, e=e)
 
 
 @st.composite
@@ -149,7 +152,7 @@ def ref_add(f, g):
         (b, ref_coeffs(tuple(_poly.add(P, Q) for P, Q in zip(Pf, Pg)), f.ctx, f.e))
         for b, _, Pf, Pg in ref_refine(f, g)
     ]
-    return FunctionModel(pieces, e=f.e)
+    return padic_model(pieces, e=f.e)
 
 
 def ref_scale(f, q):
@@ -158,7 +161,7 @@ def ref_scale(f, q):
         (b, ref_coeffs(tuple({x: q * c for x, c in P.items()} if q else {} for P in F[b]), f.ctx, f.e))
         for b in f.piece_balls()
     ]
-    return FunctionModel(pieces, e=f.e)
+    return padic_model(pieces, e=f.e)
 
 
 def ref_local(polys, ball):
@@ -177,7 +180,7 @@ def ref_compose(g, f, cert):
         (b, ref_coeffs(tuple(ref_subst(Q, list(F[b]), f.d) for Q in G[cert[b]]), f.ctx, g.e))
         for b in f.piece_balls()
     ]
-    return FunctionModel(pieces, e=g.e)
+    return padic_model(pieces, e=g.e)
 
 
 def ref_identity(region):
@@ -186,7 +189,7 @@ def ref_identity(region):
         tuple(int(j == i) for j in range(d)): ctx.vector([int(j == i) for j in range(d)])
         for i in range(d)
     }
-    return FunctionModel([(b, coeffs) for b in region.balls], e=d)
+    return padic_model([(b, coeffs) for b in region.balls], e=d)
 
 
 def ref_rescaled_chart(f, ball):
@@ -204,7 +207,7 @@ def ref_rescaled_chart(f, ball):
             break
         ints = tuple((i - c) // step for i, c in zip(pb.ints, ball.ints))
         pieces.append((Ball.from_ints(ctx, ints, pb.k - ball.k), ref_coeffs(polys, ctx, f.e)))
-    return FunctionModel(pieces, e=f.e)
+    return padic_model(pieces, e=f.e)
 
 
 def ref_shift(entry, ball):
@@ -235,6 +238,63 @@ def test_add_and_refinement_match_the_fraction_route(data):
     assert owner == {b: bg for b, bg, *_ in want}
     assert frac_polys(rf) == {b: Pf for b, _, Pf, _ in want}
     assert same(model_add(f, g), ref_add(f, g))
+
+
+def _family_top(p, d):
+    """Finest level drawn: at most N, and at most 81 cells at it."""
+    k = 1
+    while k < N and p ** (d * (k + 1)) <= 81:
+        k += 1
+    return k
+
+
+@st.composite
+def split_families(draw, ctx, d, top):
+    """(kept, dropped): a random split of O^d into disjoint balls down to
+    level top, each ball dropped with chance 1/7; kept in a drawn order."""
+    kept, dropped, todo = [], [], [Ball.from_ints(ctx, (0,) * d, 0)]
+    while todo:
+        b = todo.pop()
+        if b.k < top and draw(st.booleans()):
+            todo.extend(b.children())
+        else:
+            (kept if draw(st.integers(0, 6)) else dropped).append(b)
+    return draw(st.permutations(kept)), dropped
+
+
+def pair_refine(f, balls):
+    """The common refinement by pairing every piece of f with every ball:
+    (piece ball, owner, piece of f) in the order (piece of f, ball)."""
+    out = []
+    for bf in f.piece_balls():
+        for bg in balls:
+            rel = ball_relation(bf, bg)
+            if rel != "disjoint":
+                out.append((bf if rel in ("equal", "B2_contains_B1") else bg, bg, bf))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_refine_matches_the_pair_loop_on_nested_families(data):
+    ctx, d = data.draw(settings_pd())
+    top = _family_top(ctx.p, d)
+    pieces, dropped = data.draw(split_families(ctx, d, top))
+    assume(pieces)
+    f = FunctionModel([(b, (0, ({},))) for b in pieces], 1)
+    # the balls: another split of O^d, or the ones f left out, which make
+    # the two domains disjoint
+    other, _ = data.draw(split_families(ctx, d, top))
+    balls = data.draw(st.sampled_from((other, dropped)))
+    want = pair_refine(f, balls)
+    if not want:
+        with pytest.raises(OutOfDomain, match="disjoint domains"):
+            refine(f, balls)
+        return
+    rf, owner = refine(f, balls)
+    assert rf.piece_balls() == [b for b, _, _ in want]
+    assert owner == {b: bg for b, bg, _ in want}
+    assert all(rf._store[b] is f._store[bf] for b, _, bf in want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,7 +383,7 @@ def test_compose_matches_the_fraction_route(data):
         for i in range(d):
             for x, q in ((tuple(p * (j == i) for j in range(d)), 1), (tuple(int(j == i) for j in range(d)), -1)):
                 fermat[x] = ctx.vector([Fraction(q, p) if j == i else 0 for j in range(d)])
-        f = ref_add(f, FunctionModel([(b, fermat) for b in f.piece_balls()], e=d))
+        f = ref_add(f, padic_model([(b, fermat) for b in f.piece_balls()], e=d))
     g = data.draw(models(ctx, d, e, layouts=("one",) if fermat_case else tuple(LAYOUTS)))
     refined, cert = find_certificate(g, f)
     F = frac_polys(f)
@@ -387,8 +447,8 @@ def test_digits_past_the_window_are_cut_not_refused(p):
     root = Ball.from_ints(ctx, (0,), 0)
     top = ctx.from_unit(0, ctx.modulus - 1)
     one = ctx.from_fraction(-top.to_fraction())
-    f = FunctionModel([(root, {(0,): ctx.vector([top]), (1,): ctx.vector([top])})], e=1)
-    neg = FunctionModel([(root, {(0,): ctx.vector([one]), (1,): ctx.vector([one])})], e=1)
+    f = padic_model([(root, {(0,): ctx.vector([top]), (1,): ctx.vector([top])})], e=1)
+    neg = padic_model([(root, {(0,): ctx.vector([one]), (1,): ctx.vector([one])})], e=1)
     with pytest.raises(PrecisionLoss):
         top + one
     assert same(model_add(f, f), ref_add(f, f))
@@ -396,7 +456,7 @@ def test_digits_past_the_window_are_cut_not_refused(p):
     assert same(cancelled, ref_add(f, neg))
     assert cancelled.pieces[0][1][(1,)][0] == ctx.from_unit(N, 1)
     endo = BallEndo.from_displacement(
-        FunctionModel([(root, {(1,): ctx.vector([ctx.from_unit(1, ctx.modulus - 1)])})], e=1)
+        padic_model([(root, {(1,): ctx.vector([ctx.from_unit(1, ctx.modulus - 1)])})], e=1)
     )
     ident = ref_identity(endo.gamma.domain)
     assert same(endo.sigma, ref_add(endo.gamma, ref_scale(ident, Fraction(-1))))

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from ucalc.balls import Ball, ClopenRegion
-from ucalc.calculus import FunctionModel
 from ucalc.diffeo import BallEndo, CertifiedDiffeo, certify_omega, induced_level_map
 from ucalc.padic import PadicContext
 from ucalc.weakprod import (
@@ -23,6 +22,8 @@ from ucalc.weakprod import (
     wp_mul,
 )
 
+from reference import padic_model
+
 CTX3 = PadicContext(3, 12)
 
 
@@ -32,7 +33,7 @@ def B(ctx, ints, k):
 
 def model(ctx, coeffs, d=1, e=None):
     cmap = {exps: ctx.vector(vals) for exps, vals in coeffs.items()}
-    return FunctionModel([(B(ctx, (0,) * d, 0), cmap)], e=e or d)
+    return padic_model([(B(ctx, (0,) * d, 0), cmap)], e=e or d)
 
 
 def certified(ctx, coeffs, d=1):
