@@ -6,6 +6,7 @@ Fractions or ints (the integer model store); the zero polynomial is the
 empty dict.  Every operation keeps ints as ints.
 """
 
+import functools
 import operator
 
 
@@ -140,3 +141,31 @@ def rename(a, mapping, nvars_new):
         out[tuple(e2)] = c
     return out
 
+
+
+@functools.cache
+def _surjections(n):
+    """(k! S(n, k) for k = 0..n), S the Stirling numbers of the second kind:
+    x^n = sum_k k! S(n, k) C(x, k).  Built on first use from the row of
+    n - 1 by k! S(n, k) = k ((k-1)! S(n-1, k-1) + k! S(n-1, k))."""
+    if n == 0:
+        return (1,)
+    prev = _surjections(n - 1) + (0,)
+    return (0,) + tuple(k * (prev[k - 1] + prev[k]) for k in range(1, n + 1))
+
+
+def mahler(a):
+    """Mahler coefficients of an integer polynomial: {K: a_K} with
+    a = sum_K a_K prod_i C(x_i, K_i), zero coefficients dropped.  Each
+    variable is expanded in turn by x^n = sum_k k! S(n, k) C(x, k), so a
+    monomial with exponents e yields a_K = c_e prod_i K_i! S(e_i, K_i)."""
+    out = a
+    for i in range(len(next(iter(a), ()))):
+        acc = {}
+        for e, c in out.items():
+            for k, r in enumerate(_surjections(e[i])):
+                if r:
+                    K = e[:i] + (k,) + e[i + 1:]
+                    acc[K] = acc.get(K, 0) + c * r
+        out = {K: c for K, c in acc.items() if c}
+    return out

@@ -21,8 +21,9 @@ the digit window.
 Certified maps also have an integer evaluation core (`residues`): the
 exact value mod p^M at an integral point, computed on ints from the
 piece's chart polynomials.  Verdicts that only need values mod p^M or
-their valuations (induced cell maps, inversion, isometry and Omega
-scans, exhaustive range checks) run on it instead of on Fractions.
+their valuations (induced cell maps, inversion, isometry checks, the
+centre values of Omega certificates, exhaustive range checks) run on it
+instead of on Fractions.
 
 Difference quotients: dq1 evaluates (f(x+ty) - f(x))/t, with the t = 0
 case filled in by formal differentiation of the piece polynomial (its
@@ -183,6 +184,14 @@ class FunctionModel:
             chart = self._charts[ball] = _local_coeffs(self._store[ball], ball)
         return chart
 
+    def chart_quotient(self, ball):
+        """(s, polys): the first quotient of the chart polynomials of a
+        piece, p^-s times one integer polynomial per output coordinate in
+        the 2d + 1 variables (z, y, t) of `_dq1_symbolic`, so that
+        (Q(z + ty) - Q(z))/t = p^-s polys(z, y, t).  Not cached."""
+        s, polys = self.chart(ball)
+        return s, _dq1_symbolic(polys, self.d)
+
     def image_bound(self, ball):
         """(val, s): the exact value at the centre of a piece ball and a
         radius bound, f(ball) inside val + p^s O^e, with s the least
@@ -199,21 +208,31 @@ class FunctionModel:
             bound = self._bounds[ball] = (val, s - k)
         return bound
 
-    def _table(self, ball, M, slopes):
-        key = (ball, M, slopes)
+    def _table(self, ball, M):
+        key = (ball, M)
         table = self._tables.get(key)
         if table is None:
             s, polys = self.chart(ball)
-            if slopes:
-                polys = tuple(_poly.diff(Q, i) for Q in polys for i in range(self.d))
             table = self._tables[key] = _residue_table(ball, s, polys, M)
         return table
 
-    def _chart_residues(self, ints, M, slopes):
+    def residues(self, ints, M):
+        """Exact residues mod p^M of the value at an integral point.
+
+        `ints` are integer coordinates of the point (any representatives:
+        a piece at level k reads them mod p^k and its chart variable
+        z = (x - c)/p^k exactly).  The value is Q(z) with Q the piece's
+        chart polynomials.  When every coefficient of Q lies in Z_(p),
+        reducing them mod p^M is a ring map Z_(p) -> Z/p^M, so evaluating
+        on ints mod p^M gives Q(z) mod p^M exactly.  The range certificate
+        of a self-map of O^d gives exactly that (image bound s >= 0 and
+        an integral centre value); a piece with a coefficient outside
+        Z_(p) raises NonIntegralChart when first evaluated.
+        """
         ball = self._pieces_index.at(ints)
         if ball is None:
             raise OutOfDomain("point %s outside the model domain" % (list(ints),))
-        mod, step, center, top, comps = self._table(ball, M, slopes)
+        mod, step, center, top, comps = self._table(ball, M)
         pows = []
         for x, c, n in zip(ints, center, top):
             z = (x - c) // step % mod
@@ -229,42 +248,7 @@ class FunctionModel:
                     term *= pows[i][n]
                 acc += term
             out.append(acc % mod)
-        return ball, out
-
-    def residues(self, ints, M):
-        """Exact residues mod p^M of the value at an integral point.
-
-        `ints` are integer coordinates of the point (any representatives:
-        a piece at level k reads them mod p^k and its chart variable
-        z = (x - c)/p^k exactly).  The value is Q(z) with Q the piece's
-        chart polynomials.  When every coefficient of Q lies in Z_(p),
-        reducing them mod p^M is a ring map Z_(p) -> Z/p^M, so evaluating
-        on ints mod p^M gives Q(z) mod p^M exactly.  The range certificate
-        of a self-map of O^d gives exactly that (image bound s >= 0 and
-        an integral centre value); a piece with a coefficient outside
-        Z_(p) raises NonIntegralChart when first evaluated.
-        """
-        return tuple(self._chart_residues(ints, M, False)[1])
-
-    def slope_residues(self, ints, ys, M):
-        """(k, r) with k the level of the piece containing the integral
-        point and r the residues mod p^M of sum_i dQ/dz_i(z) * y_i, the
-        chart gradient along y.
-
-        Since x = c + p^k z, this is p^k times the formal directional
-        derivative of the piece at x along y, i.e. the t = 0 first
-        quotient; its valuation is below v exactly when r is nonzero
-        mod p^(v + k), for v + k <= M.  Same integrality contract as
-        `residues`.
-        """
-        ball, grads = self._chart_residues(ints, M, True)
-        d = self.d
-        mod = self.ctx.p ** M
-        out = tuple(
-            sum(g * y for g, y in zip(grads[j * d : (j + 1) * d], ys)) % mod
-            for j in range(self.e)
-        )
-        return ball.k, out
+        return tuple(out)
 
     def _eval_fr(self, frs):
         """Exact value at a point of rationals: one Fraction per coordinate."""

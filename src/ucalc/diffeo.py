@@ -7,18 +7,19 @@ inside the open half-radius ball.  That bound makes gamma an isometric
 bijection, so inverses come from plain fixed-point iteration and every
 sub-ball pulls back to a ball of the same level.
 
-Certification is sound but not complete.  Three routes are tried in
-order: a uniform bound on the chart coefficients, a symbolic proof from
-each piece's chart coefficients and the congruences of its centre value
-with those of nearby pieces, and exhaustive evaluation at a stated level.
-Only the last rejects, and failures carry witnesses instead of guesses.
+Certification is exact.  `certify_omega` decides the bound from each
+piece's chart polynomials: the least valuation of the Mahler coefficients
+of its first quotient, the centre values, and the congruences of centre
+values between nearby pieces.  A map passes exactly when the bound holds,
+and a failure carries a failing (x, y, t) instead of a guess.
+
 Maps supported on finitely many balls inside a larger clopen region are
 handled by rescaling each supported ball onto the unit ball and
 certifying the chart copy.
 
-Every sampling loop here (the Omega scan, inversion, isometry checks,
-induced cell maps, range checks) runs on the integer core
-`FunctionModel.residues`.  Its verdicts equal the exact ones for three
+Every sampling loop here (inversion, isometry checks, induced cell maps,
+range checks) and the centre values of certification run on the integer
+core `FunctionModel.residues`.  Its verdicts equal the exact ones for three
 reasons: the range certificate gives the pieces p-integral chart
 coefficients; reduction Z_(p) -> Z/p^M is a ring map, so values mod p^M
 come out of integer arithmetic exactly; and each loop picks M so that
@@ -29,6 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import _poly
 from .balls import Ball, ClopenRegion
 from .calculus import (
     CertificateInvalid,
@@ -56,29 +58,6 @@ class NotCertified(ValueError):
 
 class IterationBudgetExceeded(RuntimeError):
     """Fixed-point inversion ran past its guaranteed step count."""
-
-
-class LevelRefused(ValueError):
-    """certify_omega cannot scan at the requested level: it is too coarse
-    to separate quotient classes, coarser than the pieces, or its class
-    count exceeds MAX_SCAN_CLASSES.  Raised before any scan starts."""
-
-
-# Largest number of quotient classes p^(2dm)(p^m + 1) that the exhaustive
-# scan of certify_omega visits at level m in dimension d.  On a 2-vCPU
-# Xeon with Python 3.11, the p = 2, d = 1 map x - (2/3)x^2 + 2x^4 scans
-# 266240 classes (level 6) in 1.9 s and 2113536 (level 7) in 13.6 s.
-# The tests, golden cases, suites and benchmark workloads reach at most
-# 65610 (p = 3, d = 2, m = 2).
-MAX_SCAN_CLASSES = 2 ** 20
-
-
-def _scan_too_large(p, d, m):
-    """p^(2dm)(p^m + 1) > MAX_SCAN_CLASSES; as p >= 2, capping each
-    exponent at the budget's bit length keeps the answer and the powers
-    small."""
-    cap = MAX_SCAN_CLASSES.bit_length()
-    return p ** min(2 * d * m, cap) * (p ** min(m, cap) + 1) > MAX_SCAN_CLASSES
 
 
 def halfball_valuation(p):
@@ -137,11 +116,10 @@ class BallEndo:
 @dataclass(frozen=True)
 class OmegaCertificate:
     """Proof record that the displacement and all its first quotients
-    have valuation >= v_min, i.e. land in the open half-radius ball."""
+    have valuation >= v_min, i.e. land in the open half-radius ball, as
+    `certify_omega` decides."""
 
     v_min: int
-    method: str
-    level: int = None
 
 
 @dataclass(frozen=True)
@@ -156,187 +134,124 @@ class CertifiedDiffeo:
         return self.endo.gamma
 
 
-def _t_classes(p, m):
-    """Representatives (t, v(t)) of every quotient parameter class mod p^m:
-    t = 0 plus one member u*p^j of each unit class u mod p^(m-j)."""
-    ts = [(0, None)]
-    for j in range(m):
-        for u in range(1, p ** (m - j)):
-            if u % p:
-                ts.append((u * p ** j, j))
-    ts.append((p ** m, m))
-    return ts
+def certify_omega(endo):
+    """Decide whether the displacement sigma and all its first difference
+    quotients have valuation >= v_min on O^d: return the certificate, or
+    raise NotCertified with a failing (x, y, t).
 
+    The bound covers sigma(x) for x in O^d and (sigma(x + ty) - sigma(x))/t
+    for x, y in O^d and t in O, the chart derivative along y at t = 0.
+    Write a piece B of sigma at level k with centre c as
+    sigma(c + p^k z) = p^-s Q_B(z) (`FunctionModel.chart`), and
+    P_B(z, y, t) = (Q_B(z + ty) - Q_B(z))/t (`chart_quotient`).  Three
+    conditions, checked in this order:
 
-def certify_omega(endo, m=3):
-    """Certificate that the displacement stays small in values and in all
-    first difference quotients.
-
-    Sound, not complete.  Three routes are tried in order, each sound on
-    its own, and the first to accept names the certificate's method:
-
-    1. "coefficient-bound": every chart coefficient of every piece,
-       constant term included, has valuation at least v_min + k_max with
-       k_max the finest piece level; that uniform margin keeps even
-       quotients across different pieces inside the bound.
-    2. "symbolic" (`_omega_symbolic`): a Gauss-norm bound on each piece's
-       chart coefficients plus congruences between piece-centre values
-       proves the bound for every (x, y, t) at once.
-    3. "exhaustive" (`_omega_witness_search`): the quotient set is
-       enumerated exactly at level m.  The range certificate already
-       forces O-integral local coefficients, making the displacement
-       1-Lipschitz in each piece chart, so level-m data separates every
-       quotient class once m covers the contraction window below.
-
-    The level checks (m >= 2 v_min - 1, pieces no finer than m) come
-    before routes 2 and 3, and the class budget (MAX_SCAN_CLASSES) before
-    route 3; a failing one raises LevelRefused.  Routes 2 and 3 record
-    level m, which compose_diffeos reuses for composites.  Only the scan
-    rejects; its witness is an exact failing triple.
-    """
-    ctx = endo.ctx
-    v_min = halfball_valuation(ctx.p)
-    sigma = endo.sigma
-    k_max = max(b.k for b in sigma.piece_balls())
-    bounds = [sigma.image_bound(ball) for ball in sigma.piece_balls()]
-    if all(min([s] + [fraction_valuation(c, ctx.p) for c in val]) >= v_min + k_max for val, s in bounds):
-        return OmegaCertificate(v_min=v_min, method="coefficient-bound")
-    if m < 2 * v_min - 1:
-        raise LevelRefused(
-            "exhaustive level %d cannot separate quotient classes for p=%d; "
-            "need at least %d" % (m, ctx.p, 2 * v_min - 1)
-        )
-    if k_max > m:
-        raise LevelRefused(
-            "pieces at level %d are finer than the exhaustive level %d" % (k_max, m)
-        )
-    if _omega_symbolic(sigma, v_min):
-        return OmegaCertificate(v_min=v_min, method="symbolic", level=m)
-    if _scan_too_large(ctx.p, endo.d, m):
-        raise LevelRefused(
-            "level %d gives %d^%d (%d^%d + 1) quotient classes to scan, more than the %d allowed"
-            % (m, ctx.p, 2 * endo.d * m, ctx.p, m, MAX_SCAN_CLASSES)
-        )
-    witness = _omega_witness_search(endo, m, v_min)
-    if witness is not None:
-        kind, x, y, t = witness
-        if kind == "quotient":
-            raise NotCertified(
-                "difference quotient at x=%s, y=%s, t=%s has valuation below %d"
-                % (list(x), list(y), t, v_min),
-                witness=(x, y, t),
-            )
-        raise NotCertified(
-            "displacement value at x=%s has valuation below %d" % (list(x), v_min),
-            witness=(x, y, t),
-        )
-    return OmegaCertificate(v_min=v_min, method="exhaustive", level=m)
-
-
-def _omega_symbolic(sigma, v_min):
-    """True when three conditions on the chart data of sigma prove that
-    sigma and all its first quotients have valuation >= v_min on O^d.
-
-    Write Q_B for the chart polynomials of a piece B at level k with
-    centre c (x = c + p^k z, `FunctionModel.chart`).  The conditions:
-
-    1. Same-piece quotients.  Every non-constant coefficient of every Q_B
-       has valuation >= v_min + k.  For x, x + ty in B, with
-       s = ty/p^k integral, Q(z+s) - Q(z) = sum_i s_i R_i(z, s) where
-       the R_i are polynomials whose coefficients are integer multiples
-       of those non-constant coefficients.  Dividing by t leaves
-       sum_i (y_i/p^k) R_i, of valuation >= v_min; at t = 0 the formal
-       derivative p^-k grad Q(z) . y obeys the same bound.
-    2. Values.  Every centre value sigma(c) = Q_B(0) is 0 mod p^v_min.
-       With condition 1, Q_B(z) - Q_B(0) has valuation >= v_min + k, so
-       v(sigma(x)) >= v_min everywhere.
-    3. Cross-piece quotients.  For every j < k_max, the pieces of level
+    1. Same-piece quotients: w_B - s >= v_min + k, with w_B the least
+       valuation of a Mahler coefficient of P_B (`_poly.mahler`).
+    2. Values: every centre value sigma(c) is 0 mod p^v_min.
+    3. Cross-piece quotients: for every j < k_max, the pieces of level
        > j whose centres agree mod p^j have centre values congruent mod
-       p^(v_min + j).  Take x in B, x' = x + ty in a disjoint B' of level
-       k'.  Disjoint balls have delta = v(c' - c) < min(k, k'), so
-       v(ty) = v(x' - x) = delta and v(t) <= delta.  Both pieces have
-       level > delta and centres that agree mod p^delta, so they share
-       the group of j = delta and sigma(c') - sigma(c) has valuation
-       >= v_min + delta.  By condition 1, sigma(x') - sigma(x) differs
-       from it by terms of valuation >= v_min + min(k, k') > v_min +
-       delta.  Dividing by t keeps valuation >= v_min.
+       p^(v_min + j).
 
-    Every value and every (x, y, t) falls under one of the three cases, so
-    an acceptance covers all of O^d, not only the classes of a scan level.
-    Pieces are grouped by centre mod p^j, so the check costs
-    O(pieces * k_max) and never looks at pairs.  Centre values are read once mod p^(v_min + k_max - 1)
-    from `FunctionModel.residues` (exact: the range certificate makes the
-    charts integral) and reduced per j.
+    Mahler norm.  P = sum_K a_K prod C(x_i, K_i) with integer a_K, and
+    C(n, k) is an integer at integers, so v(P) >= w = min v(a_K) on Z^n
+    and, by continuity, on Z_p^n.  Let K* be of least total degree among
+    the K with v(a_K) = w.  As C(n, k) = 0 for 0 <= n < k, P(K*) is a_K*
+    plus a_K prod C(K*_i, K_i) over K < K*, and each such K has smaller
+    total degree, so v(a_K) > w and v(P(K*)) = w: w is the least
+    valuation of P on Z_p^n, attained at the box point K*.
+
+    The conditions are necessary.  (1) For integral z, y, t' the point
+    x = c + p^k z with t = p^k t' keeps x + ty = c + p^k (z + t'y) in B,
+    and the quotient there is p^-(k+s) P_B(z, y, t') (the derivative when
+    t' = 0).  So K* = (z*, y*, t*) gives the failing triple x = c + p^k z*,
+    y = y*, t = p^k t* of valuation w_B - s - k.  (2) The value at c.
+    (3) For a centre c' whose value disagrees with that of the first
+    centre c of its group, the quotient at x = c, y = (c' - c)/p^j,
+    t = p^j is (sigma(c') - sigma(c))/p^j.
+
+    They are sufficient.  (a) x and x + ty in one piece B: with
+    x = c + p^k z and t = p^k t', an integral t' gives the quotient
+    p^-(k+s) P_B(z, y, t') of valuation >= w_B - s - k >= v_min by 1.
+    Otherwise t' = u p^-j with u a unit and j > 0, ty in p^k O^d forces
+    y = p^j y', and the quotient is p^-(k+s) p^j P_B(z, y', u), larger
+    still.  (b) Values: for x = c + p^k z in B, sigma(x) - sigma(c) is p^k
+    times the quotient at (c, z, p^k), so by (a) it has valuation
+    >= v_min + k, and sigma(c) is 0 mod p^v_min by 2.  (c) x in B and
+    x' = x + ty in another piece B' of level k' and centre c'.  Disjoint
+    balls have delta = v(c' - c) < min(k, k'), so v(ty) = v(x' - x) =
+    delta and v(t) <= delta.  Both pieces have level > delta and centres
+    that agree mod p^delta, so by 3 sigma(c') - sigma(c) has valuation
+    >= v_min + delta, and by (b) sigma(x) - sigma(c) and
+    sigma(x') - sigma(c') have valuation >= v_min + min(k, k') > v_min +
+    delta.  Dividing by t keeps valuation >= v_min.
+
+    So the decision is exact at every piece level.  Shortcut for 1: when
+    every non-constant chart coefficient of p^-s Q_B has valuation
+    >= v_min + k (`image_bound`), so do the coefficients of p^-s P_B and
+    its Mahler coefficients, which are integer combinations of them, and
+    nothing is expanded.  Otherwise a Mahler coefficient of P_B breaks 1
+    exactly when it is nonzero mod p^(v_min + k + s).
+    Centre values are read once mod p^(v_min + k_max - 1) from
+    `FunctionModel.residues` (exact: the range certificate makes the
+    charts integral) and reduced per j; grouping pieces by centre mod p^j
+    costs O(pieces * k_max) and never looks at pairs.
     """
-    p = sigma.ctx.p
+    sigma = endo.sigma
+    p = endo.ctx.p
+    v_min = halfball_valuation(p)
     balls = sigma.piece_balls()
-    if any(sigma.image_bound(ball)[1] < v_min + ball.k for ball in balls):
-        return False
+    for ball in balls:
+        witness = _same_piece_witness(sigma, ball, v_min)
+        if witness is not None:
+            raise _violation(v_min, *witness)
     k_max = max(b.k for b in balls)
     M = v_min + max(k_max - 1, 0)
     low = p ** v_min
     values = [sigma.residues(ball.ints, M) for ball in balls]
-    if any(r % low for val in values for r in val):
-        return False
+    for ball, val in zip(balls, values):
+        if any(r % low for r in val):
+            raise _violation(v_min, ball.ints, (0,) * endo.d, 0)
     for j in range(k_max):
         mod, cut = p ** (v_min + j), p ** j
         groups = {}
         for ball, val in zip(balls, values):
             if ball.k > j:
-                key = tuple(c % cut for c in ball.ints)
                 red = tuple(r % mod for r in val)
-                if groups.setdefault(key, red) != red:
-                    return False
-    return True
+                first, want = groups.setdefault(tuple(c % cut for c in ball.ints), (ball.ints, red))
+                if red != want:
+                    y = tuple((b - a) // cut for a, b in zip(first, ball.ints))
+                    raise _violation(v_min, first, y, cut)
+    return OmegaCertificate(v_min=v_min)
 
 
-def _omega_witness_search(endo, m, v_min):
-    """Exact scan of displacement quotients and values over level-m data.
-
-    Quotients are scanned first so a reported witness exhibits the failing
-    quotient whenever one exists; value violations (zero direction, t = 0)
-    are reported with the same triple shape.
-
-    The scan runs on residues mod p^M, M = m + v_min.  sigma has integral
-    chart coefficients, so its values at integral points are integral and
-    their residues exact (`FunctionModel.residues`).  For t of valuation
-    j <= m the quotient (sigma(x+ty) - sigma(x))/t has valuation below
-    v_min exactly when the difference is nonzero mod p^(j + v_min).  For
-    t = 0 the quotient is p^-k times the chart gradient of the piece of x
-    along y, so it fails exactly when that gradient is nonzero mod
-    p^(v_min + k), and v_min + k <= M because certify_omega keeps piece
-    levels k <= m.  A value fails exactly when it is nonzero mod p^v_min.
-    """
-    sigma = endo.sigma
-    p = endo.ctx.p
-    M = m + v_min
-    reps = list(endo.ball.level_reps(m))
-    ts = [(t, None if j is None else p ** (j + v_min)) for t, j in _t_classes(p, m)]
-    bases = []
-    for x in reps:
-        base = sigma.residues(x, M)
-        bases.append(base)
-        for y in reps:
-            for t, mod in ts:
-                if mod is None:
-                    k, slope = sigma.slope_residues(x, y, M)
-                    low = p ** (v_min + k)
-                    bad = any(r % low for r in slope)
-                else:
-                    shifted = sigma.residues(tuple(a + t * b for a, b in zip(x, y)), M)
-                    bad = any((q2 - q1) % mod for q1, q2 in zip(base, shifted))
-                if bad:
-                    return ("quotient", _fractions(x), _fractions(y), Fraction(t))
-    zero = tuple(Fraction(0) for _ in range(endo.d))
-    low = p ** v_min
-    for x, base in zip(reps, bases):
-        if any(q % low for q in base):
-            return ("value", _fractions(x), zero, Fraction(0))
-    return None
+def _same_piece_witness(sigma, ball, v_min):
+    """Condition 1 of `certify_omega` on one piece: None when it holds,
+    else the failing (x, y, t) as ints from the box point K*."""
+    k = ball.k
+    if sigma.image_bound(ball)[1] >= v_min + k:
+        return None
+    p, d = sigma.ctx.p, sigma.d
+    s, polys = sigma.chart_quotient(ball)
+    mod = p ** (v_min + k + s)
+    low = min(((fraction_valuation(a, p), sum(K), K) for P in polys
+               for K, a in _poly.mahler(P).items() if a % mod), default=None)
+    if low is None:
+        return None
+    K = low[2]
+    step = p ** k
+    return tuple(c + step * z for c, z in zip(ball.ints, K[:d])), K[d:2 * d], step * K[2 * d]
 
 
-def _fractions(ints):
-    return tuple(Fraction(i) for i in ints)
+def _violation(v_min, x, y, t):
+    """NotCertified for the failing (x, y, t) given as ints; y = 0 and t = 0
+    name the value at x."""
+    x, y, t = tuple(map(Fraction, x)), tuple(map(Fraction, y)), Fraction(t)
+    if t == 0 and not any(y):
+        msg = "displacement value at x=%s has valuation below %d" % (list(x), v_min)
+    else:
+        msg = "difference quotient at x=%s, y=%s, t=%s has valuation below %d" % (list(x), list(y), t, v_min)
+    return NotCertified(msg, witness=(x, y, t))
 
 
 @dataclass(frozen=True)
@@ -461,10 +376,7 @@ def compose_diffeos(g1, g2):
     comp = compose(e1.sigma, refined, cert)
     sigma = model_add(e2.sigma, comp)
     endo = BallEndo.from_displacement(sigma)
-    level = max(
-        (c.level for c in (g1.cert, g2.cert) if c.level is not None), default=3
-    )
-    return CertifiedDiffeo(endo=endo, cert=certify_omega(endo, m=level))
+    return CertifiedDiffeo(endo=endo, cert=certify_omega(endo))
 
 
 def induced_level_map(g, m):
@@ -595,11 +507,14 @@ class DiffcDecision:
     witness: object = None
 
 
-def diffc_membership(a, m=3):
+def diffc_membership(a):
     """Decide membership of id + sigma in the diffeomorphism group of U.
 
     Sound and incomplete: every supported ball must be mapped into itself
-    by a map whose chart copy carries a certificate.  Accepted elements
+    by a map whose chart copy carries a certificate.  The certificate of
+    each chart copy is decided exactly (`certify_omega`); the
+    incompleteness is the requirement that each supported ball maps into
+    itself.  Accepted elements
     get one CertifiedDiffeo per supported ball; rejections name the ball
     and the witness (in chart coordinates when it is a quotient triple).
     """
@@ -611,7 +526,7 @@ def diffc_membership(a, m=3):
         except ValueError as err:
             return DiffcDecision(False, {}, witness=(ball, str(err)))
         try:
-            cert = certify_omega(endo, m=m)
+            cert = certify_omega(endo)
         except NotCertified as err:
             return DiffcDecision(False, {}, witness=(ball, err.witness))
         certificates[ball] = CertifiedDiffeo(endo=endo, cert=cert)

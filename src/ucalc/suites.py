@@ -169,6 +169,13 @@ MAX_MONOMIALS = 2 ** 16
 # the suites whose random maps enumerate every monomial of degree <= deg
 _DEGREE_SUITES = ("chain-rule", "scaling", "eval-deriv", "comp-deriv")
 
+# Largest --d in those suites.  Listing the monomials alone grows about
+# with d^3 at --deg 1, where MAX_MONOMIALS admits d up to 65535.  On a
+# 2-vCPU Xeon with Python 3.11.7, one sample at --N 45 --deg 1 takes at
+# most 0.08 s at d = 100 and 0.39 s at d = 200 (comp-deriv, the slowest);
+# one of eval-deriv took 22.5 s at d = 1000.  The tests reach 40.
+MAX_VARIABLES = 100
+
 
 # Largest number p^d of cells at level 1, the children of one ball, in a
 # suite that splits balls or lists cells.  Each such suite does work for
@@ -236,7 +243,8 @@ def rand_small_model(ctx, rng, d, e, deg, nmono=3, cmax=2):
     t-scaled sums of two such maps stay exactly representable at N digits.
     Coefficients up to cmax < p^N are already cut to N digits."""
     polys = tuple({} for _ in range(e))
-    for exps in rng.sample(_monomials(d, deg), min(nmono, len(_monomials(d, deg)))):
+    monos = _monomials(d, deg)
+    for exps in rng.sample(monos, min(nmono, len(monos))):
         for P in polys:
             if a := rng.randrange(cmax + 1):
                 P[exps] = a
@@ -251,8 +259,9 @@ def rand_small_t(ctx, rng, zero_ok=True):
 
 
 def rand_diffeo(ctx, rng, d=1, multi_piece=False):
-    """Certified diffeomorphism with displacement small enough for the
-    coefficient bound, so certification never falls back to enumeration."""
+    """Certified diffeomorphism whose displacement coefficients are
+    multiples of p^v_min (p^(v_min+1) on level-1 pieces), so the Gauss
+    norm of each chart passes `certify_omega` without a Mahler expansion."""
     vmin = halfball_valuation(ctx.p)
     if not multi_piece:
         sigma = rand_model(ctx, rng, d, d, 2, vmin=vmin)
@@ -339,6 +348,8 @@ def run_suite(name, cfg):
     if name in _DEGREE_SUITES and too_many_monomials(cfg.d, cfg.deg):
         raise ConfigInvalid("--d %d and --deg %d give C(%d, %d) monomials, more than the %d allowed"
                             % (cfg.d, cfg.deg, cfg.d + cfg.deg, cfg.d, MAX_MONOMIALS))
+    if name in _DEGREE_SUITES and cfg.d > MAX_VARIABLES:
+        raise ConfigInvalid("--d %d exceeds the limit %d" % (cfg.d, MAX_VARIABLES))
     # bilinear's product maps have one monomial per pair of variables; at
     # d = 256 one such sample takes about 15 s
     if name == "bilinear" and cfg.d * cfg.d > MAX_MONOMIALS:

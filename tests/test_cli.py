@@ -25,6 +25,7 @@ from ucalc.suites import (
     MAX_MONOMIALS,
     MAX_N,
     MAX_SAMPLES,
+    MAX_VARIABLES,
     SUITES,
     ConfigInvalid,
     SuiteConfig,
@@ -298,7 +299,7 @@ def test_main_diffeo_certify_invert_induced(tmp_path, capsys):
     code, payload, _ = run(capsys, ["diffeo", "induced", "--endo", path, "--m", "2"])
     assert code == 0
     assert sorted(payload["perm"]) == list(range(9))
-    cg = CertifiedDiffeo(endo=BallEndo(g), cert=certify_omega(BallEndo(g), m=3))
+    cg = CertifiedDiffeo(endo=BallEndo(g), cert=certify_omega(BallEndo(g)))
     assert payload["perm"] == list(induced_level_map(cg, 2))
 
 
@@ -375,7 +376,7 @@ def test_main_wp_mul_and_inv(tmp_path, capsys):
     assert code == 0
     entry = payload["support"][0]["entry"]
     assert entry["kind"] == "inverse"
-    cg1 = CertifiedDiffeo(endo=BallEndo(g1), cert=certify_omega(BallEndo(g1), m=3))
+    cg1 = CertifiedDiffeo(endo=BallEndo(g1), cert=certify_omega(BallEndo(g1)))
     fwd = induced_level_map(cg1, entry["level"])
     back = [0] * len(fwd)
     for i, v in enumerate(fwd):
@@ -402,7 +403,7 @@ def test_main_wp_conjugate(tmp_path, capsys):
     assert code == 0
     assert len(payload["support"]) == 1
     assert payload["support"][0]["id"] == ball_to_json(balls[1])
-    cg = CertifiedDiffeo(endo=BallEndo(g), cert=certify_omega(BallEndo(g), m=3))
+    cg = CertifiedDiffeo(endo=BallEndo(g), cert=certify_omega(BallEndo(g)))
     assert payload["support"][0]["entry"]["induced"] == list(induced_level_map(cg, 2))
 
 
@@ -797,6 +798,28 @@ def _no_suite(cfg):
     return 0, 0, None
 
 
+@pytest.mark.parametrize("suite", ["chain-rule", "scaling", "eval-deriv", "comp-deriv"])
+def test_degree_suites_at_and_past_the_variable_limit(suite, capsys, monkeypatch):
+    """--d MAX_VARIABLES at --deg 1 is accepted and one more exits 2 naming
+    --d before any draw; a stub stands in for the suite."""
+    from ucalc import suites
+
+    monkeypatch.setitem(SUITES, suite, _no_suite)
+
+    def no_enumeration(*args):
+        raise AssertionError("monomials enumerated")
+
+    monkeypatch.setattr(suites, "_monomials", no_enumeration)
+    argv = ["verify", suite, "--deg", "1", "--d"]
+    code, payload, _ = run(capsys, argv + [str(MAX_VARIABLES)])
+    assert code == 0 and payload["checks"] == 0
+    for d in (MAX_VARIABLES + 1, 65535):
+        code, payload, err = run(capsys, argv + [str(d)])
+        assert code == 2
+        assert payload["error"] == "--d %d exceeds the limit %d" % (d, MAX_VARIABLES)
+        assert "usage error" in err
+
+
 @pytest.mark.parametrize("flag, top", [("--samples", MAX_SAMPLES), ("--e", MAX_CODIM), ("--N", MAX_N)])
 def test_suite_size_flags_at_and_past_their_limits(flag, top, capsys, monkeypatch):
     """The limit itself is accepted and the next value exits 2 naming the
@@ -863,7 +886,8 @@ def test_induced_past_the_cell_budget_exits_2_before_certifying(tmp_path, capsys
 
 
 def _gp2_json():
-    """x - (2/3)x^2 + 2x^4 on Z_2: only the exhaustive scan certifies it."""
+    """x - (2/3)x^2 + 2x^4 on Z_2: the Gauss norm of its chart cannot
+    certify it, the Mahler coefficients of its quotient do."""
     ctx = PadicContext(2, 12)
     return model_to_json(padic_model([(Ball.from_ints(ctx, (0,), 0), {
         (1,): ctx.vector([1]),
@@ -873,33 +897,20 @@ def _gp2_json():
 
 
 def _fine_json():
-    """x + 3x^2 on pieces down to level 2: the coefficient bound fails."""
+    """x + 3x^2 on pieces down to level 2, finer than a level-1 scan sees;
+    it is certified."""
     balls = [Ball.from_ints(CTX3, (c,), 1) for c in (0, 1)]
     balls += [Ball.from_ints(CTX3, (c,), 2) for c in (2, 5, 8)]
     return model_to_json(padic_model([(b, {(1,): CTX3.vector([1]), (2,): CTX3.vector([3])}) for b in balls], e=1))
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["diffeo", "certify", "--endo", "gp2.json", "--level", "1"],
-     "exhaustive level 1 cannot separate quotient classes for p=2; need at least 3 (--level)"),
-    (["--verify-level", "1", "diffeo", "certify", "--endo", "gp2.json"],
-     "exhaustive level 1 cannot separate quotient classes for p=2; need at least 3 (--verify-level)"),
-    (["--verify-level", "1", "diffeo", "induced", "--endo", "fine.json", "--m", "1"],
-     "pieces at level 2 are finer than the exhaustive level 1 (--verify-level)"),
-    (["diffeo", "certify", "--endo", "fine.json", "--level", "1"],
-     "pieces at level 2 are finer than the exhaustive level 1 (--level)"),
-    (["diffeo", "certify", "--endo", "gp2.json", "--level", "7"],
-     "level 7 gives 2^14 (2^7 + 1) quotient classes to scan, more than the 1048576 allowed (--level)"),
-    (["--verify-level", "1", "wp", "inv", "--a", "bundle.json"],
-     "exhaustive level 1 cannot separate quotient classes for p=2; need at least 3 (--verify-level)"),
     (["diffeo", "induced", "--endo", "gp2.json", "--m", "0"], "--m must be a positive int, got 0"),
     (["diffeo", "invert", "--endo", "gp2.json", "--y", "1", "--prec", "0"],
      "--prec must be between 1 and the precision N=12, got 0"),
 ])
 def test_level_faults_exit_2_naming_the_flag(argv, error, tmp_path, capsys):
     write(tmp_path, "gp2.json", _gp2_json())
-    write(tmp_path, "fine.json", _fine_json())
-    write(tmp_path, "bundle.json", {"index": [0], "support": [{"id": 0, "endo": "gp2.json"}]})
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     code, payload, err = run(capsys, argv)
     assert code == 2
@@ -907,24 +918,49 @@ def test_level_faults_exit_2_naming_the_flag(argv, error, tmp_path, capsys):
     assert "usage error" in err
 
 
-def test_certify_past_the_scan_budget_exits_2_without_scanning(tmp_path, capsys, monkeypatch):
-    import time
+@pytest.mark.parametrize("argv, flags", [
+    (["diffeo", "certify", "--endo", "gp2.json"], [["--level", "1"], ["--level", "7"]]),
+    (["diffeo", "certify", "--endo", "fine.json"], [["--level", "1"], ["--level", "5"]]),
+    (["diffeo", "certify", "--endo", "double.json"], [["--level", "5"]]),
+    (["diffeo", "induced", "--endo", "fine.json", "--m", "1"], [["--verify-level", "1"]]),
+    (["diffeo", "induced", "--endo", "gp2.json", "--m", "2"], [["--verify-level", "1"]]),
+    (["diffeo", "invert", "--endo", "gp2.json", "--y", "1", "--prec", "5"], [["--verify-level", "9"]]),
+])
+def test_level_flags_on_diffeo_change_no_verdict(argv, flags, tmp_path, capsys):
+    """diffeo accepts --verify-level and certify --level, and gives the
+    output it gives without them: certification has no level to refuse."""
+    write(tmp_path, "gp2.json", _gp2_json())
+    write(tmp_path, "fine.json", _fine_json())
+    write(tmp_path, "double.json", model_to_json(model({(1,): (2,)})))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    want = run(capsys, argv)[:2]
+    assert want[0] in (0, 1)
+    for flag in flags:
+        got = run(capsys, flag + argv if flag[0] == "--verify-level" else argv + flag)[:2]
+        assert got == want
 
-    from ucalc import diffeo
 
-    def no_scan(*args):
-        raise AssertionError("scan started")
+def test_wp_mul_of_maps_certified_at_different_levels(tmp_path, capsys):
+    """a moves the three level-1 balls of Z_3 by 3(i + 1), b the 81 level-4
+    balls by 3^5 (i mod 3 + 1); their composite has level-4 pieces, finer
+    than the default level 3 at which a scan used to certify it."""
+    fine = [Ball.from_ints(CTX3, (i,), 4) for i in range(81)]
+    coarse = [Ball.from_ints(CTX3, (i,), 1) for i in range(3)]
 
-    # gamma = 2x defeats the bound and the symbolic route, so only the scan
-    # could decide it; level 5 gives 3^10 (3^5 + 1) classes
-    monkeypatch.setattr(diffeo, "_omega_witness_search", no_scan)
-    path = write(tmp_path, "double.json", model_to_json(model({(1,): (2,)})))
-    start = time.perf_counter()
-    code, payload, err = run(capsys, ["diffeo", "certify", "--endo", path, "--level", "5"])
-    assert time.perf_counter() - start < 1.0
-    assert code == 2
-    assert payload["error"].startswith("level 5 gives 3^10 (3^5 + 1) quotient classes")
-    assert "Traceback" not in err
+    def gamma(balls, shift):
+        return padic_model([(b, {(1,): CTX3.vector([1]), (0,): CTX3.vector([shift(i)])})
+                            for i, b in enumerate(balls)], e=1)
+
+    g1, g2 = gamma(coarse, lambda i: 3 * (i + 1)), gamma(fine, lambda i: 3 ** 5 * (i % 3 + 1))
+    a = write(tmp_path, "a.json", {"index": [0], "support": [{"id": 0, "endo": model_to_json(g1)}]})
+    b = write(tmp_path, "b.json", {"index": [0], "support": [{"id": 0, "endo": model_to_json(g2)}]})
+    code, payload, _ = run(capsys, ["wp", "mul", "--a", a, "--b", b])
+    assert code == 0
+    entry = payload["support"][0]["entry"]
+    assert entry["kind"] == "model" and entry["level"] == 3
+    p1 = induced_level_map(CertifiedDiffeo(endo=BallEndo(g1), cert=certify_omega(BallEndo(g1))), 3)
+    p2 = induced_level_map(CertifiedDiffeo(endo=BallEndo(g2), cert=certify_omega(BallEndo(g2))), 3)
+    assert entry["induced"] == [p1[i] for i in p2]
 
 
 def _sparse_endo(n):

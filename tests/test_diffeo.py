@@ -14,14 +14,9 @@ from ucalc.diffeo import (
     CertifiedDiffeo,
     CompactlySupportedEndo,
     DiffcDecision,
-    MAX_SCAN_CLASSES,
     IterationBudgetExceeded,
-    LevelRefused,
     NotCertified,
     OmegaCertificate,
-    _omega_symbolic,
-    _omega_witness_search,
-    _scan_too_large,
     certify_omega,
     compose_diffeos,
     diffc_membership,
@@ -33,7 +28,7 @@ from ucalc.diffeo import (
 )
 from ucalc.padic import PadicContext, fraction_valuation
 
-from reference import padic_model
+from reference import breaks_omega, omega_witness_search, padic_model
 
 CTX3 = PadicContext(3, 12)
 CTX2 = PadicContext(2, 12)
@@ -60,9 +55,9 @@ def root_disp(ctx, coeffs, d=1):
     return displacement(ctx, [((0,) * d, 0, coeffs)], e=d)
 
 
-def certified(ctx, coeffs, d=1, m=3):
+def certified(ctx, coeffs, d=1):
     endo = BallEndo.from_displacement(root_disp(ctx, coeffs, d=d))
-    return CertifiedDiffeo(endo=endo, cert=certify_omega(endo, m=m))
+    return CertifiedDiffeo(endo=endo, cert=certify_omega(endo))
 
 
 def rand_points(ctx, rng, n, d=1):
@@ -109,9 +104,7 @@ def test_ball_endo_rejects_dimension_mismatch():
 
 def test_certify_zero_displacement():
     endo = BallEndo.from_displacement(zero_model(ClopenRegion([B(CTX3, (0,), 0)]), 1))
-    cert = certify_omega(endo)
-    assert cert.method == "coefficient-bound"
-    assert cert.v_min == 1
+    assert certify_omega(endo) == OmegaCertificate(v_min=1)
 
 
 def test_certify_small_quadratic():
@@ -151,87 +144,52 @@ def test_certify_rejects_unit_translation():
 
 def test_certify_accepts_small_translation():
     cert = certify_omega(BallEndo.from_displacement(root_disp(CTX3, {(0,): (3,)})))
-    assert cert.method == "coefficient-bound"
+    assert cert == OmegaCertificate(v_min=1)
 
 
 def test_certify_exhaustive_route_agrees_with_bound_route():
-    # the same map sigma = 3x, stored once as a single piece (bound route)
-    # and once split over the level-1 pieces, where the per-piece constant
-    # terms sink below the uniform bound; the scan accepts the split map,
-    # and the chart slopes and centre values prove it symbolically first
+    # the same map sigma = 3x, stored once as a single piece, whose
+    # coefficients bound every quotient, and once split over the level-1
+    # pieces, whose chart constants are the centre values 0, 3, 6; both
+    # are certified, and the exhaustive scan of tests/reference.py agrees
     single = BallEndo.from_displacement(root_disp(CTX3, {(1,): (3,)}))
-    assert certify_omega(single).method == "coefficient-bound"
+    assert certify_omega(single) == OmegaCertificate(v_min=1)
     split = BallEndo.from_displacement(displacement(
         CTX3, [((c,), 1, {(1,): (3,)}) for c in range(3)], e=1))
-    assert _omega_witness_search(split, 3, 1) is None
-    cert = certify_omega(split, m=3)
-    assert cert.method == "symbolic"
-    assert cert.level == 3
+    assert certify_omega(split) == OmegaCertificate(v_min=1)
+    assert omega_witness_search(split, 3, 1) is None
 
 
 def test_certify_symbolic_p2():
     split = BallEndo.from_displacement(displacement(
         CTX2, [((c,), 1, {(1,): (4,)}) for c in range(2)], e=1))
-    cert = certify_omega(split, m=3)
-    assert cert.method == "symbolic"
-    assert cert.v_min == 2
-    assert cert.level == 3
+    assert certify_omega(split) == OmegaCertificate(v_min=2)
     with pytest.raises(NotCertified):
-        certify_omega(BallEndo.from_displacement(root_disp(CTX2, {(2,): (2,)})), m=3)
+        certify_omega(BallEndo.from_displacement(root_disp(CTX2, {(2,): (2,)})))
 
 
 def test_certify_exhaustive_p2():
-    # sigma = -(2/3) x^2 + 2 x^4 = (2/3) x^2 (3x^2 - 1): both coefficients
-    # have valuation 1 < v_min = 2, so neither the coefficient bound nor the
-    # symbolic route applies, yet every value and quotient has valuation >= 2
+    # the golden diffeo-certify-exhaustive map, which only the scan used to
+    # certify.  sigma = -(2/3) x^2 + 2 x^4 = (2/3) x^2 (3x^2 - 1): both
+    # coefficients have valuation 1 < v_min = 2, yet every value and
+    # quotient has valuation >= 2; the Mahler coefficients of its
+    # quotient show it
     minus_two_thirds = CTX2.from_fraction(Fraction(-2, 3))
     endo = BallEndo.from_displacement(root_disp(CTX2, {(2,): (minus_two_thirds,), (4,): (2,)}))
-    assert not _omega_symbolic(endo.sigma, 2)
+    assert endo.sigma.image_bound(endo.sigma.piece_balls()[0])[1] < 2
+    assert certify_omega(endo) == OmegaCertificate(v_min=2)
     for m in (3, 4, 5):
-        assert certify_omega(endo, m=m) == OmegaCertificate(v_min=2, method="exhaustive", level=m)
+        assert omega_witness_search(endo, m, 2) is None
 
 
-def test_certify_level_validation():
-    split = BallEndo.from_displacement(displacement(
-        CTX2, [((c,), 1, {(1,): (4,)}) for c in range(2)], e=1))
-    with pytest.raises(ValueError):
-        certify_omega(split, m=2)
+def test_certify_decides_maps_at_any_piece_level():
+    # sigma = x on the level-4 pieces of Z_2, finer than a level-3 scan
+    # sees, has unit quotients
     fine = BallEndo.from_displacement(displacement(
         CTX2, [((c,), 4, {(1,): (1,)}) for c in range(16)], e=1))
-    with pytest.raises(ValueError):
-        certify_omega(fine, m=3)
-
-
-@pytest.mark.parametrize("p, d, m", [(2, 1, 6), (2, 2, 3), (2, 3, 2), (3, 1, 4), (3, 2, 2), (5, 1, 2)])
-def test_scan_budget_boundary(p, d, m):
-    """The last level inside MAX_SCAN_CLASSES and the first past it; the
-    class count is computed, no class is visited."""
-    def classes(k):
-        return p ** (2 * d * k) * (p ** k + 1)
-
-    assert classes(m) <= MAX_SCAN_CLASSES < classes(m + 1)
-    assert not _scan_too_large(p, d, m)
-    assert _scan_too_large(p, d, m + 1)
-    assert _scan_too_large(p, d, 10 ** 9)
-
-
-def test_scan_budget_admits_its_own_count_and_refuses_before_scanning(monkeypatch):
-    from ucalc import diffeo
-
-    minus_two_thirds = CTX2.from_fraction(Fraction(-2, 3))
-    endo = BallEndo.from_displacement(root_disp(CTX2, {(2,): (minus_two_thirds,), (4,): (2,)}))
-    classes = 2 ** 8 * (2 ** 4 + 1)
-    monkeypatch.setattr(diffeo, "MAX_SCAN_CLASSES", classes)
-    assert certify_omega(endo, m=4).method == "exhaustive"
-    monkeypatch.setattr(diffeo, "MAX_SCAN_CLASSES", classes - 1)
-
-    def no_scan(*args):
-        raise AssertionError("scan started")
-
-    monkeypatch.setattr(diffeo, "_omega_witness_search", no_scan)
-    with pytest.raises(LevelRefused) as err:
-        certify_omega(endo, m=4)
-    assert str(err.value) == "level 4 gives 2^8 (2^4 + 1) quotient classes to scan, more than the 4351 allowed"
+    with pytest.raises(NotCertified) as info:
+        certify_omega(fine)
+    assert breaks_omega(fine.sigma, *info.value.witness, 2)
 
 
 def test_isometry_identity():
@@ -280,7 +238,7 @@ def test_isometry_counts_and_skips_equal_pairs_and_zero_coordinates():
     # gamma = 3x under a forged certificate: the pair through zero is a
     # violation, the equal pair is counted and skipped
     crush = BallEndo.from_displacement(root_disp(CTX3, {(1,): (2,)}))
-    forged = CertifiedDiffeo(endo=crush, cert=OmegaCertificate(v_min=1, method="coefficient-bound"))
+    forged = CertifiedDiffeo(endo=crush, cert=OmegaCertificate(v_min=1))
     z, one = (0,), (1,)
     rep = isometry_check(forged, [(z, one), (one, one), (z, z)])
     assert rep.checked == 3
@@ -339,7 +297,7 @@ def test_invert_budget_guard_on_forged_certificate():
     # contraction; a forged certificate must hit the iteration budget
     # rather than loop forever
     endo = BallEndo.from_displacement(root_disp(CTX3, {(1,): (1,)}))
-    forged = CertifiedDiffeo(endo=endo, cert=OmegaCertificate(v_min=1, method="coefficient-bound"))
+    forged = CertifiedDiffeo(endo=endo, cert=OmegaCertificate(v_min=1))
     with pytest.raises(IterationBudgetExceeded):
         invert_at(forged, (1,), 12)
 
@@ -400,7 +358,7 @@ def test_compose_matches_pointwise_composition():
 
 def test_compose_rejects_context_mismatch():
     with pytest.raises(ValueError):
-        compose_diffeos(certified(CTX3, {}), certified(CTX2, {}, m=3))
+        compose_diffeos(certified(CTX3, {}), certified(CTX2, {}))
 
 
 def compose_perm(f, g):
@@ -476,8 +434,8 @@ INDUCED_CTX = {p: PadicContext(p, 8) for p in (2, 3, 5)}
 def small_diffeos(draw, p, d):
     """A certified map of degree <= 2 on one piece or on the p^d level-1
     pieces: each piece's constant term is a multiple of p^v_min and its
-    other coefficients multiples of p^(v_min + k), so the coefficient
-    bound or the symbolic route certifies it."""
+    other coefficients multiples of p^(v_min + k), so `certify_omega`
+    accepts it."""
     ctx = INDUCED_CTX[p]
     v = halfball_valuation(p)
     exps = [e for e in itertools.product(range(3), repeat=d) if sum(e) <= 2]
@@ -511,8 +469,8 @@ def test_induced_map_matches_per_cell_route(data):
 
 def test_induced_map_matches_per_cell_route_on_scanned_and_split_maps():
     # the golden diffeo-certify-exhaustive map x - (2/3)x^2 + 2x^4 on Z_2,
-    # which only the scan certifies, and a p = 3 map whose level-1 pieces
-    # move by different multiples of 3
+    # which the Gauss norm of its chart cannot certify, and a p = 3 map
+    # whose level-1 pieces move by different multiples of 3
     ctx = INDUCED_CTX[2]
     scanned = BallEndo(padic_model(
         [(B(ctx, (0,), 0), {
@@ -524,9 +482,8 @@ def test_induced_map_matches_per_cell_route_on_scanned_and_split_maps():
     ))
     split = BallEndo.from_displacement(displacement(
         INDUCED_CTX[3], [((c,), 1, {(0,): (3 * c,), (2,): (9,)}) for c in range(3)], e=1))
-    for endo, level in [(scanned, 4), (split, 3)]:
-        g = CertifiedDiffeo(endo=endo, cert=certify_omega(endo, m=level))
-        assert g.cert.method in ("exhaustive", "symbolic")
+    for endo in (scanned, split):
+        g = CertifiedDiffeo(endo=endo, cert=certify_omega(endo))
         for m in range(1, g.cert.v_min + 3):
             assert induced_level_map(g, m) == per_cell_induced(g, m)
 
@@ -566,7 +523,7 @@ def test_induced_map_refuses_a_forged_certificate():
     # unit at the coarse cell of 1, so level 2 refuses; the per-cell route
     # shows the bijection that trusting the forgery would give wrongly
     endo = BallEndo.from_displacement(root_disp(CTX3, {(1,): (1,)}))
-    forged = CertifiedDiffeo(endo=endo, cert=OmegaCertificate(v_min=1, method="coefficient-bound"))
+    forged = CertifiedDiffeo(endo=endo, cert=OmegaCertificate(v_min=1))
     assert per_cell_induced(forged, 2)[3] == 6
     with pytest.raises(RuntimeError, match="certificate is broken"):
         induced_level_map(forged, 2)

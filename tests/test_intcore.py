@@ -1,11 +1,14 @@
 """Differential tests of the integer evaluation core against the Fraction route.
 
 Each consumer of `FunctionModel.residues` (induced cell maps, inversion,
-isometry checks, the Omega scan) is compared with a reference copy of its
-former Fraction implementation, kept here, on certified maps over
-p in {2, 3, 5}, d in {1, 2}, with one piece or several pieces at levels 0-2.
-The symbolic Omega route is compared with the scan on maps built at the
-edge of its three conditions.
+isometry checks, and the Omega scan of tests/reference.py) is compared
+with a reference copy of its former Fraction implementation, kept here,
+on certified maps over p in {2, 3, 5}, d in {1, 2}, with one piece or
+several pieces at levels 0-2.  The exact Omega decision of
+`certify_omega` is compared with that scan on maps built at the edge of
+its three conditions, on random and composite maps, and on relatives of
+a map that only the scan used to accept; each rejection's witness is
+confirmed by a Fraction evaluation.
 """
 
 import itertools
@@ -23,9 +26,8 @@ from ucalc.diffeo import (
     IterationBudgetExceeded,
     NotCertified,
     OmegaCertificate,
-    _omega_symbolic,
-    _omega_witness_search,
     certify_omega,
+    compose_diffeos,
     halfball_valuation,
     induced_level_map,
     invert_at,
@@ -33,7 +35,7 @@ from ucalc.diffeo import (
 )
 from ucalc.padic import PadicContext, fraction_valuation
 
-from reference import padic_model
+from reference import breaks_omega, omega_witness_search, padic_model, slope_residues
 
 N = 30
 CTX = {p: PadicContext(p, N) for p in (2, 3, 5)}
@@ -70,8 +72,8 @@ def chart_model(ctx, d, layout, charts):
 @st.composite
 def maps(draw, certified=True, primes=(2, 3, 5), dims=(1, 2), layouts=("one", "children", "mixed")):
     """(ctx, d, sigma) with integral chart coefficients; certified maps have
-    every chart coefficient divisible by p^(v_min + k_max), which the
-    coefficient bound accepts."""
+    every chart coefficient divisible by p^(v_min + k_max), which
+    `certify_omega` accepts."""
     p = draw(st.sampled_from(primes))
     d = draw(st.sampled_from(dims))
     layout = LAYOUTS[draw(st.sampled_from(layouts))](p, d)
@@ -198,7 +200,7 @@ def test_zero_parameter_chart_gradient_matches_dqk(case, data):
     for _ in range(4):
         x = tuple(data.draw(st.integers(0, p ** 4)) for _ in range(d))
         y = tuple(data.draw(st.integers(-p ** 3, p ** 3)) for _ in range(d))
-        k, slope = sigma.slope_residues(x, y, M)
+        k, slope = slope_residues(sigma, x, y, M)
         node = ("node", ("leaf", tuple(map(Fraction, x))), ("leaf", tuple(map(Fraction, y))), Fraction(0))
         want = tuple(q * p ** k for q in _dqk_fr(sigma, node))
         assert k == sigma._find_piece(tuple(map(Fraction, x))).k
@@ -225,8 +227,6 @@ def test_non_integral_chart_coefficient_is_refused():
     assert f._eval_fr((Fraction(3),)) == (Fraction(1),)
     with pytest.raises(NonIntegralChart):
         f.residues((3,), 2)
-    with pytest.raises(NonIntegralChart):
-        f.slope_residues((3,), (1,), 2)
 
 
 # -- consumers
@@ -282,7 +282,7 @@ def test_isometry_verdict_matches_fraction_route(case, data):
     ctx, d, sigma = case
     p = ctx.p
     # the check reads only gamma, so uncertified maps exercise violations too
-    g = CertifiedDiffeo(endo=BallEndo.from_displacement(sigma), cert=OmegaCertificate(2, "test"))
+    g = CertifiedDiffeo(endo=BallEndo.from_displacement(sigma), cert=OmegaCertificate(2))
     pairs = []
     for _ in range(8):
         x = [data.draw(st.integers(0, p ** N - 1)) for _ in range(d)]
@@ -306,7 +306,7 @@ def test_scan_outcome_matches_fraction_route(data):
     ctx, d, sigma = data.draw(maps(certified=accepting, primes=(p,), dims=(d,), layouts=layouts))
     endo = BallEndo.from_displacement(sigma)
     v_min = halfball_valuation(p)
-    got = _omega_witness_search(endo, m, v_min)
+    got = omega_witness_search(endo, m, v_min)
     assert got == ref_scan(endo, m, v_min)
     if accepting:
         assert got is None
@@ -322,7 +322,7 @@ def test_scan_reports_the_same_witness_on_rejecting_maps(p, d):
     charts = [[{(0,) * d: p ** v_min} for _ in range(d)] for _ in layout]
     charts[-1][0] = {tuple(1 if i == 0 else 0 for i in range(d)): 1}
     endo = BallEndo.from_displacement(chart_model(ctx, d, layout, charts))
-    got = _omega_witness_search(endo, m, v_min)
+    got = omega_witness_search(endo, m, v_min)
     assert got is not None
     assert got == ref_scan(endo, m, v_min)
 
@@ -336,7 +336,7 @@ def test_isometry_verdict_on_a_contraction(p, d):
     sigma = chart_model(ctx, d, LAYOUTS["one"](p, d), [[
         {tuple(1 if i == j else 0 for i in range(d)): p - 1} for j in range(d)
     ]])
-    g = CertifiedDiffeo(endo=BallEndo.from_displacement(sigma), cert=OmegaCertificate(2, "test"))
+    g = CertifiedDiffeo(endo=BallEndo.from_displacement(sigma), cert=OmegaCertificate(2))
     pairs = [((5,) * d, (5 + p ** v,) + (5,) * (d - 1)) for v in range(4)]
     want = ref_isometry(g, pairs)
     assert len(want) == len(pairs)
@@ -354,13 +354,13 @@ def test_isometry_verdict_on_an_isometry(p, d):
     sigma = chart_model(ctx, d, LAYOUTS["one"](p, d), [[
         {tuple(1 if i == j else 0 for i in range(d)): p} for j in range(d)
     ]])
-    g = CertifiedDiffeo(endo=BallEndo.from_displacement(sigma), cert=OmegaCertificate(2, "test"))
+    g = CertifiedDiffeo(endo=BallEndo.from_displacement(sigma), cert=OmegaCertificate(2))
     pairs = [((5,) * d, (5 + p ** v,) + (5,) * (d - 1)) for v in range(4)]
     assert ref_isometry(g, pairs) == ()
     assert isometry_check(g, pairs).violations == ()
 
 
-# -- the symbolic Omega route against the scan
+# -- the exact Omega decision against the scan
 
 # highest scan level affordable here (p^(2dm) (p^m + 1) quotient classes),
 # and the finest piece level drawn, so that m = max(k_max, 2 v_min - 1)
@@ -437,28 +437,147 @@ def edge_maps(draw, edit):
     return CTX[p], d, chart_model(CTX[p], d, layout, charts), v_min
 
 
+def decide_against_the_scan(endo):
+    """certify_omega's verdict on endo, checked against the scan of
+    tests/reference.py at m = max(k_max, 2 v_min - 1), and one level finer
+    where SCAN_TOP affords it.  An acceptance must leave both scans
+    silent; a rejection must be one the scan at m finds too, and its
+    witness, an integral (x, y, t), must break the bound when evaluated in
+    Fractions.  Returns True for an acceptance."""
+    p, d = endo.ctx.p, endo.d
+    v_min = halfball_valuation(p)
+    k_max = max(b.k for b in endo.sigma.piece_balls())
+    m = max(k_max, 2 * v_min - 1)
+    top = SCAN_TOP[(p, d)]
+    assert m <= top
+    try:
+        cert = certify_omega(endo)
+    except NotCertified as err:
+        x, y, t = err.witness
+        assert len(x) == len(y) == d
+        assert all(isinstance(q, Fraction) and q.denominator == 1 for q in x + y + (t,))
+        assert breaks_omega(endo.sigma, x, y, t, v_min)
+        assert omega_witness_search(endo, m, v_min) is not None
+        return False
+    assert cert == OmegaCertificate(v_min)
+    for level in range(m, min(m + 1, top) + 1):
+        assert omega_witness_search(endo, level, v_min) is None
+    return True
+
+
 @pytest.mark.parametrize("edit", ["none", "harmless", "slope", "value", "cross"])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_symbolic_route_agrees_with_the_scan(edit, data):
+    # certify_omega decides from chart data alone; each edit but "harmless"
+    # breaks one necessary condition, so the verdict is known in advance
     ctx, d, sigma, v_min = data.draw(edge_maps(edit))
     endo = BallEndo.from_displacement(sigma)
-    k_max = max(b.k for b in endo.sigma.piece_balls())
-    m = max(k_max, 2 * v_min - 1)
-    accepted = _omega_symbolic(endo.sigma, v_min)
-    # maps at the margins of all three conditions are proved
-    assert accepted or edit not in ("none", "harmless")
-    if accepted:
-        # sound: the scan finds no violation at m, nor one level finer
-        for level in range(m, min(m + 1, SCAN_TOP[(ctx.p, d)]) + 1):
-            assert _omega_witness_search(endo, level, v_min) is None
-        assert certify_omega(endo, m=m).method in ("coefficient-bound", "symbolic")
+    assert decide_against_the_scan(endo) is (edit in ("none", "harmless"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_exact_decision_agrees_with_the_scan_on_random_maps(data):
+    p, d = data.draw(st.sampled_from(sorted(SCAN_TOP)))
+    layouts = ("one", "children", "mixed")[:SCAN_TOP[(p, d)]]
+    ctx, d, sigma = data.draw(maps(certified=False, primes=(p,), dims=(d,), layouts=layouts))
+    decide_against_the_scan(BallEndo.from_displacement(sigma))
+
+
+@pytest.mark.parametrize("p, Q", [
+    (3, {(1,): 2, (2,): -1}),
+    (2, {(1,): 2, (3,): 2}),
+    (5, {(1,): -1, (3,): 1}),
+])
+def test_exact_decision_agrees_with_the_scan_on_maps_with_cancelling_box_points(p, Q):
+    """Maps whose quotient polynomial has several Mahler coefficients of
+    least valuation, where the box point of largest degree is no witness:
+    for 2x - x^2 on Z_3, P = 2y - 2zy - ty^2 has unit coefficients at
+    (0, 1, 0), (1, 1, 0), (0, 1, 1) and (0, 2, 1), and at (0, 2, 1) the
+    quotient (sigma(2) - sigma(0))/1 is 0."""
+    sigma = chart_model(CTX[p], 1, LAYOUTS["one"](p, 1), [[Q]])
+    assert not decide_against_the_scan(BallEndo.from_displacement(sigma))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_exact_decision_agrees_with_the_scan_on_composites(data):
+    # the group law makes every composite of certified maps certified;
+    # compose_diffeos decides it, and the scan checks it
+    edits = st.sampled_from(["none", "harmless"])
+    ctx, d, sigma1, _ = data.draw(edge_maps(data.draw(edits)))
+    g1 = certified_diffeo(sigma1)
+    while True:
+        ctx2, d2, sigma2, _ = data.draw(edge_maps(data.draw(edits)))
+        if (ctx2, d2) == (ctx, d):
+            break
+    g = compose_diffeos(g1, certified_diffeo(sigma2))
+    assert decide_against_the_scan(g.endo)
+
+
+# one digit below v_min = 2 on Z_2: for n = 2, 3, 4 the Mahler coefficients
+# of the quotient of x^(n+2) - x^n are even, so 2u(x^(n+2) - x^n) passes
+# condition 1 with coefficients of valuation 1, which the Gauss norm cannot
+GOLDEN_UNITS = [Fraction(1), Fraction(-1), Fraction(-1, 3), Fraction(1, 3), Fraction(5, 3)]
+
+
+@st.composite
+def golden_relatives(draw):
+    """Relatives of the map x - (2/3)x^2 + 2x^4 on Z_2 that only the scan
+    used to accept: on one piece or on the two level-1 pieces, each chart
+    2^k R(z) with R = sum 2u_n (z^(n+2) - z^n) + 4S(z), S of degree <= 6,
+    and sometimes 2u z^n added, which may break condition 1 (or 2 for
+    n = 0)."""
+    ctx = CTX[2]
+    layout = LAYOUTS[draw(st.sampled_from(["one", "children"]))](2, 1)
+    small = st.sampled_from([0, 0, 1, -1, Fraction(1, 3), 2])
+    charts = []
+    for _, k in layout:
+        c = [Fraction(0)] * 7
+        for n in (2, 3, 4):
+            u = draw(st.sampled_from(GOLDEN_UNITS + [0]))
+            c[n + 2] += 2 * u
+            c[n] -= 2 * u
+        for n in range(7):
+            c[n] += 4 * draw(small)
+        if draw(st.integers(0, 3)) == 0:
+            c[draw(st.integers(0, 6))] += 2 * draw(st.sampled_from(GOLDEN_UNITS))
+        charts.append([{(n,): 2 ** k * q for n, q in enumerate(c) if q}])
+    return chart_model(ctx, 1, layout, charts)
+
+
+def test_golden_relatives_include_scan_only_acceptances():
+    sigma = chart_model(CTX[2], 1, LAYOUTS["one"](2, 1), [[{(2,): Fraction(-2, 3), (4,): 2}]])
+    endo = BallEndo.from_displacement(sigma)
+    assert endo.sigma.image_bound(endo.sigma.piece_balls()[0])[1] < 2
+    assert decide_against_the_scan(endo)
+
+
+@settings(max_examples=30, deadline=None)
+@given(golden_relatives())
+def test_exact_decision_agrees_with_the_scan_on_golden_relatives(sigma):
+    try:
+        endo = BallEndo.from_displacement(sigma)
+    except ValueError:
         return
-    # a refusal falls through to the scan, whose outcome is kept
-    witness = _omega_witness_search(endo, m, v_min)
-    if witness is None:
-        assert certify_omega(endo, m=m) == OmegaCertificate(v_min, "exhaustive", m)
-    else:
-        with pytest.raises(NotCertified) as info:
-            certify_omega(endo, m=m)
-        assert info.value.witness == witness[1:]
+    decide_against_the_scan(endo)
+
+
+def test_composite_of_certified_maps_at_different_levels_is_certified():
+    """g2 moves the 81 level-4 balls of Z_3 by 3^5 (i mod 3 + 1) and g1 the
+    three level-1 balls by 3(i + 1).  The composite has level-4 pieces,
+    which a scan at the old default level 3 could not certify."""
+    ctx = CTX[3]
+    fine = [Ball.from_ints(ctx, (i,), 4) for i in range(81)]
+    coarse = [Ball.from_ints(ctx, (i,), 1) for i in range(3)]
+    g2 = certified_diffeo(padic_model([(b, {(0,): ctx.vector([3 ** 5 * (i % 3 + 1)])})
+                                       for i, b in enumerate(fine)], e=1))
+    g1 = certified_diffeo(padic_model([(b, {(0,): ctx.vector([3 * (i + 1)])})
+                                       for i, b in enumerate(coarse)], e=1))
+    g = compose_diffeos(g1, g2)
+    assert g.cert == OmegaCertificate(1)
+    assert max(b.k for b in g.endo.sigma.piece_balls()) == 4
+    for ints in Ball.from_ints(ctx, (0,), 0).level_reps(5):
+        want = g1.gamma.residues(g2.gamma.residues(ints, 6), 6)
+        assert g.gamma.residues(ints, 6) == want
