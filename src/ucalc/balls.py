@@ -167,7 +167,7 @@ class BallIndex:
         """The ball holding a point given by its residues mod p**j, j at
         least every indexed level, or None."""
         for _, mod, level in self.levels:
-            b = level.get(tuple(x % mod for x in ints))
+            b = level.get(tuple([x % mod for x in ints]))
             if b is not None:
                 return b
         return None

@@ -19,8 +19,8 @@ holds in Q holds bit-exactly at precision N when no coefficient overflows
 the digit window.
 
 Certified maps also have an integer evaluation core (`residues`): the
-exact value mod p^M at an integral point, computed on ints from the
-piece's chart polynomials.  Verdicts that only need values mod p^M or
+exact values mod p^M at a list of integral points, computed on ints from
+the chart polynomials of each point's piece.  Verdicts that only need values mod p^M or
 their valuations (induced cell maps, inversion, isometry checks, the
 centre values of Omega certificates, exhaustive range checks) run on it
 instead of on Fractions.
@@ -95,7 +95,7 @@ class FunctionModel:
 
     __slots__ = (
         "d", "e", "ctx", "factors", "_store", "_pieces", "_domain", "_fracs",
-        "_sym", "_charts", "_bounds", "_index", "_tables",
+        "_sym", "_charts", "_bounds", "_index", "_tables", "_vmin",
     )
 
     def __init__(self, pieces, e, factors=None):
@@ -117,7 +117,7 @@ class FunctionModel:
 
     def _setup(self, ctx, d, e, store, domain=None):
         self.d, self.e, self.ctx, self.factors = d, e, ctx, None
-        self._store, self._domain, self._pieces, self._fracs = store, domain, None, None
+        self._store, self._domain, self._pieces, self._fracs, self._vmin = store, domain, None, None, None
         # filled on first use: quotient and chart polynomials, image bounds,
         # piece index, residue tables
         self._sym, self._charts, self._bounds, self._index, self._tables = {}, {}, {}, None, {}
@@ -152,10 +152,13 @@ class FunctionModel:
         return [b for b, (_, polys) in self._store.items() if any(polys)]
 
     def min_valuation(self):
-        """Least valuation of a stored coefficient; INF for the zero map."""
-        p = self.ctx.p
-        return min((fraction_valuation(a, p) - s for s, polys in self._store.values()
-                    for P in polys for a in P.values()), default=INF)
+        """Least valuation of a stored coefficient, computed once; INF for the zero map."""
+        if self._vmin is None:
+            p = self.ctx.p
+            self._vmin = min(((0 if a % p else fraction_valuation(a, p)) - s
+                              for s, polys in self._store.values() for P in polys for a in P.values()),
+                             default=INF)
+        return self._vmin
 
     @property
     def _pieces_index(self):
@@ -204,51 +207,44 @@ class FunctionModel:
             p = self.ctx.p
             zero = (0,) * self.d
             val = tuple(Fraction(P.get(zero, 0), p ** k) for P in local)
-            s = min((fraction_valuation(a, p) for P in local for x, a in P.items() if x != zero), default=INF)
+            s = min((0 if a % p else fraction_valuation(a, p)
+                     for P in local for x, a in P.items() if x != zero), default=INF)
             bound = self._bounds[ball] = (val, s - k)
         return bound
 
-    def _table(self, ball, M):
-        key = (ball, M)
-        table = self._tables.get(key)
-        if table is None:
-            s, polys = self.chart(ball)
-            table = self._tables[key] = _residue_table(ball, s, polys, M)
-        return table
+    def residues(self, points, M):
+        """Exact residues mod p^M of the values at a list of integral
+        points: one tuple per point, in order.
 
-    def residues(self, ints, M):
-        """Exact residues mod p^M of the value at an integral point.
-
-        `ints` are integer coordinates of the point (any representatives:
+        Each point is given by integer coordinates (any representatives:
         a piece at level k reads them mod p^k and its chart variable
-        z = (x - c)/p^k exactly).  The value is Q(z) with Q the piece's
-        chart polynomials.  When every coefficient of Q lies in Z_(p),
-        reducing them mod p^M is a ring map Z_(p) -> Z/p^M, so evaluating
-        on ints mod p^M gives Q(z) mod p^M exactly.  The range certificate
-        of a self-map of O^d gives exactly that (image bound s >= 0 and
-        an integral centre value); a piece with a coefficient outside
-        Z_(p) raises NonIntegralChart when first evaluated.
-        """
-        ball = self._pieces_index.at(ints)
-        if ball is None:
-            raise OutOfDomain("point %s outside the model domain" % (list(ints),))
-        mod, step, center, top, comps = self._table(ball, M)
-        pows = []
-        for x, c, n in zip(ints, center, top):
-            z = (x - c) // step % mod
-            pw = [1]
-            for _ in range(n):
-                pw.append(pw[-1] * z % mod)
-            pows.append(pw)
-        out = []
-        for terms in comps:
-            acc = 0
-            for term, mono in terms:
-                for i, n in mono:
-                    term *= pows[i][n]
-                acc += term
-            out.append(acc % mod)
-        return tuple(out)
+        z = (x - c)/p^k exactly).  The value is Q(z) with Q the chart
+        polynomials of the piece holding the point; each piece's residue
+        table is fetched once per call and evaluated on all its points
+        together.  When every coefficient of Q lies in Z_(p), reducing them
+        mod p^M is a ring map Z_(p) -> Z/p^M, so evaluating on ints mod p^M
+        gives Q(z) mod p^M exactly, as the range certificate of a self-map
+        of O^d ensures.  In point order, the first point outside the domain
+        raises OutOfDomain, and the first on a piece with a coefficient
+        outside Z_(p) NonIntegralChart."""
+        at = self._pieces_index.at
+        groups = {}
+        for n, ints in enumerate(points):
+            ball = at(ints)
+            # keyed on identity: the index returns one object per piece
+            group = groups.get(id(ball))
+            if group is None:
+                if ball is None:
+                    raise OutOfDomain("point %s outside the model domain" % (list(ints),))
+                if (ball, M) not in self._tables:
+                    self._tables[ball, M] = _residue_table(ball, *self.chart(ball), M)
+                group = groups[id(ball)] = (self._tables[ball, M], [])
+            group[1].append(n)
+        out = [None] * len(points)
+        for table, where in groups.values():
+            for n, vals in zip(where, _table_values(table, [points[n] for n in where])):
+                out[n] = vals
+        return out
 
     def _eval_fr(self, frs):
         """Exact value at a point of rationals: one Fraction per coordinate."""
@@ -538,7 +534,7 @@ def _truncate(entry, ctx):
     digits as `PadicContext.from_fraction` cuts it, at the least scale."""
     s, polys = entry
     p = ctx.p
-    vals = tuple({x: (a, fraction_valuation(a, p)) for x, a in P.items()} for P in polys)
+    vals = tuple({x: (a, 0 if a % p else fraction_valuation(a, p)) for x, a in P.items()} for P in polys)
     low = max([0] + [s - t for V in vals for _, t in V.values()])
     return low, tuple({x: a // p ** t % ctx.modulus * p ** (t + low - s) for x, (a, t) in V.items()}
                       for V in vals)
@@ -556,13 +552,23 @@ def _subst(outer, inner, p, nvars):
 
 def _residue_table(ball, s, polys, M):
     """Chart polynomials p^-s polys reduced mod p^M: (p^M, p^k, centre,
-    top exponent per variable, terms per polynomial as (coefficient,
-    ((var, exp), ...)))."""
+    steps, rows).  The monomials they use and those dividing them are
+    numbered, 1 as monomial 0, so that monomial j + 1 is monomial
+    steps[j][0] times variable steps[j][1]; rows holds per polynomial its
+    nonzero terms (monomial number, coefficient)."""
     p = ball.ctx.p
     mod = p ** M
     unit = p ** s
-    top = [0] * ball.d
-    comps = []
+    place, steps = {(0,) * ball.d: 0}, []
+
+    def slot(exps):
+        if exps not in place:
+            i = max(i for i, n in enumerate(exps) if n)
+            steps.append((slot(exps[:i] + (exps[i] - 1,) + exps[i + 1:]), i))
+            place[exps] = len(steps)
+        return place[exps]
+
+    rows = []
     for P in polys:
         terms = []
         for exps, a in P.items():
@@ -572,12 +578,27 @@ def _residue_table(ball, s, polys, M):
                     "chart coefficient %s of piece %r is not %d-integral"
                     % (Fraction(a, unit), ball, p)
                 )
-            r = c % mod
-            if r:
-                terms.append((r, tuple((i, n) for i, n in enumerate(exps) if n)))
-                top = [max(t, n) for t, n in zip(top, exps)]
-        comps.append(tuple(terms))
-    return mod, p ** ball.k, ball.ints, tuple(top), tuple(comps)
+            if c % mod:
+                terms.append((slot(exps), c % mod))
+        rows.append(tuple(terms))
+    return mod, p ** ball.k, ball.ints, tuple(steps), tuple(rows)
+
+
+def _table_values(table, points):
+    """Residue tuples of points of one piece from its `_residue_table`,
+    one monomial and one output coordinate at a time over all points."""
+    mod, step, center, steps, rows = table
+    z = [[(x - c) // step for x in col] for col, c in zip(zip(*points), center)]
+    mono = [[1] * len(points)]
+    for j, i in steps:
+        mono.append([a * b % mod for a, b in zip(mono[j], z[i])])
+    vals = []
+    for terms in rows:
+        acc = [0] * len(points)
+        for j, c in terms:
+            acc = [a + c * m for a, m in zip(acc, mono[j])]
+        vals.append([a % mod for a in acc])
+    return list(zip(*vals))
 
 
 def _image_in_ball(f, ball, targets):
@@ -605,7 +626,7 @@ def _image_in_ball(f, ball, targets):
     # residue test is the exact one.
     top = max(b.k for b in targets)
     for ints in ball.level_reps(ball.k + top):
-        vals = f.residues(ints, top)
+        vals = f.residues((ints,), top)[0]
         if not any(b.contains_ints(vals) for b in targets):
             return False, "exhaustive", ints
     return True, "exhaustive", None
@@ -839,19 +860,34 @@ def add_identity(f, sign=1):
     """f + id (sign 1), or f plus p^N - 1 times id (sign -1: the N-digit
     truncation of -id), cut to N digits as model_add cuts the sum.  Every
     store is already cut to N digits at its least scale, so only the
-    coefficient of x_i in coordinate i changes.  Pieces keep the order of
-    f, which is model_add's order when the domain is one ball.  Where the
-    scale stays, a chart f has computed carries over, as the Taylor shift
-    is linear: coordinate i gains delta (c_i + p^k z_i), delta the change
-    of its x_i coefficient."""
+    coefficient of x_i in coordinate i changes.
+
+    A piece at scale 0 cuts only the changed coefficients: its sum has int
+    coefficients, so `_truncate` keeps scale 0 and maps each a to
+    (a // p^t mod p^N) p^t, t = v(a), which fixes every stored coefficient
+    u p^t (0 < u < p^N prime to p).  Other scales go through `_truncate`.
+
+    Pieces keep the order of f, which is model_add's order when the domain
+    is one ball, and share its piece index.  Where the scale stays, a chart
+    f has computed carries over, as the Taylor shift is linear: coordinate
+    i gains delta (c_i + p^k z_i), delta the change of its x_i coefficient."""
     if f.d != f.e:
         raise ValueError("codomain mismatch")
-    c = 1 if sign > 0 else f.ctx.modulus - 1
+    p, mod = f.ctx.p, f.ctx.modulus
+    c = 1 if sign > 0 else mod - 1
     units, zero = _units(f.d), (0,) * f.d
     g = FunctionModel._build(f.ctx, f.d, f.e, {}, f._domain)
+    g._index = f._index
     for b, (s, polys) in f._store.items():
-        summed = tuple(_poly.add(P, {x: c * f.ctx.p ** s}) for P, x in zip(polys, units))
-        t, new = g._store[b] = _truncate((s, summed), f.ctx)
+        summed = tuple(_poly.add(P, {x: c * p ** s}) for P, x in zip(polys, units))
+        if s:
+            t, new = g._store[b] = _truncate((s, summed), f.ctx)
+        else:
+            for Q, x in zip(summed, units):
+                if a := Q.get(x):
+                    v = 0 if a % p else fraction_valuation(a, p)
+                    Q[x] = a // p ** v % mod * p ** v
+            t, new = g._store[b] = 0, summed
         if b in f._charts and t == s:
             deltas = (Q.get(x, 0) - P.get(x, 0) for P, Q, x in zip(polys, new, units))
             g._charts[b] = (s, tuple(_poly.add(C, {zero: delta * ci, x: delta * f.ctx.p ** b.k})

@@ -19,7 +19,7 @@ certifying the chart copy.
 
 Every sampling loop here (inversion, isometry checks, induced cell maps,
 range checks) and the centre values of certification run on the integer
-core `FunctionModel.residues`.  Its verdicts equal the exact ones for three
+core `FunctionModel.residues`, one call per list of points.  Its verdicts equal the exact ones for three
 reasons: the range certificate gives the pieces p-integral chart
 coefficients; reduction Z_(p) -> Z/p^M is a ring map, so values mod p^M
 come out of integer arithmetic exactly; and each loop picks M so that
@@ -65,10 +65,6 @@ def halfball_valuation(p):
     return 2 if p == 2 else 1
 
 
-def _root_ball(ctx, d):
-    return Ball.from_ints(ctx, (0,) * d, 0)
-
-
 class BallEndo:
     """Self-map of the unit ball O^d with a verified range certificate.
 
@@ -84,10 +80,13 @@ class BallEndo:
                 "a self-map needs matching dimensions, got d=%d, e=%d"
                 % (gamma.d, gamma.e)
             )
-        ball = _root_ball(gamma.ctx, gamma.d)
-        if gamma.domain != ClopenRegion([ball]):
+        p, d, pieces = gamma.ctx.p, gamma.d, gamma.piece_balls()
+        top = max(b.k for b in pieces)
+        # disjoint balls in O^d cover it exactly when their volumes add up to 1
+        if sum(p ** (d * (top - b.k)) for b in pieces) != p ** (d * top):
             raise ValueError("the model domain must be the unit ball O^d")
-        for piece in gamma.piece_balls():
+        ball = Ball.from_ints(gamma.ctx, (0,) * d, 0)
+        for piece in pieces:
             ok, method, witness = _image_in_ball(gamma, piece, (ball,))
             if not ok:
                 raise ValueError(
@@ -192,10 +191,10 @@ def certify_omega(endo):
     its Mahler coefficients, which are integer combinations of them, and
     nothing is expanded.  Otherwise a Mahler coefficient of P_B breaks 1
     exactly when it is nonzero mod p^(v_min + k + s).
-    Centre values are read once mod p^(v_min + k_max - 1) from
-    `FunctionModel.residues` (exact: the range certificate makes the
-    charts integral) and reduced per j; grouping pieces by centre mod p^j
-    costs O(pieces * k_max) and never looks at pairs.
+    Centre values are read once mod p^(v_min + k_max - 1), by one call
+    of `FunctionModel.residues` on all centres (exact: the range
+    certificate makes the charts integral), and reduced per j; grouping
+    pieces by centre mod p^j costs O(pieces * k_max), never pairs.
     """
     sigma = endo.sigma
     p = endo.ctx.p
@@ -208,7 +207,7 @@ def certify_omega(endo):
     k_max = max(b.k for b in balls)
     M = v_min + max(k_max - 1, 0)
     low = p ** v_min
-    values = [sigma.residues(ball.ints, M) for ball in balls]
+    values = sigma.residues([ball.ints for ball in balls], M)
     for ball, val in zip(balls, values):
         if any(r % low for r in val):
             raise _violation(v_min, ball.ints, (0,) * endo.d, 0)
@@ -269,72 +268,81 @@ def isometry_check(g, pairs):
     Each pair holds two points of O^d as tuples of ints, so v(x - y) is
     the valuation of an int difference; the violations are the failing
     pairs as given.  Pairs with x = y are counted and skipped.  The
-    outputs run on residues mod p^M, M one above the largest finite
-    valuation of an input difference.  For x != y with v(x - y) = v < M,
-    the output difference has valuation v exactly when it is 0 mod p^v
-    and nonzero mod p^(v+1), which residues mod p^M decide exactly.
+    outputs are residues mod p^M of all xs, then all ys, M one above the
+    largest finite valuation of an input difference.  For x != y with
+    v(x - y) = v < M, the output difference has valuation v exactly when
+    it is 0 mod p^v and nonzero mod p^(v+1), a congruence test on them.
     """
     gamma = g.endo.gamma
     p = gamma.ctx.p
     pts = [(x, y, min(fraction_valuation(a - b, p) for a, b in zip(x, y))) for x, y in pairs]
-    M = 1 + max((v for *_, v in pts if v != INF), default=0)
-    mod = p ** M
+    live = [pt for pt in pts if pt[2] != INF]
+    M = 1 + max((v for *_, v in live), default=0)
+    gxs = gamma.residues([x for x, _, _ in live], M)
+    gys = gamma.residues([y for _, y, _ in live], M)
     violations = []
-    for x, y, vin in pts:
-        if vin == INF:
-            continue
-        diffs = [a - b for a, b in zip(gamma.residues(x, M), gamma.residues(y, M))]
-        if min(fraction_valuation(q % mod, p) for q in diffs) != vin:
+    for (x, y, v), gx, gy in zip(live, gxs, gys):
+        diffs = [a - b for a, b in zip(gx, gy)]
+        if any(q % p ** v for q in diffs) or not any(q % p ** (v + 1) for q in diffs):
             violations.append((x, y))
     return IsometryReport(checked=len(pts), violations=tuple(violations))
 
 
-def _invert(endo, y, target_v, v_min):
-    """Fixed-point preimage of an integral point (ints) on ints mod p^M.
+def _invert(endo, ys, target_v, v_min):
+    """Fixed-point preimages of a list of integral points (ints) on ints
+    mod p^M, iterated together.
 
     Each step replaces x by y - sigma(x); the certificate bounds the
     displacement's quotients by p^-v_min, so successive iterates contract
     by at least that factor and the budget below always suffices.  The
     iteration only needs x mod p^M, and sigma's residues mod p^M are exact
     (`FunctionModel.residues`), so each iterate is the exact one reduced.
-    The residual of the accepted iterate is checked exactly: with
-    M > target_v, gamma(x) - y has valuation below target_v exactly when
-    it is nonzero mod p^target_v.  Returns the preimage as ints in
-    [0, p^M).
+    A step evaluates the targets still moving in one call; a target leaves
+    once two iterates agree mod p^target_v.  With M > target_v, the
+    residual gamma(x) - y of an accepted iterate has valuation below
+    target_v exactly when it is nonzero mod p^target_v.  The error raised
+    is that of the first failing target, as if each were inverted alone.
+    Returns the preimages as tuples of ints in [0, p^M), in order.
     """
-    ctx = endo.ctx
-    p = ctx.p
+    p = endo.ctx.p
     budget = -(-target_v // v_min) + 2
     M = target_v + v_min + 2
     mod = p ** M
     close = p ** target_v
-    y = [a % mod for a in y]
-    x = y
+    ys = [[a % mod for a in y] for y in ys]
+    xs, live = list(ys), list(range(len(ys)))
     for _ in range(budget):
-        nxt = [(a - q) % mod for a, q in zip(y, endo.sigma.residues(x, M))]
-        converged = all((a - b) % close == 0 for a, b in zip(nxt, x))
-        x = nxt
-        if converged:
-            resid = min(
-                fraction_valuation((a - b) % mod, p) for a, b in zip(endo.gamma.residues(x, M), y)
+        moving = []
+        for i, q in zip(live, endo.sigma.residues([xs[i] for i in live], M)):
+            nxt = [(a - b) % mod for a, b in zip(ys[i], q)]
+            if any((a - b) % close for a, b in zip(nxt, xs[i])):
+                moving.append(i)
+            xs[i] = nxt
+        live = moving
+        if not live:
+            break
+    # targets before the first one still moving have converged
+    for x, y in zip(endo.gamma.residues(xs[:live[0]] if live else xs, M), ys):
+        if any((a - b) % close for a, b in zip(x, y)):
+            resid = min(fraction_valuation((a - b) % mod, p) for a, b in zip(x, y))
+            raise RuntimeError(
+                "inversion residual has valuation %s, expected >= %d; "
+                "the certificate is broken" % (resid, target_v)
             )
-            if resid < target_v:
-                raise RuntimeError(
-                    "inversion residual has valuation %s, expected >= %d; "
-                    "the certificate is broken" % (resid, target_v)
-                )
-            return tuple(x)
-    raise IterationBudgetExceeded(
-        "no contraction to %d digits within %d steps" % (target_v, budget)
-    )
+    if live:
+        raise IterationBudgetExceeded(
+            "no contraction to %d digits within %d steps" % (target_v, budget)
+        )
+    return [tuple(x) for x in xs]
 
 
-def invert_at(g, y, target_v):
-    """Preimage of y under the certified map, correct to p^-target_v.
+def invert_points(g, ys, target_v):
+    """Preimages of a list of points under the certified map, each correct
+    to p^-target_v, in one batched fixed-point iteration (`_invert`).
 
-    y is a point of O^d as a tuple of ints (any representatives), and
-    the preimage comes back as a tuple of ints in [0, p^M), M = target_v
-    + v_min + 2.  A tuple of another length than d raises
+    Each y is a point of O^d as a tuple of ints (any representatives),
+    and each preimage comes back as a tuple of ints in [0, p^M), M =
+    target_v + v_min + 2.  A tuple of another length than d raises
     ValueError("y lies outside the unit ball").  `_invert` trusts g.cert.
     """
     endo = g.endo
@@ -346,16 +354,21 @@ def invert_at(g, y, target_v):
             "target precision %d exceeds the context precision N=%d"
             % (target_v, ctx.N)
         )
-    if len(y) != endo.d:
+    if any(len(y) != endo.d for y in ys):
         raise ValueError("y lies outside the unit ball")
-    return _invert(endo, y, target_v, g.cert.v_min)
+    return _invert(endo, ys, target_v, g.cert.v_min)
+
+
+def invert_at(g, y, target_v):
+    """Preimage of y correct to p^-target_v: `invert_points` on one point."""
+    return invert_points(g, [y], target_v)[0]
 
 
 def _preimage_ball(g, ball):
     """Pullback of a sub-ball: same level, center pulled back by inversion."""
     if ball.k == 0:
         return ball
-    pre = _invert(g.endo, ball.ints, ball.k, g.cert.v_min)
+    pre = _invert(g.endo, [ball.ints], ball.k, g.cert.v_min)[0]
     return Ball.from_ints(g.endo.ctx, pre, ball.k)
 
 
@@ -391,10 +404,10 @@ def induced_level_map(g, m):
     v(sigma(x) - sigma(x')) >= v(x - x') + v_min makes sigma mod p^m
     factor through x mod p^c, c = max(m - v_min, 0): for x = x' mod p^c
     the difference has valuation >= c + v_min >= m (for c = 0 because
-    v_min >= m).  So gamma(x) = x + (gamma(x') - x') mod p^m, and
-    `FunctionModel.residues` runs once per level-c coarse cell x'; the
-    p^(d(m-c)) cells inside it are filled by index arithmetic, a cyclic
-    shift of the fine offsets per coordinate.  Two checks catch forged
+    v_min >= m).  So gamma(x) = x + (gamma(x') - x') mod p^m, and one call
+    of `FunctionModel.residues` evaluates the p^(dc) level-c coarse cells
+    x'; the p^(d(m-c)) cells inside each are filled by index arithmetic, a
+    cyclic shift of the fine offsets per coordinate.  Two checks catch forged
     certificates where they show, with RuntimeError: each gamma(x') - x'
     must be 0 mod p^min(v_min, m), the certificate's value bound, and the
     result must be a bijection.
@@ -413,9 +426,10 @@ def induced_level_map(g, m):
     offs = [step * w for w in range(mod // step)]
     weights = [mod ** (d - 1 - j) for j in range(d - 1)]
     out = [0] * mod ** d
-    for coarse in endo.ball.level_reps(c):
+    coarses = list(endo.ball.level_reps(c))
+    for coarse, vals in zip(coarses, endo.gamma.residues(coarses, m)):
         images = []
-        for x, r in zip(coarse, endo.gamma.residues(coarse, m)):
+        for x, r in zip(coarse, vals):
             if (r - x) % low:
                 raise RuntimeError(
                     "displacement at %s is nonzero mod %d^%d; the certificate is broken"

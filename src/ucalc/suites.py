@@ -58,7 +58,7 @@ from .diffeo import (
     certify_omega,
     halfball_valuation,
     induced_level_map,
-    invert_at,
+    invert_points,
     isometry_check,
 )
 from .padic import PadicContext, PrecisionLoss, is_prime
@@ -154,7 +154,7 @@ class Report:
 
 def rand_ints(ctx, rng, d):
     """A point of O^d as d ints below p^N, so already cut to N digits."""
-    return tuple(rng.randrange(ctx.modulus) for _ in range(d))
+    return tuple(map(rng.randrange, [ctx.modulus] * d))
 
 
 def rand_vector(ctx, rng, d):
@@ -576,17 +576,17 @@ def _inversion(cfg, ctx, rng):
     def law(idx, srng):
         g = rand_diffeo(ctx, srng, cfg.d)
         try:
-            for _ in range(5):
-                y = rand_ints(ctx, srng, cfg.d)
-                x = invert_at(g, y, ctx.N)
-                if any((q - c) % ctx.modulus for q, c in zip(g.gamma.residues(x, ctx.N), y)):
+            ys = [rand_ints(ctx, srng, cfg.d) for _ in range(5)]
+            xs = invert_points(g, ys, ctx.N)
+            for y, img in zip(ys, g.gamma.residues(xs, ctx.N)):
+                if any((q - c) % ctx.modulus for q, c in zip(img, y)):
                     return {}, "residual above tolerance at y=%s" % (ctx.vector(y),), "exact roundtrip"
             # full roundtrip on every affordable cell; deciding a cell
             # at this level only needs the inverse to that precision
-            for repnt in root.level_reps(level):
-                x = invert_at(g, repnt, level)
-                img = g.gamma.residues(x, level)
-                if any((q - c) % ctx.p ** level for q, c in zip(img, repnt)):
+            reps = list(root.level_reps(level))
+            xs, cell = invert_points(g, reps, level), ctx.p ** level
+            for repnt, img in zip(reps, g.gamma.residues(xs, level)):
+                if any((q - c) % cell for q, c in zip(img, repnt)):
                     return {}, "roundtrip misses cell %s" % (repnt,), "exact roundtrip"
         except IterationBudgetExceeded as err:
             return {}, str(err), "exact roundtrip"

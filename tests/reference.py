@@ -98,17 +98,15 @@ def omega_witness_search(endo, m, v_min):
     M = m + v_min
     reps = list(endo.ball.level_reps(m))
     ts = [(t, None if j is None else p ** (j + v_min)) for t, j in t_classes(p, m)]
-    bases = []
-    for x in reps:
-        base = sigma.residues(x, M)
-        bases.append(base)
+    bases = sigma.residues(reps, M)
+    for x, base in zip(reps, bases):
         for y in reps:
             for t, mod in ts:
                 if mod is None:
                     k, slope = slope_residues(sigma, x, y, M)
                     bad = any(r % p ** (v_min + k) for r in slope)
                 else:
-                    shifted = sigma.residues(tuple(a + t * b for a, b in zip(x, y)), M)
+                    shifted = sigma.residues([tuple(a + t * b for a, b in zip(x, y))], M)[0]
                     bad = any((q2 - q1) % mod for q1, q2 in zip(base, shifted))
                 if bad:
                     return ("quotient", _fractions(x), _fractions(y), Fraction(t))

@@ -45,7 +45,7 @@ def _old_image_in_ball(f, ball, target):
         return False, "unbounded", None
     m = ball.k + target.k
     for ints in ball.level_reps(m):
-        if not target.contains_ints(f.residues(ints, target.k)):
+        if not target.contains_ints(f.residues([ints], target.k)[0]):
             return False, "exhaustive", ints
     return True, "exhaustive", None
 
@@ -67,7 +67,7 @@ def _old_image_in_region(f, ball, region):
     top = region.max_level()
     m = ball.k + top
     for reps in ball.level_reps(m):
-        vals = f.residues(reps, top)
+        vals = f.residues([reps], top)[0]
         if not any(b.contains_ints(vals) for b in region.balls):
             return False, True
     return True, True

@@ -1,8 +1,10 @@
 """Differential tests of the integer evaluation core against the Fraction route.
 
-Each consumer of `FunctionModel.residues` (induced cell maps, inversion,
-isometry checks, and the Omega scan of tests/reference.py) is compared
-with a reference copy of its former Fraction implementation, kept here,
+`FunctionModel.residues` evaluates a list of points, shuffled and with
+repeats, and is compared point by point with the Fraction route.  Each
+consumer of it (induced cell maps, batched inversion, isometry checks,
+and the Omega scan of tests/reference.py) is compared with a reference
+copy of its former Fraction implementation, kept here, target by target,
 on certified maps over p in {2, 3, 5}, d in {1, 2}, with one piece or
 several pieces at levels 0-2.  The exact Omega decision of
 `certify_omega` is compared with that scan on maps built at the edge of
@@ -31,6 +33,7 @@ from ucalc.diffeo import (
     halfball_valuation,
     induced_level_map,
     invert_at,
+    invert_points,
     isometry_check,
 )
 from ucalc.padic import PadicContext, fraction_valuation
@@ -177,17 +180,52 @@ def ref_scan(endo, m, v_min):
 # -- the core
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(maps(certified=False), st.data())
 def test_residues_match_fraction_route(case, data):
+    # lists of up to 12 points, some repeated, in drawn order; on the
+    # "children" and "mixed" layouts they fall on several pieces
     ctx, d, sigma = case
     p = ctx.p
     gamma = BallEndo.from_displacement(sigma).gamma
-    for _ in range(6):
-        ints = tuple(data.draw(st.integers(-p ** 8, p ** 8)) for _ in range(d))
+    point = st.tuples(*[st.integers(-p ** 8, p ** 8)] * d)
+    for _ in range(3):
+        pts = data.draw(st.lists(point, max_size=8))
+        pts = data.draw(st.permutations(pts + data.draw(st.lists(st.sampled_from(pts), max_size=4))
+                                        if pts else pts))
         M = data.draw(st.integers(1, 8))
         for f in (sigma, gamma):
-            assert f.residues(ints, M) == ref_residues(f, ints, M)
+            assert f.residues(pts, M) == [ref_residues(f, ints, M) for ints in pts]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("d", (1, 2))
+def test_residues_of_every_cell_on_mixed_pieces(p, d):
+    # every level-3 cell in one list, forwards and backwards: each piece
+    # of the mixed layout has its own chart, so a table read for the
+    # wrong piece shows
+    ctx = CTX[p]
+    layout = LAYOUTS["mixed"](p, d)
+    exps = [e for e in itertools.product(range(3), repeat=d) if sum(e) <= 2]
+    charts = [[{e: (7 * n + 3 * j + sum(e) + 1) * p for e in exps} for j in range(d)]
+              for n in range(len(layout))]
+    f = BallEndo.from_displacement(chart_model(ctx, d, layout, charts)).gamma
+    pts = list(Ball.from_ints(ctx, (0,) * d, 0).level_reps(3 if d == 1 else 2))
+    want = [ref_residues(f, ints, 5) for ints in pts]
+    assert f.residues(pts, 5) == want
+    assert f.residues(pts[::-1], 5) == want[::-1]
+    assert f.residues([], 5) == []
+
+
+def test_residues_refuse_the_first_point_outside_the_domain():
+    ctx = CTX[3]
+    f = padic_model([(Ball.from_ints(ctx, (1, 0), 1), {(1, 0): ctx.vector([1, 0])}),
+                     (Ball.from_ints(ctx, (0, 0), 2), {(0, 1): ctx.vector([0, 1])})], e=2)
+    assert f.residues([(1, 3), (9, 0)], 2) == [(1, 0), (0, 0)]
+    with pytest.raises(OutOfDomain, match=r"^point \[2, 0\] outside the model domain$"):
+        f.residues([(1, 3), (9, 0), (2, 0), (3, 0)], 2)
+    with pytest.raises(OutOfDomain, match=r"^point \[3, 0\] outside the model domain$"):
+        f.residues([(3, 0), (2, 0)], 2)
 
 
 @settings(max_examples=15, deadline=None)
@@ -226,7 +264,16 @@ def test_non_integral_chart_coefficient_is_refused():
     f = padic_model([(ball, {(1,): ctx.vector([Fraction(1, 3)])})], e=1)
     assert f._eval_fr((Fraction(3),)) == (Fraction(1),)
     with pytest.raises(NonIntegralChart):
-        f.residues((3,), 2)
+        f.residues([(3,)], 2)
+    # in point order: a point on the non-integral piece before one outside
+    # the domain raises NonIntegralChart, and after it OutOfDomain
+    split = padic_model([(Ball.from_ints(ctx, (0,), 1), {(0,): ctx.vector([1])}),
+                         (Ball.from_ints(ctx, (1,), 1), {(1,): ctx.vector([Fraction(1, 3)])})], e=1)
+    assert split.residues([(0,), (3,)], 2) == [(1,), (1,)]
+    with pytest.raises(NonIntegralChart, match="is not 3-integral"):
+        split.residues([(0,), (1,), (2,)], 2)
+    with pytest.raises(OutOfDomain):
+        split.residues([(0,), (2,), (1,)], 2)
 
 
 # -- consumers
@@ -249,9 +296,10 @@ def test_induced_memo_returns_the_same_tuple_without_evaluating(monkeypatch):
     calls = []
     original = FunctionModel.residues
 
-    def counting(self, ints, M):
-        calls.append(ints)
-        return original(self, ints, M)
+    def counting(self, points, M):
+        points = list(points)
+        calls.extend(points)
+        return original(self, points, M)
 
     monkeypatch.setattr(FunctionModel, "residues", counting)
     assert induced_level_map(g, 2) is first
@@ -264,16 +312,61 @@ def test_induced_memo_returns_the_same_tuple_without_evaluating(monkeypatch):
     assert len(calls) == 3 ** (2 * (2 - g.cert.v_min))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(maps(), st.data())
 def test_inverse_matches_fraction_route(case, data):
+    # batches of random targets, 0 and the piece centres, in drawn order,
+    # leave the batch at different steps; each preimage must be the one
+    # the Fraction loop reaches for its target alone
     ctx, d, sigma = case
     g = certified_diffeo(sigma)
-    for _ in range(3):
-        y = tuple(data.draw(st.integers(0, ctx.p ** N - 1)) for _ in range(d))
+    point = st.tuples(*[st.integers(0, ctx.p ** N - 1)] * d)
+    for _ in range(2):
+        ys = data.draw(st.lists(point, max_size=6)) + [(0,) * d] + [b.ints for b in sigma.piece_balls()]
+        ys = data.draw(st.permutations(ys))
         target = data.draw(st.integers(1, 8))
-        want = ref_invert(g.endo, tuple(map(Fraction, y)), target, g.cert.v_min)
-        assert invert_at(g, y, target) == want
+        want = [ref_invert(g.endo, tuple(map(Fraction, y)), target, g.cert.v_min) for y in ys]
+        assert invert_points(g, ys, target) == want
+        assert invert_at(g, ys[0], target) == want[0]
+
+
+def test_inversion_errors_keep_their_type_and_text():
+    ctx = CTX[3]
+    one = chart_model(ctx, 1, LAYOUTS["one"](3, 1), [[{(1,): 3}]])
+    g = certified_diffeo(one)
+    assert invert_points(g, [], 4) == []
+    # gamma = 4x contracts by 3^-1 a step: a forged v_min = 4 leaves the
+    # budget at 2 + 2 steps, short of the 8 that y = 1 needs; y = 0 is a
+    # fixed point and would pass alone
+    forged = CertifiedDiffeo(endo=g.endo, cert=OmegaCertificate(4))
+    assert invert_points(forged, [(0,)], 8) == [(0,)]
+    for ys in ([(1,)], [(0,), (1,), (0,)]):
+        with pytest.raises(IterationBudgetExceeded, match=r"^no contraction to 8 digits within 4 steps$"):
+            invert_points(forged, ys, 8)
+    # a gamma that disagrees with sigma: id plus 9 on [0] and 3 on [1]
+    # (and [2]), with sigma = 0, so every target converges at once and
+    # fails its residual; the first target names its own valuation
+    shifted = chart_model(ctx, 1, LAYOUTS["children"](3, 1), [[{(0,): 9}], [{(0,): 3}], [{(0,): 3}]])
+    broken = certified_diffeo(chart_model(ctx, 1, LAYOUTS["children"](3, 1), [[{}], [{}], [{}]]))
+    broken.endo.gamma = BallEndo.from_displacement(shifted).gamma
+    for ys, v in (([(0,), (1,)], 2), ([(1,), (0,)], 1)):
+        with pytest.raises(RuntimeError, match=r"^inversion residual has valuation %d, expected >= 3; "
+                                               r"the certificate is broken$" % v):
+            invert_points(broken, ys, 3)
+    # the first failing target decides.  sigma = 3(x - c) on [1] and [2]
+    # moves y = 4 by 3^2, 3^3, ... a step, past the forged budget, and 0
+    # on [0], where gamma is shifted by 9 as above
+    children = LAYOUTS["children"](3, 1)
+    slow = [[{(1,): 9}], [{(1,): 9}]]
+    mixed = CertifiedDiffeo(endo=BallEndo.from_displacement(chart_model(ctx, 1, children, [[{}]] + slow)),
+                            cert=OmegaCertificate(4))
+    mixed.endo.gamma = BallEndo.from_displacement(chart_model(ctx, 1, children, [[{(0,): 9}]] + slow)).gamma
+    with pytest.raises(RuntimeError, match="^inversion residual has valuation 2, expected >= 8;"):
+        invert_points(mixed, [(0,), (4,)], 8)
+    with pytest.raises(IterationBudgetExceeded, match="^no contraction to 8 digits within 4 steps$"):
+        invert_points(mixed, [(4,), (0,)], 8)
+    with pytest.raises(ValueError, match="y lies outside the unit ball"):
+        invert_points(g, [(0,), (0, 0)], 3)
 
 
 @settings(max_examples=20, deadline=None)
@@ -579,5 +672,5 @@ def test_composite_of_certified_maps_at_different_levels_is_certified():
     assert g.cert == OmegaCertificate(1)
     assert max(b.k for b in g.endo.sigma.piece_balls()) == 4
     for ints in Ball.from_ints(ctx, (0,), 0).level_reps(5):
-        want = g1.gamma.residues(g2.gamma.residues(ints, 6), 6)
-        assert g.gamma.residues(ints, 6) == want
+        want = g1.gamma.residues(g2.gamma.residues([ints], 6), 6)
+        assert g.gamma.residues([ints], 6) == want

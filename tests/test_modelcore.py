@@ -27,6 +27,8 @@ from ucalc.calculus import (
     FunctionModel,
     OutOfDomain,
     _local_coeffs,
+    _truncate,
+    _units,
     add_identity,
     compose,
     find_certificate,
@@ -422,6 +424,59 @@ def test_add_identity_carries_the_charts_f_has(data):
         assert set(g._charts) == set(f._charts)
         for ball, chart in g._charts.items():
             assert chart == _local_coeffs(g._store[ball], ball)
+
+
+def truncate_route(f, sign):
+    """The store of add_identity(f, sign) with every coefficient of every
+    piece cut by `_truncate`, the route before the scale-0 shortcut."""
+    c = 1 if sign > 0 else f.ctx.modulus - 1
+    return {b: _truncate((s, tuple(_poly.add(P, {x: c * f.ctx.p ** s}) for P, x in zip(polys, _units(f.d)))),
+                         f.ctx)
+            for b, (s, polys) in f._store.items()}
+
+
+def same_store(g, store):
+    """Equal stores, with the same piece order and monomial order."""
+    assert list(g._store) == list(store)
+    for b, (s, polys) in store.items():
+        t, got = g._store[b]
+        assert t == s and got == polys
+        assert [list(P) for P in got] == [list(P) for P in polys]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_add_identity_matches_the_truncate_route(data):
+    """Pieces at scale 0 cut only the x_i coefficients; coefficients of
+    valuation down to -2 give pieces at scale s > 0 too, and N = 4 makes
+    sums carry past the digit window."""
+    ctx, d = data.draw(settings_pd())
+    f = data.draw(models(ctx, d, d, layouts=tuple(LAYOUTS)))
+    for sign in (1, -1):
+        same_store(add_identity(f, sign), truncate_route(f, sign))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_add_identity_cuts_carries_and_cancellations_like_truncate(p, sign):
+    """Scale-0 pieces whose x coefficient carries to p^N (p^N - 1 plus 1,
+    or 1 plus p^N - 1), carries past N digits at valuation 1, or cancels
+    to zero (an unchecked store holding the negated unit, which only the
+    changed coefficient may be), next to a piece at scale 1."""
+    ctx = CTX[p]
+    M = ctx.modulus
+    c = 1 if sign > 0 else M - 1
+    balls = [Ball.from_ints(ctx, (i,), 3) for i in range(4)]
+    f = FunctionModel._build(ctx, 1, 1, {
+        balls[0]: (0, ({(1,): M - c, (0,): p},)),
+        balls[1]: (0, ({(1,): p * (M - 1), (2,): 1},)),
+        balls[2]: (0, ({(0,): 1, (1,): -c},)),
+        balls[3]: (1, ({(1,): 1, (0,): p - 1},)),
+    })
+    g = add_identity(f, sign)
+    same_store(g, truncate_route(f, sign))
+    assert g._store[balls[0]][1][0][(1,)] == M
+    assert (1,) not in g._store[balls[2]][1][0]
 
 
 def test_add_identity_recomputes_a_chart_whose_scale_moved():

@@ -7,8 +7,8 @@ shape (p = 3, d = 2, m = 3), and a few small precisions pin failing
 reports, so the first-failure witness (sample index, sample seed, inputs,
 lhs and rhs) is fixed too.  A deliberate change of output rewrites that
 file from `_run_case` for every case in `CASES`.  The cia-tensor,
-scaling, inversion, oplus and unity cases also run under `python -O`,
-which strips `assert`.
+scaling, inversion, oplus, unity, omega-isometry, group-axioms and
+conjugate cases also run under `python -O`, which strips `assert`.
 """
 
 import json
@@ -83,7 +83,8 @@ def test_suite_golden(name, golden, capsys):
     assert report == golden[name]["report"]
 
 
-O_SUITES = ("cia-tensor", "scaling", "inversion", "oplus", "unity")
+O_SUITES = ("cia-tensor", "scaling", "inversion", "oplus", "unity", "omega-isometry", "group-axioms",
+            "conjugate")
 
 
 @pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.startswith(O_SUITES)])
