@@ -7,6 +7,7 @@ empty dict.  Every operation keeps ints as ints.
 """
 
 import functools
+import math
 import operator
 
 
@@ -142,7 +143,6 @@ def rename(a, mapping, nvars_new):
     return out
 
 
-
 @functools.cache
 def _surjections(n):
     """(k! S(n, k) for k = 0..n), S the Stirling numbers of the second kind:
@@ -169,3 +169,14 @@ def mahler(a):
                     acc[K] = acc.get(K, 0) + c * r
         out = {K: c for K, c in acc.items() if c}
     return out
+
+
+def mahler_witness(polys, mod):
+    """None when every Mahler coefficient of every integer polynomial in
+    polys is 0 mod `mod`, a power of p; else the box point K* of such a
+    coefficient of least valuation (gcd with mod), then least total
+    degree, where its polynomial takes its least valuation on Z_p^n
+    (see `_image_in_ball`)."""
+    low = min(((math.gcd(a, mod), sum(K), K) for P in polys
+               for K, a in mahler(P).items() if a % mod), default=None)
+    return None if low is None else low[2]

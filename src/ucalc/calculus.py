@@ -20,9 +20,9 @@ the digit window.
 
 Certified maps also have an integer evaluation core (`residues`): the
 exact values mod p^M at a list of integral points, computed on ints from
-the chart polynomials of each point's piece.  Verdicts that only need values mod p^M or
-their valuations (induced cell maps, inversion, isometry checks, the
-centre values of Omega certificates, exhaustive range checks) run on it
+the chart polynomials of each point's piece.  Verdicts that only need
+values mod p^M or their valuations (induced cell maps, inversion,
+isometry checks, the centre values of Omega certificates) run on it
 instead of on Fractions.
 
 Difference quotients: dq1 evaluates (f(x+ty) - f(x))/t, with the t = 0
@@ -601,35 +601,32 @@ def _table_values(table, points):
     return list(zip(*vals))
 
 
-def _image_in_ball(f, ball, targets):
-    """Certify that f maps a piece ball into the union of the disjoint
-    target balls; returns (ok, method, witness).
+def _image_in_ball(f, ball, target):
+    """Decide whether f maps a piece ball B into the ball T = c_T + p^K O^e;
+    returns (ok, method, witness).
 
-    The image lies in val + p^s O^e (`FunctionModel.image_bound`).  The
-    centre value must lie in some target, its home; when s reaches the
-    home's level the whole image does.  Otherwise the residues decide.
+    f(B) lies in val + p^s O^e (`FunctionModel.image_bound`): val must lie
+    in T, s >= K accepts and s < 0 refuses.  Else the chart f(c + p^k z) =
+    p^-r Q(z) is integral, and f(B) lies in T exactly when P = Q - p^r c_T
+    is 0 mod p^(K+r) on Z_p^d.  Write P = sum_J a_J prod C(z_i, J_i)
+    (`_poly.mahler`), w = min v(a_J) and K* of least degree among the J
+    with v(a_J) = w.  C(n, j) is an integer at integers, so v(P) >= w on
+    Z^d and so on Z_p^d; C(n, j) = 0 for 0 <= n < j, so P(K*) is a_K* plus
+    terms over J < K* of smaller degree, so of valuation > w.  The sup
+    norm of P is its largest Mahler coefficient, attained at the box point
+    K*: accept when every a_J is 0 mod p^(K+r), else f(c + p^k K*) leaves T.
     """
     val, s = f.image_bound(ball)
-    home = next((b for b in targets if b.contains_fractions(val)), None)
-    if home is None:
+    if not target.contains_fractions(val):
         return False, "center", tuple(val)
-    if s >= home.k:
+    if s >= target.k:
         return True, "bound", None
     if s < 0:
         return False, "unbounded", None
-    # integral chart coefficients make f 1-Lipschitz in the chart variable,
-    # which loses ball.k digits in ambient terms: sampling must be fine
-    # enough that target membership survives a p^m perturbation.  Here
-    # s >= 0 and the centre value lies in a target, so every chart
-    # coefficient is integral, and membership of an integral value in
-    # balls of level at most top reads only its residues mod p^top: the
-    # residue test is the exact one.
-    top = max(b.k for b in targets)
-    for ints in ball.level_reps(ball.k + top):
-        vals = f.residues((ints,), top)[0]
-        if not any(b.contains_ints(vals) for b in targets):
-            return False, "exhaustive", ints
-    return True, "exhaustive", None
+    p, (r, polys) = f.ctx.p, f.chart(ball)
+    shifted = [_poly.add(Q, _poly.const(f.d, -c * p ** r)) for Q, c in zip(polys, target.ints)]
+    box = _poly.mahler_witness(shifted, p ** (target.k + r))
+    return box is None, "mahler", box and tuple(c + p ** ball.k * z for c, z in zip(ball.ints, box))
 
 
 # Largest degree bound of a composite that `compose` builds.  The bound
@@ -669,7 +666,7 @@ def compose(g, f, certificate):
     store = {}
     for ball in f._store:
         target = certificate[ball]
-        ok, method, witness = _image_in_ball(f, ball, (target,))
+        ok, method, witness = _image_in_ball(f, ball, target)
         if not ok:
             raise CertificateInvalid(
                 "piece %r does not map into %r (%s check, witness %r)"
@@ -691,14 +688,14 @@ def _polys_to_coeffs(entry, ctx):
 
 
 def find_certificate(g, f):
-    """Search a composition certificate, refining f's pieces as needed.
+    """Search a composition certificate: split f's pieces until each child
+    maps into one piece of g, its home (`_image_in_ball`).
 
     Returns (f_refined, certificate).  Raises CompositionUncertified when
     some piece cannot be certified even at the finest representable level.
     """
     queue = list(f._store.items())
-    done = {}
-    cert = {}
+    done, cert = {}, {}
     while queue:
         ball, entry = queue.pop()
         sub = FunctionModel._build(f.ctx, f.d, f.e, {ball: entry})
@@ -709,8 +706,7 @@ def find_certificate(g, f):
                 "image point %s of piece %r lies outside the domain of g"
                 % (list(val), ball)
             )
-        ok, _, _ = _image_in_ball(sub, ball, (target,))
-        if ok:
+        if _image_in_ball(sub, ball, target)[0]:
             done[ball] = entry
             cert[ball] = target
             continue
@@ -718,8 +714,7 @@ def find_certificate(g, f):
             raise CompositionUncertified(
                 "piece %r cannot be certified at the finest level" % (ball,)
             )
-        for child in ball.children():
-            queue.append((child, entry))
+        queue.extend((child, entry) for child in ball.children())
     return FunctionModel._build(f.ctx, f.d, f.e, done), cert
 
 

@@ -17,16 +17,16 @@ Maps supported on finitely many balls inside a larger clopen region are
 handled by rescaling each supported ball onto the unit ball and
 certifying the chart copy.
 
-Every sampling loop here (inversion, isometry checks, induced cell maps,
-range checks) and the centre values of certification run on the integer
-core `FunctionModel.residues`, one call per list of points.  Its verdicts equal the exact ones for three
-reasons: the range certificate gives the pieces p-integral chart
-coefficients; reduction Z_(p) -> Z/p^M is a ring map, so values mod p^M
-come out of integer arithmetic exactly; and each loop picks M so that
-its valuation test mod p^M is the exact test.
+Every sampling loop here (inversion, isometry checks, induced cell maps)
+and the centre values of certification run on the integer core
+`FunctionModel.residues`, one call per list of points, with the verdicts
+of exact evaluation: the range certificate gives the pieces p-integral
+chart coefficients, reduction Z_(p) -> Z/p^M is a ring map, and each
+loop picks M so that its valuation test mod p^M is the exact test.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -87,7 +87,7 @@ class BallEndo:
             raise ValueError("the model domain must be the unit ball O^d")
         ball = Ball.from_ints(gamma.ctx, (0,) * d, 0)
         for piece in pieces:
-            ok, method, witness = _image_in_ball(gamma, piece, (ball,))
+            ok, method, witness = _image_in_ball(gamma, piece, ball)
             if not ok:
                 raise ValueError(
                     "range certificate failed on piece %r (%s check, witness %r)"
@@ -146,19 +146,12 @@ def certify_omega(endo):
     conditions, checked in this order:
 
     1. Same-piece quotients: w_B - s >= v_min + k, with w_B the least
-       valuation of a Mahler coefficient of P_B (`_poly.mahler`).
+       valuation of a Mahler coefficient of P_B, its least valuation on
+       Z_p^(2d+1), at the box point K* (`_image_in_ball`).
     2. Values: every centre value sigma(c) is 0 mod p^v_min.
     3. Cross-piece quotients: for every j < k_max, the pieces of level
        > j whose centres agree mod p^j have centre values congruent mod
        p^(v_min + j).
-
-    Mahler norm.  P = sum_K a_K prod C(x_i, K_i) with integer a_K, and
-    C(n, k) is an integer at integers, so v(P) >= w = min v(a_K) on Z^n
-    and, by continuity, on Z_p^n.  Let K* be of least total degree among
-    the K with v(a_K) = w.  As C(n, k) = 0 for 0 <= n < k, P(K*) is a_K*
-    plus a_K prod C(K*_i, K_i) over K < K*, and each such K has smaller
-    total degree, so v(a_K) > w and v(P(K*)) = w: w is the least
-    valuation of P on Z_p^n, attained at the box point K*.
 
     The conditions are necessary.  (1) For integral z, y, t' the point
     x = c + p^k z with t = p^k t' keeps x + ty = c + p^k (z + t'y) in B,
@@ -232,14 +225,9 @@ def _same_piece_witness(sigma, ball, v_min):
         return None
     p, d = sigma.ctx.p, sigma.d
     s, polys = sigma.chart_quotient(ball)
-    mod = p ** (v_min + k + s)
-    low = min(((fraction_valuation(a, p), sum(K), K) for P in polys
-               for K, a in _poly.mahler(P).items() if a % mod), default=None)
-    if low is None:
-        return None
-    K = low[2]
+    K = _poly.mahler_witness(polys, p ** (v_min + k + s))
     step = p ** k
-    return tuple(c + step * z for c, z in zip(ball.ints, K[:d])), K[d:2 * d], step * K[2 * d]
+    return K and (tuple(c + step * z for c, z in zip(ball.ints, K[:d])), K[d:2 * d], step * K[2 * d])
 
 
 def _violation(v_min, x, y, t):
@@ -275,7 +263,8 @@ def isometry_check(g, pairs):
     """
     gamma = g.endo.gamma
     p = gamma.ctx.p
-    pts = [(x, y, min(fraction_valuation(a - b, p) for a, b in zip(x, y))) for x, y in pairs]
+    pts = [(x, y, min(0 if q % p else fraction_valuation(q, p) for q in map(operator.sub, x, y)))
+           for x, y in pairs]
     live = [pt for pt in pts if pt[2] != INF]
     M = 1 + max((v for *_, v in live), default=0)
     gxs = gamma.residues([x for x, _, _ in live], M)
@@ -456,8 +445,11 @@ class CompactlySupportedEndo:
     """id + sigma on a clopen region U, identity outside the support.
 
     The support is the canonical union of the pieces where sigma is
-    nonzero (a coarser stated support containing them is accepted), and
-    id + sigma is verified to map U into U piece by piece.
+    nonzero (a coarser stated support containing them is accepted).
+    `find_certificate` into the identity of U checks that id + sigma maps U
+    into U; it splits non-integral charts, so it accepts x + (x^3 - x)/3
+    on Z_3, which `BallEndo` refuses as "unbounded" (`residues` needs
+    integral charts).
     """
 
     __slots__ = ("U", "sigma", "support", "gamma", "ctx", "d")
@@ -482,10 +474,12 @@ class CompactlySupportedEndo:
                         "displacement is nonzero on %r outside the stated support"
                         % (b,)
                     )
-        gamma = model_add(identity_model(U), sigma)
-        for ball in gamma.piece_balls():
-            if not _image_in_ball(gamma, ball, U.balls)[0]:
-                raise ValueError("id + sigma does not map %r into U" % (ball,))
+        ident = identity_model(U)
+        gamma = model_add(ident, sigma)
+        try:
+            find_certificate(ident, gamma)
+        except CompositionUncertified as err:
+            raise ValueError("id + sigma does not map U into U: %s" % err) from None
         self.U = U
         self.sigma = sigma
         self.support = support

@@ -3,10 +3,13 @@
 `padic_model` and `padic_product_model` build models from PadicVector
 coefficients, {exponents: PadicVector} per piece: each piece is converted
 to the integer store that `FunctionModel` takes, p^-s times one integer
-polynomial per output coordinate with s >= 0 least.  `ball_relation` is
+polynomial per output coordinate with s >= 0 least; `chart_entry` builds
+a piece from its chart polynomials instead.  `ball_relation` is
 the pairwise relation of two balls, the oracle for `BallIndex` and for
-the common refinement.  `omega_witness_search` is the exhaustive scan of
-the Omega bound at a level, the oracle for `certify_omega`, and
+the common refinement.  `image_scan` is the cell scan of an image
+certificate, the oracle for `_image_in_ball` and for the range check of
+`CompactlySupportedEndo`.  `omega_witness_search` is the exhaustive scan
+of the Omega bound at a level, the oracle for `certify_omega`, and
 `breaks_omega` evaluates a failing (x, y, t) in Fractions from the
 model's coefficients alone.
 """
@@ -14,7 +17,7 @@ model's coefficients alone.
 from fractions import Fraction
 
 from ucalc import _poly
-from ucalc.calculus import FunctionModel, product_model
+from ucalc.calculus import FunctionModel, _subst, _truncate, product_model
 
 
 def padic_entry(ctx, d, coeffs, e):
@@ -30,6 +33,15 @@ def padic_entry(ctx, d, coeffs, e):
     s = max([0] + [-c.v for vec in coeffs.values() for c in vec.coords if not c.is_zero])
     return s, tuple({tuple(x): vec[j].u * ctx.p ** (vec[j].v + s) for x, vec in coeffs.items()
                      if not vec[j].is_zero} for j in range(e))
+
+
+def chart_entry(ball, r, polys):
+    """The store entry of a piece on ball whose chart is p^-r polys(z),
+    x = c + p^k z (integer polynomials, one per output coordinate): the
+    substitution z = (x - c)/p^k, cut to N digits."""
+    d = ball.d
+    shift = tuple(_poly.sub(_poly.var(d, i), _poly.const(d, c)) for i, c in enumerate(ball.ints))
+    return _truncate(_subst((r, polys), (ball.k, shift), ball.ctx.p, d), ball.ctx)
 
 
 def padic_model(pieces, e=None, factors=None):
@@ -63,6 +75,35 @@ def ball_relation(b1, b2):
     if all(c1 % m == c2 for c1, c2 in zip(b1.ints, b2.ints)):
         return "B2_contains_B1"
     return "disjoint"
+
+
+def image_scan(f, ball, targets):
+    """(ok, method, witness): whether f maps a piece ball into the union of
+    the disjoint target balls, decided by scanning cells.
+
+    The centre value must lie in some target, its home ("center"); a
+    radius bound s >= home level accepts ("bound") and s < 0 refuses
+    ("unbounded"), as in `_image_in_ball`.  Otherwise every chart
+    coefficient is integral, so f is 1-Lipschitz in the chart variable
+    and loses ball.k digits in ambient terms, and membership of an
+    integral value in balls of level at most top reads only its residues
+    mod p^top: the residues of the p^(d top) cells of level ball.k + top
+    decide exactly ("exhaustive", with the first cell outside).
+    """
+    val, s = f.image_bound(ball)
+    home = next((b for b in targets if b.contains_fractions(val)), None)
+    if home is None:
+        return False, "center", tuple(val)
+    if s >= home.k:
+        return True, "bound", None
+    if s < 0:
+        return False, "unbounded", None
+    top = max(b.k for b in targets)
+    reps = list(ball.level_reps(ball.k + top))
+    for ints, vals in zip(reps, f.residues(reps, top)):
+        if not any(b.contains_ints(vals) for b in targets):
+            return False, "exhaustive", ints
+    return True, "exhaustive", None
 
 
 def t_classes(p, m):

@@ -320,9 +320,9 @@ def test_compose_certificate_image_violation_witness():
     assert "does not map into" in str(err.value)
 
 
-def test_compose_exhaustive_route():
-    # x^2 + x is always even: the coefficient bound cannot see it but the
-    # level-1 exhaustive check certifies the image lands in 2Z_2
+def test_compose_mahler_route():
+    # x^2 + x = 2 C(x, 2) + 2 C(x, 1) is always even: the coefficient bound
+    # cannot see it, its Mahler coefficients certify the image lands in 2Z_2
     f = root_model(CTX2, 1, {(2,): (1,), (1,): (1,)})
     g = mk(CTX2, [((0,), 1, {(1,): (1,)}), ((1,), 1, {(0,): (1,)})])
     refined, cert = find_certificate(g, f)

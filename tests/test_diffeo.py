@@ -4,10 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ucalc.balls import Ball, ClopenRegion
-from ucalc.calculus import CertificateInvalid, FunctionModel, _image_in_ball, model_to_json
+from ucalc.calculus import (
+    CertificateInvalid,
+    FunctionModel,
+    add_identity,
+    identity_model,
+    model_add,
+    model_to_json,
+)
 from ucalc.cli import main
 from ucalc.diffeo import (
     BallEndo,
@@ -28,10 +35,11 @@ from ucalc.diffeo import (
 )
 from ucalc.padic import PadicContext, fraction_valuation
 
-from reference import breaks_omega, omega_witness_search, padic_model
+from reference import breaks_omega, chart_entry, image_scan, omega_witness_search, padic_model
 
 CTX3 = PadicContext(3, 12)
 CTX2 = PadicContext(2, 12)
+CTXS30 = {p: PadicContext(p, 30) for p in (2, 3, 5)}
 
 
 def B(ctx, ints, k):
@@ -575,19 +583,93 @@ def test_supported_endo_rejects_escape_from_region():
         CompactlySupportedEndo(U, sigma)
 
 
-def test_image_in_region_exhaustive_leg():
-    # x^2/3 sends 3Z_3 into the squares region {0,3} mod 9: the radius
-    # bound alone cannot see it, the level-3 scan can
-    third = CTX3.from_fraction(Fraction(1, 3))
-    f = displacement(CTX3, [((0,), 1, {(2,): (third,)})], e=1)
-    good = region_of(CTX3, [((0,), 2), ((3,), 2), ((1,), 1), ((2,), 1)])
-    assert _image_in_ball(f, B(CTX3, (0,), 1), good.balls) == (True, "exhaustive", None)
-    shifted = displacement(CTX3, [((0,), 1, {(0,): (3,), (2,): (third,)})], e=1)
-    ok, method, _ = _image_in_ball(shifted, B(CTX3, (0,), 1), good.balls)
-    assert (ok, method) == (False, "exhaustive")
-    leaky = displacement(CTX3, [((0,), 1, {(1,): (third,)})], e=1)
-    ok, method, _ = _image_in_ball(leaky, B(CTX3, (0,), 1), region_of(CTX3, [((0,), 1)]).balls)
-    assert (ok, method) == (False, "exhaustive")
+def test_supported_endo_range_splits_pieces_across_home_balls():
+    # U = Z_3 minus 6 + 9Z_3.  On the piece 1 + 3Z_3, (x - 1)^2/3 takes
+    # values 0 and 3 mod 9, two balls of U: the piece has no one home
+    # ball, each of its children has.  3 + (x - 1)^2/3 reaches 6 mod 9
+    # and 1 + (x - 1)/3 maps the piece onto Z_3, so both leave U
+    U = region_of(CTX3, [((0,), 2), ((3,), 2), ((1,), 1), ((2,), 1)])
+    third = Fraction(1, 3)
+    maps = {
+        "good": {(2,): (third,), (1,): (-5 * third,), (0,): (third,)},
+        "shifted": {(2,): (third,), (1,): (-5 * third,), (0,): (10 * third,)},
+        "leaky": {(1,): (-2 * third,), (0,): (2 * third,)},
+    }
+    verdicts = {}
+    for name, coeffs in maps.items():
+        sigma = displacement(CTX3, [((0,), 2, {}), ((3,), 2, {}), ((1,), 1, coeffs), ((2,), 1, {})], e=1)
+        try:
+            CompactlySupportedEndo(U, sigma)
+            verdicts[name] = True
+        except ValueError as err:
+            assert "does not map U into U" in str(err)
+            verdicts[name] = False
+    assert verdicts == {"good": True, "shifted": False, "leaky": False}
+
+
+def test_supported_endo_accepts_a_non_integral_chart_that_ball_endo_refuses():
+    # x + (x^3 - x)/3 maps Z_3 into itself, but its chart on Z_3 has the
+    # coefficient 1/3: BallEndo, whose residues need integral charts,
+    # refuses it as unbounded, while the range check of a compactly
+    # supported map splits Z_3 into children with integral charts
+    third = Fraction(1, 3)
+    sigma = root_disp(CTX3, {(3,): (third,), (1,): (-third,)})
+    a = CompactlySupportedEndo(region_of(CTX3, [((0,), 0)]), sigma)
+    assert a.support == region_of(CTX3, [((0,), 0)])
+    with pytest.raises(ValueError, match="unbounded check"):
+        BallEndo.from_displacement(sigma)
+
+
+@st.composite
+def supported_cases(draw):
+    """(U, sigma) with sigma = gamma - id, gamma drawn piece by piece in
+    chart coordinates: a value in U plus monomials and p^v (z_i^p - z_i),
+    whose Mahler norm the Gauss norm misses."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.sampled_from([1, 2]))
+    ctx = CTXS30[p]
+    cells = list(B(ctx, (0,) * d, 0).level_reps(2))
+    chosen = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=8, unique=True))
+    U = ClopenRegion([B(ctx, c, 2) for c in chosen])
+    values = list(U.level_points(2))
+    pieces = []
+    for ball in U.balls:
+        parts = ball.children() if ball.k < 2 and draw(st.booleans()) else [ball]
+        for part in parts:
+            polys = []
+            for value in draw(st.sampled_from(values)):
+                P = {(0,) * d: value + p ** 2 * draw(st.integers(0, p))}
+                for _ in range(draw(st.integers(0, 2))):
+                    exps = tuple(draw(st.integers(0, p + 1)) for _ in range(d))
+                    a = draw(st.sampled_from([1, -1, 2])) * p ** draw(st.sampled_from([0, 1, 1, 2]))
+                    P[exps] = P.get(exps, 0) + a
+                if draw(st.booleans()):
+                    i, v = draw(st.integers(0, d - 1)), draw(st.sampled_from([0, 1]))
+                    for n, sign in ((p, 1), (1, -1)):
+                        exps = tuple(n * (m == i) for m in range(d))
+                        P[exps] = P.get(exps, 0) + sign * p ** v
+                polys.append({e: c for e, c in P.items() if c})
+            pieces.append((part, chart_entry(part, 0, tuple(polys))))
+    return U, add_identity(FunctionModel(pieces, d), -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(supported_cases())
+def test_supported_endo_range_equals_the_region_scan(case):
+    U, sigma = case
+    gamma = model_add(identity_model(U), sigma)
+    # the scan reads residues, which only integral charts have; at N = 30
+    # no coefficient cut makes a drawn chart non-integral
+    for ball in gamma.piece_balls():
+        val, s = gamma.image_bound(ball)
+        assume(s >= 0 and all(fraction_valuation(q, U.ctx.p) >= 0 for q in val))
+    want = all(image_scan(gamma, ball, U.balls)[0] for ball in gamma.piece_balls())
+    try:
+        CompactlySupportedEndo(U, sigma)
+        got = True
+    except ValueError:
+        got = False
+    assert got == want
 
 
 def test_endo_compose_identity_laws():

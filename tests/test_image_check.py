@@ -1,85 +1,41 @@
 """Differential test of the image-containment check `_image_in_ball`.
 
-One check serves single target balls (composition certificates, the
-range certificate of a ball self-map) and the disjoint balls of a clopen
-region (compactly supported maps).  It is compared here with copies of
-the two routes it replaced: the single-ball check, whose method and
-witness it must reproduce, and the region check, whose verdict it must
-reproduce and whose scan-free acceptances must be exactly its "bound"
-acceptances when the targets are a region's canonical balls.
+`_image_in_ball` decides whether f maps a piece ball into a target ball
+from the Mahler coefficients of the piece's chart.  Its oracle is the
+cell scan `image_scan` of tests/reference.py.  The centre, bound and
+unbounded legs must agree with the scan's exactly; past them the
+verdicts must agree, and every refusal's witness must be a point of the
+piece whose value leaves the target.
+
+The maps are written in chart coordinates z (x = c + p^k z) so that their
+Mahler norm sits at or next to the target level: p^a (z^p - z) has Gauss
+norm p^-a but sup norm p^-(a+1), which the Gauss norm cannot see.
 """
 
-from fractions import Fraction
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucalc.balls import Ball, ClopenRegion
-from ucalc.calculus import _image_in_ball
-from ucalc.padic import INF, PadicContext, fraction_valuation
+from ucalc.balls import Ball
+from ucalc.calculus import FunctionModel, _image_in_ball
+from ucalc.padic import PadicContext
 
-from reference import ball_relation, padic_model
+from reference import chart_entry, image_scan
 
-CTXS = {p: PadicContext(p, 6) for p in (2, 3, 5)}
-
-
-# --- copies of the replaced routes -------------------------------------------
-
-
-def _old_image_bound(f, ball):
-    k, local = f.chart(ball)
-    p = f.ctx.p
-    zero = (0,) * f.d
-    val = tuple(Fraction(P.get(zero, 0), p ** k) for P in local)
-    s = min((fraction_valuation(a, p) for P in local for x, a in P.items() if x != zero), default=INF)
-    return val, s - k
+CTXS = {p: PadicContext(p, 8) for p in (2, 3, 5)}
+# the oracle scans p^(d K) cells; p = 5, d = 2 stops at K = 3
+MAX_CELLS = 5 ** 6
 
 
-def _old_image_in_ball(f, ball, target):
-    val, s = _old_image_bound(f, ball)
-    if not target.contains_fractions(val):
-        return False, "center", tuple(val)
-    if s >= target.k:
-        return True, "bound", None
-    if s < 0:
-        return False, "unbounded", None
-    m = ball.k + target.k
-    for ints in ball.level_reps(m):
-        if not target.contains_ints(f.residues([ints], target.k)[0]):
-            return False, "exhaustive", ints
-    return True, "exhaustive", None
+def chart_model(ball, r, chart, e):
+    """One-piece model on ball with chart f(c + p^k z) = p^-r Q(z), Q the
+    integer polynomials chart."""
+    return FunctionModel([(ball, chart_entry(ball, r, chart))], e)
 
 
-def _old_image_in_region(f, ball, region):
-    """(verdict, scanned): the region route, and whether it decided by
-    its residue scan."""
-    ctx = f.ctx
-    val, s = _old_image_bound(f, ball)
-    if s is INF:
-        return region.contains_fractions(val), False
-    if s < 0 or any(fraction_valuation(q, ctx.p) < 0 for q in val):
-        return False, False
-    sk = min(s, ctx.N)
-    mod = ctx.p ** sk
-    ints = tuple(q.numerator * pow(q.denominator, -1, mod) % mod for q in val)
-    if region.contains_ball(Ball.from_ints(ctx, ints, sk)):
-        return True, False
-    top = region.max_level()
-    m = ball.k + top
-    for reps in ball.level_reps(m):
-        vals = f.residues([reps], top)[0]
-        if not any(b.contains_ints(vals) for b in region.balls):
-            return False, True
-    return True, True
-
-
-# --- cases -------------------------------------------------------------------
-
-
-def _monomials(d, deg):
-    if d == 1:
-        return [(i,) for i in range(deg + 1)]
-    return [(i, j) for i in range(deg + 1) for j in range(deg + 1 - i)]
+def _units(d):
+    return [tuple(int(j == i) for j in range(d)) for i in range(d)]
 
 
 @st.composite
@@ -87,46 +43,93 @@ def cases(draw):
     p = draw(st.sampled_from([2, 3, 5]))
     d = draw(st.sampled_from([1, 2]))
     ctx = CTXS[p]
+    K = draw(st.integers(0, 4).filter(lambda K: p ** (d * K) <= MAX_CELLS))
     k = draw(st.integers(0, 2))
     ball = Ball.from_ints(ctx, tuple(draw(st.integers(0, p ** k - 1)) for _ in range(d)), k)
-    # coefficients u/den * p^v: negative valuations and denominators prime
-    # to p included, and zero
-    den = draw(st.sampled_from([1, 1, 7, p + 1]))
-    coeff = st.builds(
-        lambda u, v: Fraction(u, den) * Fraction(p) ** v,
-        st.integers(-p * p, p * p),
-        st.sampled_from([-1, 0, 0, 1, 1, 2]),
-    )
-    terms = draw(st.lists(st.sampled_from(_monomials(d, 2)), min_size=0, max_size=4, unique=True))
-    coeffs = {e: ctx.vector([draw(coeff) for _ in range(d)]) for e in terms}
-    f = padic_model([(ball, coeffs)], e=d)
-    # targets: disjoint balls, the first often around the centre value
-    val = f.image_bound(ball)[0]
-    targets = []
-    for i in range(draw(st.integers(1, 3))):
-        level = draw(st.integers(0, 2))
-        if i == 0 and all(fraction_valuation(q, p) >= 0 for q in val) and draw(st.booleans()):
-            mod = p ** level
-            centre = tuple(q.numerator * pow(q.denominator, -1, mod) % mod for q in val)
-        else:
-            centre = tuple(draw(st.integers(0, p ** level - 1)) for _ in range(d))
-        b = Ball.from_ints(ctx, centre, level)
-        if all(ball_relation(b, t) == "disjoint" for t in targets):
-            targets.append(b)
-    return f, ball, targets
+    # f = p^-r Q in the chart; Q = p^r val + p^(r+a) u T + p^(r+b) w R,
+    # T of Mahler valuation one above its Gauss valuation
+    r = draw(st.sampled_from([0, 0, 1]))
+    val = [draw(st.integers(0, p ** 6 - 1)) for _ in range(d)]
+    chart = []
+    for j in range(d):
+        Q = {(0,) * d: p ** r * val[j]} if val[j] else {}
+        a = draw(st.integers(max(K - 2, -r), K))
+        u = draw(st.sampled_from([1, -1, p + 1]))
+        lead = draw(st.sampled_from([(0,) * d] + _units(d)))
+        for i in draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True)):
+            # lead * (z_i^p - z_i)
+            up = tuple(n + p * (m == i) for m, n in enumerate(lead))
+            one = tuple(n + (m == i) for m, n in enumerate(lead))
+            for exps, c in ((up, 1), (one, -1)):
+                Q[exps] = Q.get(exps, 0) + c * u * p ** (r + a)
+        for _ in range(draw(st.integers(0, 2))):
+            exps = tuple(draw(st.integers(0, 2)) for _ in range(d))
+            b = draw(st.integers(max(K - 2, -r), K + 1))
+            Q[exps] = Q.get(exps, 0) + draw(st.sampled_from([1, 2, -1])) * p ** (r + b)
+        chart.append({x: c for x, c in Q.items() if c})
+    f = chart_model(ball, r, tuple(chart), d)
+    # target: around the centre value, or at a point off it by p^j
+    if draw(st.booleans()):
+        centre = tuple(v % p ** K for v in val)
+    else:
+        j = draw(st.integers(0, max(K - 1, 0)))
+        centre = tuple((v + p ** j * draw(st.integers(0, p))) % p ** K for v in val)
+    return f, ball, Ball.from_ints(ctx, centre, K)
 
 
-@settings(max_examples=400, deadline=None)
+def _check(f, ball, target):
+    got = _image_in_ball(f, ball, target)
+    want = image_scan(f, ball, (target,))
+    if want[1] == "exhaustive":
+        assert got[:2] == (want[0], "mahler")
+    else:
+        assert got == want
+    if got[1] == "mahler" and not got[0]:
+        w = got[2]
+        assert ball.contains_ints(w)
+        assert not target.contains_ints(f.residues([w], target.k)[0])
+    return got
+
+
+@settings(max_examples=500, deadline=None)
 @given(cases())
-def test_merged_check_agrees_with_both_old_routes(case):
-    f, ball, targets = case
-    region = ClopenRegion(targets)
-    got = _image_in_ball(f, ball, targets)
-    canonical = _image_in_ball(f, ball, region.balls)
-    want, scanned = _old_image_in_region(f, ball, region)
-    assert got[0] == canonical[0] == want
-    # on canonical balls the region route accepts without its scan
-    # exactly when the merged check accepts by the bound
-    assert (canonical[0] and canonical[1] == "bound") == (want and not scanned)
-    if len(targets) == 1:
-        assert got == _old_image_in_ball(f, ball, targets[0])
+def test_image_check_agrees_with_the_scan_oracle(case):
+    _check(*case)
+
+
+def test_gauss_norm_misses_what_the_mahler_norm_sees():
+    # 3^(K-1)(z^3 - z) is 0 mod 3^K on Z_3 but has a coefficient of
+    # valuation K-1; with the centre 3 added, the target ball is 3 + 3^K Z_3
+    ctx = CTXS[3]
+    for k, K in [(0, 1), (1, 2), (2, 3), (0, 4)]:
+        ball = Ball.from_ints(ctx, (k and 1,), k)
+        f = chart_model(ball, 0, ({(0,): 3, (3,): 3 ** (K - 1), (1,): -3 ** (K - 1)},), 1)
+        target = Ball.from_ints(ctx, (3 % 3 ** K,), K)
+        assert _check(f, ball, target) == (True, "mahler", None)
+        assert _check(f, ball, Ball.from_ints(ctx, (3 % 3 ** (K + 1),), K + 1))[:2] == (False, "mahler")
+
+
+def test_witness_is_the_least_degree_box_point():
+    # z^2 + z = 2 C(z, 2) + 2 C(z, 1) on Z_2 misses 4 Z_2 at z = 1 first
+    ctx = CTXS[2]
+    ball = Ball.from_ints(ctx, (1,), 1)
+    f = chart_model(ball, 0, ({(2,): 1, (1,): 1},), 1)
+    assert _image_in_ball(f, ball, Ball.from_ints(ctx, (0,), 1)) == (True, "mahler", None)
+    # the witness c + p^k K* = 1 + 2 * 1
+    assert _image_in_ball(f, ball, Ball.from_ints(ctx, (0,), 2)) == (False, "mahler", (3,))
+
+
+def test_high_target_level_decides_fast():
+    # 3^(K-1)(x^3 - x, y^3 - y) on Z_3^2 into 3^K Z_3^2 at K = 8: the
+    # Mahler coefficients decide without visiting the 3^16 cells
+    ctx = PadicContext(3, 12)
+    ball = Ball.from_ints(ctx, (0, 0), 0)
+    K = 8
+    chart = ({(3, 0): 3 ** (K - 1), (1, 0): -3 ** (K - 1)}, {(0, 3): 3 ** (K - 1), (0, 1): -3 ** (K - 1)})
+    f = chart_model(ball, 0, chart, 2)
+    start = time.perf_counter()
+    assert _image_in_ball(f, ball, Ball.from_ints(ctx, (0, 0), K)) == (True, "mahler", None)
+    ok, method, w = _image_in_ball(f, ball, Ball.from_ints(ctx, (0, 0), K + 1))
+    assert time.perf_counter() - start < 0.1
+    assert (ok, method) == (False, "mahler")
+    assert any(v % 3 ** (K + 1) for v in f.residues([w], K + 1)[0])

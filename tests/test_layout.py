@@ -11,6 +11,10 @@
    somewhere in the package, except the entries of UNUSED_METHODS.  The
    scan matches attribute names, not receivers, so a name that some
    other object also has counts as used.
+4. Every function that enumerates cells (`Ball.level_reps`,
+   `ClopenRegion.level_points`) is on CELL_SCANS with its reason.  A scan
+   grows as p^(d m) with the level m, so certification decides without
+   one (`_image_in_ball`, `certify_omega`), and this keeps it so.
 
 The allowlists are exact: an entry the source no longer needs fails the
 test too, so a fix shortens the list.
@@ -56,6 +60,17 @@ ENTRY = ("cli", "main")
 # (class, method): why the method stays with no caller in the package
 UNUSED_METHODS = {
     ("FunctionModel", "eval"): "the public value of a model at a PadicVector point, which the tests read",
+}
+
+
+# (module, dotted function name): why it enumerates cells
+CELL_SCANS = {
+    ("balls", "Ball.children"): "a ball's children are its cells one level down",
+    ("balls", "ClopenRegion.level_points"): "a region's cells are the cells of its balls",
+    ("balls", "subordinate_partition"): "reads the first uncovered cell as the error's witness",
+    ("diffeo", "induced_level_map"): "the induced permutation maps cells; it evaluates each coarse cell once",
+    ("suites", "_unity.law"): "the partition-of-unity law spot-checks at most 1500 cells",
+    ("suites", "_inversion.law"): "the inversion law round-trips every cell at an affordable level",
 }
 
 
@@ -150,3 +165,20 @@ def test_every_public_method_is_used_in_the_package():
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_") and item.name not in used
     }
     assert unused == set(UNUSED_METHODS)
+
+
+def test_cell_scans_are_on_the_allowlist():
+    found = set()
+
+    def visit(module, node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(module, child, path + (child.name,))
+            else:
+                if isinstance(child, ast.Attribute) and child.attr in ("level_reps", "level_points"):
+                    found.add((module, ".".join(path)))
+                visit(module, child, path)
+
+    for name, tree in _modules().items():
+        visit(name, tree, ())
+    assert found == set(CELL_SCANS)
