@@ -152,12 +152,14 @@ class FunctionModel:
         return [b for b, (_, polys) in self._store.items() if any(polys)]
 
     def min_valuation(self):
-        """Least valuation of a stored coefficient, computed once; INF for the zero map."""
+        """Least valuation of a stored coefficient, computed once; INF for
+        the zero map.  For ints, v(gcd(a_1, ..., a_n)) = min v(a_i), and
+        the gcd of no ints is 0, of valuation INF; so a piece p^-s P
+        gives v(gcd of P's coefficients) - s, one gcd per piece."""
         if self._vmin is None:
             p = self.ctx.p
-            self._vmin = min(((0 if a % p else fraction_valuation(a, p)) - s
-                              for s, polys in self._store.values() for P in polys for a in P.values()),
-                             default=INF)
+            self._vmin = min((fraction_valuation(math.gcd(*(a for P in polys for a in P.values())), p) - s
+                              for s, polys in self._store.values()), default=INF)
         return self._vmin
 
     @property
@@ -199,16 +201,17 @@ class FunctionModel:
         """(val, s): the exact value at the centre of a piece ball and a
         radius bound, f(ball) inside val + p^s O^e, with s the least
         valuation of a non-constant chart coefficient (INF for a constant
-        piece).  Computed once per piece, like `chart`, and the same tuple
-        is returned again."""
+        piece).  s is the valuation of the gcd of those coefficients: for
+        ints v(gcd(a_1, ..., a_n)) = min v(a_i), and the gcd of none is 0,
+        of valuation INF.  Computed once per piece, like `chart`, and the
+        same tuple is returned again."""
         bound = self._bounds.get(ball)
         if bound is None:
             k, local = self.chart(ball)
             p = self.ctx.p
             zero = (0,) * self.d
             val = tuple(Fraction(P.get(zero, 0), p ** k) for P in local)
-            s = min((0 if a % p else fraction_valuation(a, p)
-                     for P in local for x, a in P.items() if x != zero), default=INF)
+            s = fraction_valuation(math.gcd(*(a for P in local for x, a in P.items() if x != zero)), p)
             bound = self._bounds[ball] = (val, s - k)
         return bound
 
@@ -226,7 +229,13 @@ class FunctionModel:
         gives Q(z) mod p^M exactly, as the range certificate of a self-map
         of O^d ensures.  In point order, the first point outside the domain
         raises OutOfDomain, and the first on a piece with a coefficient
-        outside Z_(p) NonIntegralChart."""
+        outside Z_(p) NonIntegralChart.  A model whose one piece is the
+        root ball holds every point of d ints, so a non-empty list of
+        them goes to that piece's table with no piece lookup."""
+        if len(self._store) == 1 and set(map(len, points)) == {self.d}:
+            (ball,) = self._store
+            if not ball.k:
+                return _table_values(self._table(ball, M), points)
         at = self._pieces_index.at
         groups = {}
         for n, ints in enumerate(points):
@@ -236,15 +245,20 @@ class FunctionModel:
             if group is None:
                 if ball is None:
                     raise OutOfDomain("point %s outside the model domain" % (list(ints),))
-                if (ball, M) not in self._tables:
-                    self._tables[ball, M] = _residue_table(ball, *self.chart(ball), M)
-                group = groups[id(ball)] = (self._tables[ball, M], [])
+                group = groups[id(ball)] = (self._table(ball, M), [])
             group[1].append(n)
         out = [None] * len(points)
         for table, where in groups.values():
             for n, vals in zip(where, _table_values(table, [points[n] for n in where])):
                 out[n] = vals
         return out
+
+    def _table(self, ball, M):
+        """The piece's `_residue_table` mod p^M, built on first use."""
+        table = self._tables.get((ball, M))
+        if table is None:
+            table = self._tables[ball, M] = _residue_table(ball, *self.chart(ball), M)
+        return table
 
     def _eval_fr(self, frs):
         """Exact value at a point of rationals: one Fraction per coordinate."""
@@ -531,7 +545,11 @@ def _units(d):
 
 def _truncate(entry, ctx):
     """An exact piece (s, polys) with every coefficient a/p^s cut to N
-    digits as `PadicContext.from_fraction` cuts it, at the least scale."""
+    digits as `PadicContext.from_fraction` cuts it, at the least scale.
+    A cut moves a coefficient of valuation v by a multiple of p^(v+N), and
+    an integral chart of degree D on a level-k ball has ambient coefficients
+    down to p^-kD, so such a piece is exact only to p^(N - kD) on its ball
+    (z^6 on 5 + 9Z_3 at N = 12 takes 9515, not 0, at the centre)."""
     s, polys = entry
     p = ctx.p
     vals = tuple({x: (a, 0 if a % p else fraction_valuation(a, p)) for x, a in P.items()} for P in polys)
@@ -586,9 +604,12 @@ def _residue_table(ball, s, polys, M):
 
 def _table_values(table, points):
     """Residue tuples of points of one piece from its `_residue_table`,
-    one monomial and one output coordinate at a time over all points."""
+    one monomial and one output coordinate at a time over all points.  On
+    the root ball (step 1, centre 0) the chart variable is the point."""
     mod, step, center, steps, rows = table
-    z = [[(x - c) // step for x in col] for col, c in zip(zip(*points), center)]
+    z = list(zip(*points))
+    if step != 1:
+        z = [[(x - c) // step for x in col] for col, c in zip(z, center)]
     mono = [[1] * len(points)]
     for j, i in steps:
         mono.append([a * b % mod for a, b in zip(mono[j], z[i])])

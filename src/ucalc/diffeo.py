@@ -26,6 +26,7 @@ loop picks M so that its valuation test mod p^M is the exact test.
 """
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -260,19 +261,22 @@ def isometry_check(g, pairs):
     largest finite valuation of an input difference.  For x != y with
     v(x - y) = v < M, the output difference has valuation v exactly when
     it is 0 mod p^v and nonzero mod p^(v+1), a congruence test on them.
+    Both sides are read from gcds: for ints v(gcd(a_1, ..., a_d)) =
+    min v(a_i), and the gcd of zeros is 0, of valuation INF; so v(x - y)
+    is one valuation of one gcd, and the output difference is 0 mod p^j
+    exactly when the gcd of its coordinates is.
     """
     gamma = g.endo.gamma
     p = gamma.ctx.p
-    pts = [(x, y, min(0 if q % p else fraction_valuation(q, p) for q in map(operator.sub, x, y)))
-           for x, y in pairs]
+    pts = [(x, y, fraction_valuation(math.gcd(*map(operator.sub, x, y)), p)) for x, y in pairs]
     live = [pt for pt in pts if pt[2] != INF]
     M = 1 + max((v for *_, v in live), default=0)
     gxs = gamma.residues([x for x, _, _ in live], M)
     gys = gamma.residues([y for _, y, _ in live], M)
     violations = []
     for (x, y, v), gx, gy in zip(live, gxs, gys):
-        diffs = [a - b for a, b in zip(gx, gy)]
-        if any(q % p ** v for q in diffs) or not any(q % p ** (v + 1) for q in diffs):
+        q = math.gcd(*map(operator.sub, gx, gy))
+        if q % p ** v or not q % p ** (v + 1):
             violations.append((x, y))
     return IsometryReport(checked=len(pts), violations=tuple(violations))
 
@@ -286,11 +290,12 @@ def _invert(endo, ys, target_v, v_min):
     by at least that factor and the budget below always suffices.  The
     iteration only needs x mod p^M, and sigma's residues mod p^M are exact
     (`FunctionModel.residues`), so each iterate is the exact one reduced.
-    A step evaluates the targets still moving in one call; a target leaves
-    once two iterates agree mod p^target_v.  With M > target_v, the
-    residual gamma(x) - y of an accepted iterate has valuation below
-    target_v exactly when it is nonzero mod p^target_v.  The error raised
-    is that of the first failing target, as if each were inverted alone.
+    A step evaluates the targets still moving in one call and updates
+    them one coordinate column at a time; a target leaves once two
+    iterates agree mod p^target_v.  With M > target_v, the residual
+    gamma(x) - y of an accepted iterate has valuation below target_v
+    exactly when it is nonzero mod p^target_v.  The error raised is that
+    of the first failing target, as if each were inverted alone.
     Returns the preimages as tuples of ints in [0, p^M), in order.
     """
     p = endo.ctx.p
@@ -298,18 +303,21 @@ def _invert(endo, ys, target_v, v_min):
     M = target_v + v_min + 2
     mod = p ** M
     close = p ** target_v
-    ys = [[a % mod for a in y] for y in ys]
+    ycols = xcols = [[a % mod for a in col] for col in zip(*ys)]  # live targets and iterates, by column
+    ys = list(zip(*ycols))
     xs, live = list(ys), list(range(len(ys)))
     for _ in range(budget):
-        moving = []
-        for i, q in zip(live, endo.sigma.residues([xs[i] for i in live], M)):
-            nxt = [(a - b) % mod for a, b in zip(ys[i], q)]
-            if any((a - b) % close for a, b in zip(nxt, xs[i])):
-                moving.append(i)
-            xs[i] = nxt
-        live = moving
+        qcols = zip(*endo.sigma.residues(list(zip(*xcols)), M))
+        nxt = [[(a - b) % mod for a, b in zip(ycol, qcol)] for ycol, qcol in zip(ycols, qcols)]
+        for i, x in zip(live, zip(*nxt)):
+            xs[i] = x
+        gaps = [[(a - b) % close for a, b in zip(ncol, xcol)] for ncol, xcol in zip(nxt, xcols)]
+        keep = [j for j, row in enumerate(zip(*gaps)) if any(row)]
+        live = [live[j] for j in keep]
         if not live:
             break
+        xcols = [[col[j] for j in keep] for col in nxt]
+        ycols = [[col[j] for j in keep] for col in ycols]
     # targets before the first one still moving have converged
     for x, y in zip(endo.gamma.residues(xs[:live[0]] if live else xs, M), ys):
         if any((a - b) % close for a, b in zip(x, y)):
@@ -322,7 +330,7 @@ def _invert(endo, ys, target_v, v_min):
         raise IterationBudgetExceeded(
             "no contraction to %d digits within %d steps" % (target_v, budget)
         )
-    return [tuple(x) for x in xs]
+    return xs
 
 
 def invert_points(g, ys, target_v):
