@@ -11,13 +11,17 @@ certificate, the oracle for `_image_in_ball` and for the range check of
 `CompactlySupportedEndo`.  `omega_witness_search` is the exhaustive scan
 of the Omega bound at a level, the oracle for `certify_omega`, and
 `breaks_omega` evaluates a failing (x, y, t) in Fractions from the
-model's coefficients alone.
+model's coefficients alone.  `invert_per_point` is the batched
+fixed-point inversion as it was before it moved to coordinate columns,
+the oracle for `diffeo._invert`.
 """
 
 from fractions import Fraction
 
 from ucalc import _poly
 from ucalc.calculus import FunctionModel, _subst, _truncate, product_model
+from ucalc.diffeo import IterationBudgetExceeded
+from ucalc.padic import fraction_valuation
 
 
 def padic_entry(ctx, d, coeffs, e):
@@ -156,6 +160,43 @@ def omega_witness_search(endo, m, v_min):
         if any(q % p ** v_min for q in base):
             return ("value", _fractions(x), zero, Fraction(0))
     return None
+
+
+def invert_per_point(endo, ys, target_v, v_min):
+    """Fixed-point preimages of integral targets mod p^M, M = target_v +
+    v_min + 2, iterated together and updated one target at a time; the
+    first failing target raises, its residual RuntimeError or
+    IterationBudgetExceeded."""
+    p = endo.ctx.p
+    budget = -(-target_v // v_min) + 2
+    M = target_v + v_min + 2
+    mod = p ** M
+    close = p ** target_v
+    ys = [[a % mod for a in y] for y in ys]
+    xs, live = list(ys), list(range(len(ys)))
+    for _ in range(budget):
+        moving = []
+        for i, q in zip(live, endo.sigma.residues([xs[i] for i in live], M)):
+            nxt = [(a - b) % mod for a, b in zip(ys[i], q)]
+            if any((a - b) % close for a, b in zip(nxt, xs[i])):
+                moving.append(i)
+            xs[i] = nxt
+        live = moving
+        if not live:
+            break
+    # targets before the first one still moving have converged
+    for x, y in zip(endo.gamma.residues(xs[:live[0]] if live else xs, M), ys):
+        if any((a - b) % close for a, b in zip(x, y)):
+            resid = min(fraction_valuation((a - b) % mod, p) for a, b in zip(x, y))
+            raise RuntimeError(
+                "inversion residual has valuation %s, expected >= %d; "
+                "the certificate is broken" % (resid, target_v)
+            )
+    if live:
+        raise IterationBudgetExceeded(
+            "no contraction to %d digits within %d steps" % (target_v, budget)
+        )
+    return [tuple(x) for x in xs]
 
 
 def slope_residues(f, ints, ys, M):

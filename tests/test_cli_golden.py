@@ -5,11 +5,14 @@ of each case are stored in tests/golden/cli.json.  Stdout is compared
 byte for byte against the stored payload in canonical form (sorted keys,
 two-space indent, trailing newline); `verify` reports are compared with
 their `wall_time` dropped.  A deliberate change of output rewrites that
-file from `_run_case` for every case in `CASES`.
+file from `_run_case` for every case in `CASES`.  The `diffeo` and `wp`
+cases also run under `python -O`, which strips `assert`.
 """
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -209,3 +212,19 @@ def test_golden_output(name, fixture_dir, golden, capsys):
     code, out = _run_case(name, fixture_dir, capsys)
     assert code == golden[name]["code"]
     assert out == _canonical(golden[name]["payload"])
+
+
+O_CASES = ("diffeo-", "wp-")
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.startswith(O_CASES)])
+def test_golden_output_under_python_O(name, fixture_dir, golden):
+    """The certified-map kernels signal broken invariants by exceptions,
+    not by `assert`, so stdout is byte-identical with asserts stripped."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [str(fixture_dir / tok) if tok.endswith(".json") else tok for tok in CASES[name]]
+    proc = subprocess.run([sys.executable, "-O", "-m", "ucalc.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == golden[name]["code"], proc.stderr
+    assert proc.stdout == _canonical(golden[name]["payload"])

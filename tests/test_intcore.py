@@ -6,7 +6,12 @@ consumer of it (induced cell maps, batched inversion, isometry checks,
 and the Omega scan of tests/reference.py) is compared with a reference
 copy of its former Fraction implementation, kept here, target by target,
 on certified maps over p in {2, 3, 5}, d in {1, 2}, with one piece or
-several pieces at levels 0-2.  The exact Omega decision of
+several pieces at levels 0-2.  One-piece maps on the root ball, which
+`residues` evaluates with no piece probe, are compared over d in {1, 2,
+3}; batched inversion is also compared with the per-point loop it
+replaced (`invert_per_point`), errors included, and the gcd valuations
+of `image_bound`, `min_valuation` and `isometry_check` with
+coefficient-wise references.  The exact Omega decision of
 `certify_omega` is compared with that scan on maps built at the edge of
 its three conditions, on random and composite maps, and on relatives of
 a map that only the scan used to accept; each rejection's witness is
@@ -21,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from ucalc import _poly
 from ucalc.balls import Ball
-from ucalc.calculus import FunctionModel, NonIntegralChart, OutOfDomain, _dqk_fr
+from ucalc.calculus import FunctionModel, NonIntegralChart, OutOfDomain, _dqk_fr, model_add
 from ucalc.diffeo import (
     BallEndo,
     CertifiedDiffeo,
@@ -36,9 +41,9 @@ from ucalc.diffeo import (
     invert_points,
     isometry_check,
 )
-from ucalc.padic import PadicContext, fraction_valuation
+from ucalc.padic import INF, PadicContext, fraction_valuation
 
-from reference import breaks_omega, omega_witness_search, padic_model, slope_residues
+from reference import breaks_omega, invert_per_point, omega_witness_search, padic_model, slope_residues
 
 N = 30
 CTX = {p: PadicContext(p, N) for p in (2, 3, 5)}
@@ -217,6 +222,55 @@ def test_residues_of_every_cell_on_mixed_pieces(p, d):
     assert f.residues([], 5) == []
 
 
+class NoProbes:
+    """Stands in for a model's piece index and fails on any lookup."""
+
+    def at(self, ints):
+        raise AssertionError("piece probe at %r" % (ints,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_residues_on_a_root_piece_match_fraction_route(data):
+    # a one-piece map on the root ball is evaluated with no piece probe,
+    # on representatives below 0 and at or above p^M too
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    d = data.draw(st.sampled_from((1, 2, 3)))
+    e = data.draw(st.integers(1, 2))
+    ctx = CTX[p]
+    exps = [x for x in itertools.product(range(3), repeat=d) if sum(x) <= 2]
+    coef = st.integers(-p ** 6, p ** 6)
+    coeffs = {x: ctx.vector([data.draw(coef) for _ in range(e)])
+              for x in data.draw(st.lists(st.sampled_from(exps), unique=True, max_size=6))}
+    f = padic_model([(Ball.from_ints(ctx, (0,) * d, 0), coeffs)], e=e)
+    M = data.draw(st.integers(1, 8))
+    point = st.tuples(*[st.integers(-p ** 10, p ** 10)] * d)
+    pts = data.draw(st.lists(point, max_size=8)) + [(-1,) * d, (p ** M,) * d, (-p ** M - 1,) * d]
+    pts = data.draw(st.permutations(pts))
+    want = [ref_residues(f, ints, M) for ints in pts]
+    f._index = NoProbes()
+    assert f.residues(pts, M) == want
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_root_piece_builds_its_table_only_for_points(d):
+    # no points, no table: a non-integral chart is refused only once a
+    # point needs it
+    ctx = CTX[3]
+    root = Ball.from_ints(ctx, (0,) * d, 0)
+    unit = tuple(int(i == 0) for i in range(d))
+    for coef, want in ((Fraction(1, 3), None), (4, [(5,), (0,), (3,)])):
+        f = padic_model([(root, {unit: ctx.vector([coef])})], e=1)
+        assert f.residues([], 2) == []
+        assert f._tables == {}
+        pts = [(8,) * d, (9,) * d, (-6,) * d]
+        if want is None:
+            with pytest.raises(NonIntegralChart, match="is not 3-integral"):
+                f.residues(pts, 2)
+        else:
+            assert f.residues(pts, 2) == want
+
+
 def test_residues_refuse_the_first_point_outside_the_domain():
     ctx = CTX[3]
     f = padic_model([(Ball.from_ints(ctx, (1, 0), 1), {(1, 0): ctx.vector([1, 0])}),
@@ -226,6 +280,18 @@ def test_residues_refuse_the_first_point_outside_the_domain():
         f.residues([(1, 3), (9, 0), (2, 0), (3, 0)], 2)
     with pytest.raises(OutOfDomain, match=r"^point \[3, 0\] outside the model domain$"):
         f.residues([(3, 0), (2, 0)], 2)
+    # a model of one piece that is not the root ball still refuses points
+    # outside it
+    one = padic_model([(Ball.from_ints(ctx, (1, 0), 1), {(1, 0): ctx.vector([1, 0])})], e=2)
+    assert one.residues([(4, 3)], 2) == [(4, 0)]
+    with pytest.raises(OutOfDomain, match=r"^point \[2, 0\] outside the model domain$"):
+        one.residues([(4, 3), (2, 0)], 2)
+    # on a root piece every point of d ints lies in the domain, and the
+    # first point of another length is refused in point order
+    root = padic_model([(Ball.from_ints(ctx, (0, 0), 0), {(1, 0): ctx.vector([1, 0])})], e=2)
+    assert root.residues([(4, 1), (-1, 2)], 2) == [(4, 0), (8, 0)]
+    with pytest.raises(OutOfDomain, match=r"^point \[1\] outside the model domain$"):
+        root.residues([(4, 1), (1,), (1, 2, 3)], 2)
 
 
 @settings(max_examples=15, deadline=None)
@@ -369,6 +435,40 @@ def test_inversion_errors_keep_their_type_and_text():
         invert_points(g, [(0,), (0, 0)], 3)
 
 
+def outcome(invert, *args):
+    """The preimages, or the type and text of the error raised."""
+    try:
+        return repr(invert(*args))
+    except RuntimeError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(maps(), st.data())
+def test_inverse_matches_the_per_point_oracle(case, data):
+    # targets p^j converge at different steps; a forged v_min shortens the
+    # budget, and a gamma moved by p^j fails the residual check when
+    # j < target
+    ctx, d, sigma = case
+    p = ctx.p
+    if data.draw(st.booleans()):
+        # a linear term p^v_min x_1 contracts by exactly p^-v_min a step
+        lin = {tuple(int(i == 0) for i in range(d)): p ** halfball_valuation(p)}
+        sigma = model_add(sigma, chart_model(ctx, d, LAYOUTS["one"](p, d), [[lin] * d]))
+    g = certified_diffeo(sigma)
+    endo = BallEndo.from_displacement(sigma)
+    if data.draw(st.booleans()):
+        shift = chart_model(ctx, d, LAYOUTS["one"](p, d), [[{(0,) * d: p ** data.draw(st.integers(0, 8))}] * d])
+        endo.gamma = BallEndo.from_displacement(model_add(sigma, shift)).gamma
+    v_min = g.cert.v_min + data.draw(st.integers(0, 3))
+    target = data.draw(st.integers(1, 8))
+    point = st.tuples(*[st.integers(-p ** N, p ** N)] * d)
+    ys = data.draw(st.lists(point, max_size=6)) + [(p ** j,) * d for j in range(target + 1)]
+    ys = data.draw(st.permutations(ys + [b.ints for b in sigma.piece_balls()]))
+    forged = CertifiedDiffeo(endo=endo, cert=OmegaCertificate(v_min))
+    assert outcome(invert_points, forged, ys, target) == outcome(invert_per_point, endo, ys, target, v_min)
+
+
 @settings(max_examples=20, deadline=None)
 @given(maps(certified=False), st.data())
 def test_isometry_verdict_matches_fraction_route(case, data):
@@ -376,13 +476,17 @@ def test_isometry_verdict_matches_fraction_route(case, data):
     p = ctx.p
     # the check reads only gamma, so uncertified maps exercise violations too
     g = CertifiedDiffeo(endo=BallEndo.from_displacement(sigma), cert=OmegaCertificate(2))
+    # steps of 0 make pairs with x = y or equal in some coordinates
     pairs = []
     for _ in range(8):
         x = [data.draw(st.integers(0, p ** N - 1)) for _ in range(d)]
         v = data.draw(st.integers(0, 5))
-        step = [data.draw(st.integers(0, p ** 4)) * p ** v for _ in range(d)]
+        step = [data.draw(st.sampled_from([0, data.draw(st.integers(-p ** 4, p ** 4))])) * p ** v
+                for _ in range(d)]
         pairs.append((tuple(x), tuple(a + b for a, b in zip(x, step))))
-    assert isometry_check(g, pairs).violations == ref_isometry(g, pairs)
+    report = isometry_check(g, pairs)
+    assert report.violations == ref_isometry(g, pairs)
+    assert report.checked == len(pairs)
 
 
 # affordable scan levels: m >= 2*v_min - 1, small enough for the Fraction route
@@ -451,6 +555,33 @@ def test_isometry_verdict_on_an_isometry(p, d):
     pairs = [((5,) * d, (5 + p ** v,) + (5,) * (d - 1)) for v in range(4)]
     assert ref_isometry(g, pairs) == ()
     assert isometry_check(g, pairs).violations == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_gcd_valuations_match_coefficient_wise_references(data):
+    # pieces that are zero, constant (radius bound INF) or full, with
+    # coefficients of negative valuation, so the store has s > 0
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    d = data.draw(st.sampled_from((1, 2)))
+    ctx = CTX[p]
+    exps = [x for x in itertools.product(range(3), repeat=d) if sum(x) <= 2]
+    coef = st.builds(Fraction, st.integers(-p ** 4, p ** 4), st.sampled_from([1, p, p ** 3]))
+    pieces = []
+    for ints, k in LAYOUTS[data.draw(st.sampled_from(sorted(LAYOUTS)))](p, d):
+        kind = data.draw(st.sampled_from(["zero", "constant", "full"]))
+        chosen = {"zero": [], "constant": [(0,) * d],
+                  "full": data.draw(st.lists(st.sampled_from(exps), unique=True, min_size=1))}[kind]
+        pieces.append((Ball.from_ints(ctx, ints, k),
+                       {x: ctx.vector([data.draw(coef) for _ in range(d)]) for x in chosen}))
+    f = padic_model(pieces, e=d)
+    assert f.min_valuation() == min((c.v for _, coeffs in f.pieces for vec in coeffs.values()
+                                     for c in vec.coords if not c.is_zero), default=INF)
+    zero = (0,) * d
+    for ball in f.piece_balls():
+        k, local = f.chart(ball)
+        s = min((fraction_valuation(a, p) for P in local for x, a in P.items() if x != zero), default=INF)
+        assert f.image_bound(ball) == (tuple(Fraction(P.get(zero, 0), p ** k) for P in local), s - k)
 
 
 # -- the exact Omega decision against the scan
