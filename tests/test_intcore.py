@@ -570,8 +570,8 @@ def test_gcd_valuations_match_coefficient_wise_references(data):
     pieces = []
     for ints, k in LAYOUTS[data.draw(st.sampled_from(sorted(LAYOUTS)))](p, d):
         kind = data.draw(st.sampled_from(["zero", "constant", "full"]))
-        chosen = {"zero": [], "constant": [(0,) * d],
-                  "full": data.draw(st.lists(st.sampled_from(exps), unique=True, min_size=1))}[kind]
+        chosen = ([] if kind == "zero" else [(0,) * d] if kind == "constant"
+                  else data.draw(st.lists(st.sampled_from(exps), unique=True, min_size=1)))
         pieces.append((Ball.from_ints(ctx, ints, k),
                        {x: ctx.vector([data.draw(coef) for _ in range(d)]) for x in chosen}))
     f = padic_model(pieces, e=d)
