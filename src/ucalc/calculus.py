@@ -20,10 +20,11 @@ the digit window.
 
 Certified maps also have an integer evaluation core (`residues`): the
 exact values mod p^M at a list of integral points, computed on ints from
-the chart polynomials of each point's piece.  Verdicts that only need
-values mod p^M or their valuations (induced cell maps, inversion,
-isometry checks, the centre values of Omega certificates) run on it
-instead of on Fractions.
+each point's piece, its stored polynomial at scale 0 (which passes range
+checks into O^e with no chart too) and else its chart polynomials.
+Verdicts that only need values mod p^M or their valuations (induced cell
+maps, inversion, isometry checks, the centre values of Omega
+certificates) run on it instead of on Fractions.
 
 Difference quotients: dq1 evaluates (f(x+ty) - f(x))/t, with the t = 0
 case filled in by formal differentiation of the piece polynomial (its
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _poly
-from .padic import INF, PadicScalar, PadicVector, ParseError, at_path, fraction_valuation
+from .padic import INF, PadicScalar, PadicVector, ParseError, at_path, decode_items, fraction_valuation
 from .padic import vector_parts, vector_to_json
 from .balls import Ball, BallIndex, ClopenRegion, ball_from_json, ball_to_json
 from .balls import region_from_json, region_to_json
@@ -200,34 +201,35 @@ class FunctionModel:
     def image_bound(self, ball):
         """(val, s): the exact value at the centre of a piece ball and a
         radius bound, f(ball) inside val + p^s O^e, with s the least
-        valuation of a non-constant chart coefficient (INF for a constant
-        piece).  s is the valuation of the gcd of those coefficients: for
-        ints v(gcd(a_1, ..., a_n)) = min v(a_i), and the gcd of none is 0,
-        of valuation INF.  Computed once per piece, like `chart`, and the
-        same tuple is returned again."""
+        valuation of a non-constant chart coefficient (`_slope`).  Computed
+        once per piece, like `chart`, and the same tuple is returned again."""
         bound = self._bounds.get(ball)
         if bound is None:
             k, local = self.chart(ball)
-            p = self.ctx.p
-            zero = (0,) * self.d
-            val = tuple(Fraction(P.get(zero, 0), p ** k) for P in local)
-            s = fraction_valuation(math.gcd(*(a for P in local for x, a in P.items() if x != zero)), p)
-            bound = self._bounds[ball] = (val, s - k)
+            val = tuple(Fraction(P.get((0,) * self.d, 0), self.ctx.p ** k) for P in local)
+            bound = self._bounds[ball] = (val, _slope(local, self.ctx.p) - k)
         return bound
+
+    def ambient_bound(self, ball):
+        """`_slope` of a piece's stored coefficients: no chart is built."""
+        s, polys = self._store[ball]
+        return _slope(polys, self.ctx.p) - s
 
     def residues(self, points, M):
         """Exact residues mod p^M of the values at a list of integral
         points: one tuple per point, in order.
 
         Each point is given by integer coordinates (any representatives:
-        a piece at level k reads them mod p^k and its chart variable
-        z = (x - c)/p^k exactly).  The value is Q(z) with Q the chart
-        polynomials of the piece holding the point; each piece's residue
-        table is fetched once per call and evaluated on all its points
-        together.  When every coefficient of Q lies in Z_(p), reducing them
-        mod p^M is a ring map Z_(p) -> Z/p^M, so evaluating on ints mod p^M
-        gives Q(z) mod p^M exactly, as the range certificate of a self-map
-        of O^d ensures.  In point order, the first point outside the domain
+        a piece at level k reads them mod p^k).  A piece at scale 0 is an
+        integer polynomial P, evaluated at x itself with no chart: P(x) =
+        Q((x - c)/p^k) on the ball, and P mod p^M reads x mod p^M only.
+        Else the value is Q(z), Q the chart polynomials of the piece and
+        z = (x - c)/p^k exactly.  Each piece's residue table is fetched once
+        per call and evaluated on all its points together.  When every
+        coefficient of Q lies in Z_(p), reducing them mod p^M is a ring map
+        Z_(p) -> Z/p^M, so evaluating on ints mod p^M gives Q(z) mod p^M
+        exactly, as the range certificate of a self-map of O^d ensures.
+        In point order, the first point outside the domain
         raises OutOfDomain, and the first on a piece with a coefficient
         outside Z_(p) NonIntegralChart.  A model whose one piece is the
         root ball holds every point of d ints, so a non-empty list of
@@ -254,10 +256,13 @@ class FunctionModel:
         return out
 
     def _table(self, ball, M):
-        """The piece's `_residue_table` mod p^M, built on first use."""
+        """The piece's `_residue_table` mod p^M, built on first use; at
+        scale 0 from the store, in x itself (step 1, see `residues`)."""
         table = self._tables.get((ball, M))
         if table is None:
-            table = self._tables[ball, M] = _residue_table(ball, *self.chart(ball), M)
+            k = ball.k if self._store[ball][0] else 0
+            entry = self.chart(ball) if k else self._store[ball]
+            table = self._tables[ball, M] = _residue_table(ball, *entry, M, k)
         return table
 
     def _eval_fr(self, frs):
@@ -300,6 +305,12 @@ class FunctionModel:
             self.e,
             len(self._store),
         )
+
+
+def _slope(polys, p):
+    """The least valuation of a non-constant coefficient of integer
+    polynomials, INF for none: v of their gcd (see `min_valuation`)."""
+    return fraction_valuation(math.gcd(*(a for P in polys for x, a in P.items() if any(x))), p)
 
 
 def _nvars(d, j):
@@ -568,10 +579,10 @@ def _subst(outer, inner, p, nvars):
                             for P in G)
 
 
-def _residue_table(ball, s, polys, M):
-    """Chart polynomials p^-s polys reduced mod p^M: (p^M, p^k, centre,
-    steps, rows).  The monomials they use and those dividing them are
-    numbered, 1 as monomial 0, so that monomial j + 1 is monomial
+def _residue_table(ball, s, polys, M, k):
+    """p^-s polys in z = (x - c)/p^k (a chart, or x at k = 0) mod p^M: (p^M,
+    p^k, centre, steps, rows).  The monomials they use and those dividing
+    them are numbered, 1 as monomial 0, so that monomial j + 1 is monomial
     steps[j][0] times variable steps[j][1]; rows holds per polynomial its
     nonzero terms (monomial number, coefficient)."""
     p = ball.ctx.p
@@ -599,7 +610,7 @@ def _residue_table(ball, s, polys, M):
             if c % mod:
                 terms.append((slot(exps), c % mod))
         rows.append(tuple(terms))
-    return mod, p ** ball.k, ball.ints, tuple(steps), tuple(rows)
+    return mod, p ** k, ball.ints, tuple(steps), tuple(rows)
 
 
 def _table_values(table, points):
@@ -636,7 +647,11 @@ def _image_in_ball(f, ball, target):
     terms over J < K* of smaller degree, so of valuation > w.  The sup
     norm of P is its largest Mahler coefficient, attained at the box point
     K*: accept when every a_J is 0 mod p^(K+r), else f(c + p^k K*) leaves T.
+    A piece at scale 0 maps O^d into O^e: a level-0 target accepts it with
+    no chart, as the bound would (its chart is integral, so are val and s).
     """
+    if not (target.k or f._store[ball][0]):
+        return True, "bound", None
     val, s = f.image_bound(ball)
     if not target.contains_fractions(val):
         return False, "center", tuple(val)
@@ -1085,6 +1100,22 @@ MAX_PIECES = 4096
 MAX_CODIM = 64
 
 
+def _monomial_from_json(mono, path, ball, e):
+    """(exponents, [(v, u)] * e) of one monomial of a piece on `ball`."""
+    if not isinstance(mono, dict):
+        raise ParseError("monomial must be an object with exps and coef", path)
+    exps = mono.get("exps")
+    if not (isinstance(exps, list) and len(exps) == ball.d
+            and all(type(n) is int and n >= 0 for n in exps)):
+        raise ParseError("exps must be %d nonnegative ints, got %r" % (ball.d, exps), path + ".exps")
+    if sum(exps) > MAX_DEGREE:
+        raise ParseError("monomial degree %d exceeds the limit %d" % (sum(exps), MAX_DEGREE), path + ".exps")
+    ctx, parts = vector_parts(mono.get("coef"), path + ".coef")
+    if len(parts) != e or ctx is not ball.ctx:
+        raise ParseError("coefficient must be %d scalars in %r" % (e, ball.ctx), path + ".coef")
+    return tuple(exps), parts
+
+
 def _piece_from_json(entry, path, e):
     """(ball, store entry) of one model piece, built from the decoded (v, u)
     of each coefficient; the checks across pieces are left to the caller."""
@@ -1094,22 +1125,7 @@ def _piece_from_json(entry, path, e):
     poly = entry.get("poly", [])
     if not isinstance(poly, list):
         raise ParseError("poly must be an array of monomials", path + ".poly")
-    coeffs = {}
-    for j, mono in enumerate(poly):
-        mpath = "%s.poly[%d]" % (path, j)
-        if not isinstance(mono, dict):
-            raise ParseError("monomial must be an object with exps and coef", mpath)
-        exps = mono.get("exps")
-        if not (isinstance(exps, list) and len(exps) == ball.d
-                and all(type(n) is int and n >= 0 for n in exps)):
-            raise ParseError("exps must be %d nonnegative ints, got %r" % (ball.d, exps), mpath + ".exps")
-        if sum(exps) > MAX_DEGREE:
-            raise ParseError("monomial degree %d exceeds the limit %d" % (sum(exps), MAX_DEGREE),
-                             mpath + ".exps")
-        ctx, parts = vector_parts(mono.get("coef"), mpath + ".coef")
-        if len(parts) != e or ctx != ball.ctx:
-            raise ParseError("coefficient must be %d scalars in %r" % (e, ball.ctx), mpath + ".coef")
-        coeffs[tuple(exps)] = parts
+    coeffs = dict(decode_items(_monomial_from_json, poly, path + ".poly", ball, e))
     s = max([0] + [-v for parts in coeffs.values() for v, u in parts if u])
     polys = tuple({x: parts[j][1] * ball.ctx.p ** (parts[j][0] + s) for x, parts in coeffs.items()
                    if parts[j][1]} for j in range(e))
@@ -1129,10 +1145,7 @@ def model_from_json(obj, path="$"):
     count = len(obj["pieces"])
     if count > MAX_PIECES:
         raise ParseError("%d pieces exceed the limit %d" % (count, MAX_PIECES), path + ".pieces")
-    pieces = [
-        _piece_from_json(entry, "%s.pieces[%d]" % (path, i), e)
-        for i, entry in enumerate(obj["pieces"])
-    ]
+    pieces = decode_items(_piece_from_json, obj["pieces"], path + ".pieces", e)
     factors = None
     if "product" in obj:
         if not isinstance(obj["product"], list):
@@ -1151,7 +1164,7 @@ def model_from_json(obj, path="$"):
     # each coefficient shares its ball's context; every ball, with
     # coefficients or without, shares the model's
     for i, (b, _) in enumerate(pieces):
-        if b.ctx != model.ctx:
+        if b.ctx is not model.ctx:
             raise ParseError("piece balls disagree on (p, N)", "%s.pieces[%d].ball" % (path, i))
     if "domain" in obj:
         declared = region_from_json(obj["domain"], path + ".domain")

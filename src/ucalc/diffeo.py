@@ -181,14 +181,16 @@ def certify_omega(endo):
 
     So the decision is exact at every piece level.  Shortcut for 1: when
     every non-constant chart coefficient of p^-s Q_B has valuation
-    >= v_min + k (`image_bound`), so do the coefficients of p^-s P_B and
-    its Mahler coefficients, which are integer combinations of them, and
+    >= v_min + k (`image_bound`, or before it the stored coefficients,
+    `_same_piece_witness`), so do the coefficients of p^-s P_B and its
+    Mahler coefficients, which are integer combinations of them, and
     nothing is expanded.  Otherwise a Mahler coefficient of P_B breaks 1
     exactly when it is nonzero mod p^(v_min + k + s).
     Centre values are read once mod p^(v_min + k_max - 1), by one call
     of `FunctionModel.residues` on all centres (exact: the range
-    certificate makes the charts integral), and reduced per j; grouping
-    pieces by centre mod p^j costs O(pieces * k_max), never pairs.
+    certificate makes the charts integral; pieces at scale 0 need none),
+    and reduced per j; grouping pieces by centre mod p^j costs
+    O(pieces * k_max), never pairs.
     """
     sigma = endo.sigma
     p = endo.ctx.p
@@ -220,9 +222,12 @@ def certify_omega(endo):
 
 def _same_piece_witness(sigma, ball, v_min):
     """Condition 1 of `certify_omega` on one piece: None when it holds,
-    else the failing (x, y, t) as ints from the box point K*."""
+    else the failing (x, y, t) as ints from the box point K*.  First, with
+    no chart: for |f| >= 1 all terms of the chart coefficient b_f = sum_{e
+    >= f} a_e C(e, f) c^(e - f) p^(k|f|) have |e| >= 1, so v(b_f) >= k +
+    `ambient_bound`, and `ambient_bound` >= v_min gives the chart bound."""
     k = ball.k
-    if sigma.image_bound(ball)[1] >= v_min + k:
+    if sigma.ambient_bound(ball) >= v_min or sigma.image_bound(ball)[1] >= v_min + k:
         return None
     p, d = sigma.ctx.p, sigma.d
     s, polys = sigma.chart_quotient(ball)

@@ -38,6 +38,17 @@ def at_path(path):
         raise ParseError(str(err), path) from None
 
 
+def decode_items(decode, items, path, *args):
+    """[decode(item, path, *args) for item in items], formatting the path
+    "path[i]" of item i only when an item fails: the items are then decoded
+    again with their own paths, which raises that ParseError at its node."""
+    try:
+        return [decode(obj, path, *args) for obj in items]
+    except ParseError:
+        pass
+    return [decode(obj, "%s[%d]" % (path, i), *args) for i, obj in enumerate(items)]
+
+
 class PrecisionLoss(ArithmeticError):
     """All N significant digits cancelled: result indistinguishable from zero."""
 
@@ -439,10 +450,10 @@ def vector_parts(arr, path="$"):
     """(ctx, [(v, u), ...]) of a JSON vector of scalars in one context."""
     if not isinstance(arr, list) or not arr:
         raise ParseError("vector must be a nonempty array of scalars", path)
-    parts = [scalar_parts(o, "%s[%d]" % (path, i)) for i, o in enumerate(arr)]
+    parts = decode_items(scalar_parts, arr, path)
     ctx = parts[0][0]
     for i, (c, _, _) in enumerate(parts):
-        if c != ctx:
+        if c is not ctx:  # `_CONTEXTS` holds one context per (p, N)
             raise ParseError("vector coordinates disagree on (p, N)", "%s[%d]" % (path, i))
     return ctx, [(v, u) for _, v, u in parts]
 

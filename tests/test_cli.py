@@ -423,7 +423,10 @@ GOOD_MODEL = model_to_json(model({(1,): (1,), (2,): (3,)}))
 
 
 def _plant(obj, keys, value):
-    """Deep copy of obj with the node at `keys` replaced by value."""
+    """Deep copy of obj with the node at `keys` replaced by value; at no
+    keys, a copy of value itself."""
+    if not keys:
+        return copy.deepcopy(value)
     obj = copy.deepcopy(obj)
     node = obj
     for key in keys[:-1]:
@@ -440,6 +443,12 @@ def _scalar(p=3, v=0, N=12, digits=None):
 _COEF = ("pieces", 0, "poly", 0, "coef", 0)
 _PIECE = GOOD_MODEL["pieces"][0]
 _NESTED = _plant(_PIECE, ("ball", "k"), 1)
+# three level-1 pieces of Z_3^2 with three monomials of two coordinates
+# each: the nodes behind the first of every array
+_WIDE = model_to_json(padic_model(
+    [(Ball.from_ints(CTX3, (c, 0), 1),
+      {(1, 0): CTX3.vector([1, c + 2]), (0, 1): CTX3.vector([3, 1]), (1, 1): CTX3.vector([c + 1, 5])})
+     for c in range(3)], e=2))
 
 # (where the bad value goes, the bad value, the path it is reported at, the
 # message): each message as the loader gave it before it decoded scalars
@@ -489,6 +498,14 @@ MALFORMED_MODELS = [
     (_COEF + ("v",), -MAX_VALUATION - 1, "$.pieces[0].poly[0].coef[0].v",
      "valuation %d exceeds the limit %d" % (-MAX_VALUATION - 1, MAX_VALUATION)),
     (("codim",), MAX_CODIM + 1, "$.codim", "codim %d exceeds the limit %d" % (MAX_CODIM + 1, MAX_CODIM)),
+    ((), _plant(_WIDE, ("pieces", 2, "poly", 1, "coef", 1, "digits", 3), 3),
+     "$.pieces[2].poly[1].coef[1].digits[3]", "digit out of range for p=3: 3"),
+    ((), _plant(_WIDE, ("pieces", 1, "poly", 2, "exps"), [1, -1]), "$.pieces[1].poly[2].exps",
+     "exps must be 2 nonnegative ints, got [1, -1]"),
+    ((), _plant(_WIDE, ("pieces", 1, "poly", 0, "coef", 1), _scalar(N=10)), "$.pieces[1].poly[0].coef[1]",
+     "vector coordinates disagree on (p, N)"),
+    ((), _plant(_WIDE, ("pieces", 1, "ball", "center", 1), "x"), "$.pieces[1].ball.center[1]",
+     "scalar must be an object, got str"),
 ]
 
 

@@ -159,6 +159,8 @@ CASES = {
     "diffeo-invert-plane": ["diffeo", "invert", "--endo", "gplane.json", "--y", "2,1/2", "--prec", "6"],
     "diffeo-induced": ["diffeo", "induced", "--endo", "g.json", "--m", "2"],
     "diffeo-induced-plane": ["diffeo", "induced", "--endo", "gplane.json", "--m", "1"],
+    "diffeo-induced-pieces": ["diffeo", "induced", "--endo", "gpieces.json", "--m", "2"],
+    "diffeo-invert-pieces": ["diffeo", "invert", "--endo", "gpieces.json", "--y", "5", "--prec", "12"],
     "alg-invert": ["alg", "invert", "--alg", "qp.json", "--elt", "two_elt.json"],
     "alg-invert-quad": ["alg", "invert", "--alg", "quad.json", "--elt", "quad_elt.json"],
     "alg-invert-matrix": ["alg", "invert", "--alg", "mat.json", "--elt", "mat_elt.json"],

@@ -11,7 +11,12 @@ several pieces at levels 0-2.  One-piece maps on the root ball, which
 3}; batched inversion is also compared with the per-point loop it
 replaced (`invert_per_point`), errors included, and the gcd valuations
 of `image_bound`, `min_valuation` and `isometry_check` with
-coefficient-wise references.  The exact Omega decision of
+coefficient-wise references.  Pieces at scale 0 (integer stored
+coefficients) are evaluated, range-checked against the root ball and
+given the ambient Omega pre-check without a chart; each shortcut is
+compared with the chart route it skips, and in-process `diffeo` commands
+on maps like the benchmark's build no chart or only the failing piece's.
+The exact Omega decision of
 `certify_omega` is compared with that scan on maps built at the edge of
 its three conditions, on random and composite maps, and on relatives of
 a map that only the scan used to accept; each rejection's witness is
@@ -19,20 +24,34 @@ confirmed by a Fraction evaluation.
 """
 
 import itertools
+import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ucalc import _poly
+from ucalc import _poly, calculus
 from ucalc.balls import Ball
-from ucalc.calculus import FunctionModel, NonIntegralChart, OutOfDomain, _dqk_fr, model_add
+from ucalc.calculus import (
+    FunctionModel,
+    NonIntegralChart,
+    OutOfDomain,
+    _dqk_fr,
+    _image_in_ball,
+    add_identity,
+    model_add,
+    model_to_json,
+)
+from ucalc.cli import main
 from ucalc.diffeo import (
     BallEndo,
     CertifiedDiffeo,
     IterationBudgetExceeded,
     NotCertified,
     OmegaCertificate,
+    _same_piece_witness,
     certify_omega,
     compose_diffeos,
     halfball_valuation,
@@ -43,7 +62,7 @@ from ucalc.diffeo import (
 )
 from ucalc.padic import INF, PadicContext, fraction_valuation
 
-from reference import breaks_omega, invert_per_point, omega_witness_search, padic_model, slope_residues
+from reference import breaks_omega, chart_entry, invert_per_point, omega_witness_search, padic_model, slope_residues
 
 N = 30
 CTX = {p: PadicContext(p, N) for p in (2, 3, 5)}
@@ -805,3 +824,190 @@ def test_composite_of_certified_maps_at_different_levels_is_certified():
     for ints in Ball.from_ints(ctx, (0,), 0).level_reps(5):
         want = g1.gamma.residues(g2.gamma.residues([ints], 6), 6)
         assert g.gamma.residues([ints], 6) == want
+
+
+# -- pieces at scale 0: tables from the store, the root-target shortcut and
+# the ambient Omega pre-check, each against the chart route it skips
+
+
+def ref_image_in_ball(f, ball, target):
+    """`_image_in_ball` by the chart route alone, for every piece."""
+    val, s = f.image_bound(ball)
+    if not target.contains_fractions(val):
+        return False, "center", tuple(val)
+    if s >= target.k:
+        return True, "bound", None
+    if s < 0:
+        return False, "unbounded", None
+    p, (r, polys) = f.ctx.p, f.chart(ball)
+    shifted = [_poly.add(Q, _poly.const(f.d, -c * p ** r)) for Q, c in zip(polys, target.ints)]
+    box = _poly.mahler_witness(shifted, p ** (target.k + r))
+    return box is None, "mahler", box and tuple(c + p ** ball.k * z for c, z in zip(ball.ints, box))
+
+
+def ref_same_piece_witness(sigma, ball, v_min):
+    """`_same_piece_witness` by the chart bound and the Mahler witness alone."""
+    k = ball.k
+    if sigma.image_bound(ball)[1] >= v_min + k:
+        return None
+    p, d = sigma.ctx.p, sigma.d
+    s, polys = sigma.chart_quotient(ball)
+    K = _poly.mahler_witness(polys, p ** (v_min + k + s))
+    step = p ** k
+    return K and (tuple(c + step * z for c, z in zip(ball.ints, K[:d])), K[d:2 * d], step * K[2 * d])
+
+
+@st.composite
+def integral_pieces(draw, levels=(1, 2, 3), chart_scales=(0,), constant_scales=(0,)):
+    """(ctx, d, f): one ball at a level in `levels` inside each of up to
+    four level-1 cells of O^d, in an unchecked store.  A piece is either
+    P + u/p^j for j in constant_scales, with P of integer coefficients of
+    either sign and u prime to p (scale j, so 0 for integer pieces), or
+    built from the chart p^-r Q(z), x = c + p^k z, for r in chart_scales
+    (`chart_entry`), which puts it at a scale s > 0 when k > 0 and Q is
+    not constant.  Nonzero coefficients are p^a u with a up to 4."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    d = draw(st.sampled_from((1, 2)))
+    ctx = CTX[p]
+    exps = [x for x in itertools.product(range(3), repeat=d) if sum(x) <= 2]
+    coef = st.builds(lambda a, u: p ** a * u, st.integers(0, 4), st.integers(-p ** 3, p ** 3))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * d), unique=True, min_size=1, max_size=4))
+    store = {}
+    for cell in cells:
+        k = draw(st.sampled_from(levels))
+        ball = Ball.from_ints(ctx, tuple(c + p * draw(st.integers(0, max(p ** (k - 1) - 1, 0))) for c in cell), k)
+        chosen = st.lists(st.sampled_from(exps), unique=True, max_size=5)
+        polys = tuple({x: a for x in draw(chosen) if (a := draw(coef))} for _ in range(d))
+        r = draw(st.sampled_from((None,) + chart_scales))
+        if r is None:
+            j = draw(st.sampled_from(constant_scales))
+            unit = 1 + p * draw(st.integers(0, p))
+            polys = tuple({x: a * p ** j for x, a in P.items()} for P in polys)
+            store[ball] = (j, polys) if not j else (j, tuple(_poly.add(P, _poly.const(d, unit)) for P in polys))
+        else:
+            store[ball] = chart_entry(ball, r, polys)
+    return ctx, d, FunctionModel._build(ctx, d, d, store)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integral_pieces(), st.data())
+def test_scale_zero_pieces_build_their_tables_from_the_store(case, data):
+    # points of drawn pieces by representatives below 0 and at or above
+    # p^M; a chart is built once for each piece at scale s > 0 that holds
+    # a point, and for no piece at scale 0
+    ctx, d, f = case
+    p = ctx.p
+    M = data.draw(st.integers(1, 8))
+    pts = [tuple(c + p ** ball.k * w for c, w in zip(ball.ints, data.draw(st.tuples(*[st.integers(-p ** 8, p ** 8)] * d))))
+           for ball in data.draw(st.lists(st.sampled_from(f.piece_balls()), min_size=1, max_size=10))]
+    want = [ref_residues(f, x, M) for x in pts]
+    charted, shift = [], calculus._local_coeffs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calculus, "_local_coeffs", lambda entry, ball: charted.append(ball) or shift(entry, ball))
+        assert f.residues(pts, M) == want
+    assert len(charted) == len(set(charted))
+    assert set(charted) == {b for b, (s, _) in f._store.items() if s and any(b.contains_ints(x) for x in pts)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(integral_pieces(levels=(0, 1, 2, 3), chart_scales=(0, 1), constant_scales=(0, 1)), st.data())
+def test_root_target_shortcut_agrees_with_the_chart_route(case, data):
+    # against the root ball a scale-0 piece is accepted with no chart;
+    # targets of level 1-2 at the centre value, or off it, take the chart
+    # route, and so do pieces at scale s > 0, non-integral charts too
+    ctx, d, f = case
+    p = ctx.p
+    root = Ball.from_ints(ctx, (0,) * d, 0)
+    for ball in f.piece_balls():
+        s = f._store[ball][0]
+        got = _image_in_ball(f, ball, root)
+        assert (ball in f._charts) == bool(s)
+        assert got == ref_image_in_ball(f, ball, root)
+        K = data.draw(st.integers(1, 2))
+        val = f._eval_fr(tuple(map(Fraction, ball.ints)))
+        centre = tuple(q.numerator * pow(q.denominator, -1, p ** K) if q.denominator % p else 0 for q in val)
+        off = data.draw(st.tuples(*[st.integers(0, 1)] * d))
+        target = Ball.from_ints(ctx, tuple((c + o * p ** (K - 1)) % p ** K for c, o in zip(centre, off)), K)
+        assert _image_in_ball(f, ball, target) == ref_image_in_ball(f, ball, target)
+
+
+@settings(max_examples=80, deadline=None)
+@given(integral_pieces(levels=(0, 1, 2, 3), chart_scales=(0, 1), constant_scales=(0, 1, 2)), st.integers(1, 3))
+def test_ambient_precheck_accepts_only_what_the_chart_route_accepts(case, v_min):
+    # charts built with high valuations pass where the ambient
+    # coefficients do not; a constant u/p^j puts the ints of the other
+    # coefficients j digits above their valuations
+    ctx, d, f = case
+    for ball in f.piece_balls():
+        want = ref_same_piece_witness(f, ball, v_min)
+        if f.ambient_bound(ball) >= v_min:
+            assert want is None
+        assert _same_piece_witness(f, ball, v_min) == want
+
+
+@pytest.mark.parametrize("ints, k, coeffs, ambient, passes", [
+    # x^2 on 3Z_3: the ambient bound 0 fails, the chart 9z^2 passes
+    ((0,), 1, {(2,): 1}, False, True),
+    # x + 1/3 on 1 + 3Z_3 at s = 1: the ints of x have valuation 1, but
+    # the coefficient 1 has 0, and the chart 3z fails condition 1
+    ((1,), 1, {(1,): 1, (0,): Fraction(1, 3)}, False, False),
+    # 3x^2 + 3x on Z_3 and 6x on 2 + 9Z_3: both bounds pass
+    ((0,), 0, {(2,): 3, (1,): 3}, True, True),
+    ((2,), 2, {(1,): 6}, True, True),
+])
+def test_ambient_precheck_on_pieces_at_its_edge(ints, k, coeffs, ambient, passes):
+    # condition 1 at v_min = 1 on Z_3
+    ctx = CTX[3]
+    ball = Ball.from_ints(ctx, ints, k)
+    sigma = padic_model([(ball, {x: ctx.vector([c]) for x, c in coeffs.items()})], e=1)
+    assert (sigma.ambient_bound(ball) >= 1) == ambient
+    want = ref_same_piece_witness(sigma, ball, 1)
+    assert (want is None) == passes
+    assert _same_piece_witness(sigma, ball, 1) == want
+
+
+def scan_map(p, d, accept, seed):
+    """gamma = id + sigma on the p^d level-1 balls of O^d at N = 12, drawn
+    as the certify-scan benchmark draws it: every non-constant coefficient
+    of sigma is p^v_min times a random int, and the constant makes the
+    value at the centre p^v_min times a unit digit.  A rejecting map adds
+    a unit to the x_i coefficient of coordinate j on one piece whose
+    centre has a unit i-th coordinate."""
+    rng = random.Random(seed)
+    ctx = PadicContext(p, 12)
+    lead, mod = p ** halfball_valuation(p), ctx.modulus
+    exps = [x for x in itertools.product(range(3), repeat=d) if 0 < sum(x) <= 2]
+    store = {}
+    for centre in itertools.product(range(p), repeat=d):
+        polys = []
+        for _ in range(d):
+            P = {x: lead * rng.randrange(p ** 10) for x in exps}
+            rest = sum(a * math.prod(c ** n for c, n in zip(centre, x)) for x, a in P.items())
+            P[(0,) * d] = (lead * rng.randrange(1, p) - rest) % mod
+            polys.append(P)
+        store[Ball.from_ints(ctx, centre, 1)] = (0, tuple(polys))
+    if not accept:
+        i = rng.randrange(d)
+        ball = rng.choice([b for b in store if b.ints[i] % p])
+        P = store[ball][1][rng.randrange(d)]
+        x = tuple(int(j == i) for j in range(d))
+        P[x] = (P[x] + rng.randrange(1, p)) % mod
+    return add_identity(FunctionModel._build(ctx, d, d, store))
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (3, 2), (5, 1), (5, 2)])
+@pytest.mark.parametrize("accept", [True, False])
+def test_diffeo_commands_chart_only_a_failing_piece(p, d, accept, tmp_path, monkeypatch, capsys):
+    """`diffeo certify`, `induced` and `invert` on an integral level-1 map:
+    an accepting map is range-checked, certified and evaluated with no
+    chart; a rejecting one charts the failing piece once, for its Mahler
+    witness."""
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(model_to_json(scan_map(p, d, accept, seed=p * 10 + d))))
+    charted, shift = [], calculus._local_coeffs
+    monkeypatch.setattr(calculus, "_local_coeffs", lambda entry, ball: charted.append(ball) or shift(entry, ball))
+    for argv in (["certify"], ["induced", "--m", "2"], ["invert", "--y", ",".join(["5"] * d), "--prec", "12"]):
+        charted.clear()
+        code = main(["diffeo", argv[0], "--endo", str(path)] + argv[1:])
+        capsys.readouterr()
+        assert (code, len(charted)) == ((0, 0) if accept else (1, 1)), argv
