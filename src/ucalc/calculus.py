@@ -615,8 +615,8 @@ def _residue_table(ball, s, polys, M, k):
 
 def _table_values(table, points):
     """Residue tuples of points of one piece from its `_residue_table`,
-    one monomial and one output coordinate at a time over all points.  On
-    the root ball (step 1, centre 0) the chart variable is the point."""
+    one monomial and one output coordinate at a time over all points.  At
+    step 1 (the root ball, or a piece at scale 0) the variable is the point."""
     mod, step, center, steps, rows = table
     z = list(zip(*points))
     if step != 1:
@@ -1086,11 +1086,11 @@ MAX_DEGREE = 16
 # Largest number of pieces that model_from_json accepts.  Loading and
 # `wp mul`, whose common refinement (`refine`) makes two index lookups per
 # ball, grow about linearly with the count: on a 2-vCPU Xeon with Python
-# 3.11, 4096 level-12 pieces of Z_2 load in about 0.14 s, and two such
-# maps multiply in about 2.4 s (two 2048-piece maps in about 1.1 s),
-# spent in about equal parts on certifying the two maps, composing them
-# and writing the JSON.  The golden cases and benchmark workloads load at
-# most 25.
+# 3.11, 4096 level-12 pieces of Z_2 load in about 0.11 s, and two such
+# maps multiply in about 2.1 s (two 2048-piece maps in about 1.0 s),
+# spent in about equal parts on loading and certifying the two maps,
+# composing them and writing the JSON.  The golden cases and benchmark
+# workloads load at most 25.
 MAX_PIECES = 4096
 
 # Largest codim that model_from_json accepts: every piece holds one

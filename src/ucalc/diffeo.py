@@ -8,10 +8,11 @@ bijection, so inverses come from plain fixed-point iteration and every
 sub-ball pulls back to a ball of the same level.
 
 Certification is exact.  `certify_omega` decides the bound from each
-piece's chart polynomials: the least valuation of the Mahler coefficients
-of its first quotient, the centre values, and the congruences of centre
-values between nearby pieces.  A map passes exactly when the bound holds,
-and a failure carries a failing (x, y, t) instead of a guess.
+piece's chart polynomials (or its stored coefficients, when they pass):
+the least valuation of the Mahler coefficients of its first quotient,
+the centre values, and the congruences of centre values between nearby
+pieces.  A map passes exactly when the bound holds, and a failure
+carries a failing (x, y, t) instead of a guess.
 
 Maps supported on finitely many balls inside a larger clopen region are
 handled by rescaling each supported ball onto the unit ball and
@@ -222,12 +223,12 @@ def certify_omega(endo):
 
 def _same_piece_witness(sigma, ball, v_min):
     """Condition 1 of `certify_omega` on one piece: None when it holds,
-    else the failing (x, y, t) as ints from the box point K*.  First, with
-    no chart: for |f| >= 1 all terms of the chart coefficient b_f = sum_{e
+    else the failing (x, y, t) as ints from the box point K*.  At k > 0, no
+    chart first: for |f| >= 1 all terms of the chart coefficient b_f = sum_{e
     >= f} a_e C(e, f) c^(e - f) p^(k|f|) have |e| >= 1, so v(b_f) >= k +
     `ambient_bound`, and `ambient_bound` >= v_min gives the chart bound."""
     k = ball.k
-    if sigma.ambient_bound(ball) >= v_min or sigma.image_bound(ball)[1] >= v_min + k:
+    if k and sigma.ambient_bound(ball) >= v_min or sigma.image_bound(ball)[1] >= v_min + k:
         return None
     p, d = sigma.ctx.p, sigma.d
     s, polys = sigma.chart_quotient(ball)
