@@ -211,7 +211,7 @@ class FunctionModel:
         return bound
 
     def ambient_bound(self, ball):
-        """`_slope` of a piece's stored coefficients: no chart is built."""
+        """`_slope` of a piece's stored polynomials minus their scale s."""
         s, polys = self._store[ball]
         return _slope(polys, self.ctx.p) - s
 
